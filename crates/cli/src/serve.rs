@@ -35,10 +35,14 @@
 //! ```
 //!
 //! Every reply carries `"ok"` and, once a session exists, `"degraded"`.
-//! Programs are interned with `Box::leak` — the resident session needs
-//! `'static` borrows, and a daemon's working set is the current program
-//! plus one abandoned candidate per failed resolve (reclaimed only at
-//! process exit; bounded in practice by the resolve failure count).
+//! Programs are interned with `Box::leak`, because the resident session
+//! needs `'static` borrows. Every `load` leaks its program, and every
+//! `resolve` whose delta applies leaks the patched program, whether or
+//! not the solve then succeeds. None is reclaimed before process exit, so
+//! the daemon grows by one program per `load` and per `resolve` (about
+//! 3.3 MB per resolve on the benchmark's jedit-scale `serve-edit`
+//! workload). The ROADMAP item "Own the program; a daemon in bounded
+//! memory" (`SolverState` holding an `Arc<Program>`) removes these leaks.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};

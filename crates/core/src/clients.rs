@@ -3,9 +3,7 @@
 //! (#reach-mtd), devirtualization (#poly-call), and call-graph construction
 //! (#call-edge). For every metric, smaller is better.
 
-use std::collections::HashSet;
-
-use csc_ir::{CallKind, CallSiteId, CastId, Program, Type};
+use csc_ir::{CallKind, CallSiteId, MethodId, ObjId, Program, Type};
 
 use crate::solver::PtaResult;
 
@@ -24,62 +22,70 @@ pub struct PrecisionMetrics {
 }
 
 impl PrecisionMetrics {
-    /// Computes all four metrics from an analysis result.
+    /// Computes all four metrics from an analysis result. Points-to sets
+    /// are projected, in one pass, only for the source variables of casts
+    /// in reachable methods.
     pub fn compute(result: &PtaResult<'_>) -> Self {
-        let program = result.state.program;
+        let state = &result.state;
+        let program = state.program;
+        let reachable: Vec<MethodId> = state.reachable_methods_projected().into_iter().collect();
+        let call_edges: Vec<_> = state.call_edges_projected().into_iter().collect();
+        let mut sources = vec![false; program.vars().len()];
+        for cast in program.casts() {
+            if reachable.binary_search(&cast.method()).is_ok() {
+                sources[cast.rhs().index()] = true;
+            }
+        }
+        let pts = state.pt_vars_projected(&sources);
+        Self::from_projections(program, &pts, &reachable, &call_edges)
+    }
+
+    /// The metrics of already projected results: `pts` is indexed by
+    /// variable and covers at least the source variable of every reachable
+    /// cast; `reachable` and `call_edges` are ascending and deduplicated.
+    pub(crate) fn from_projections(
+        program: &Program,
+        pts: &[Vec<ObjId>],
+        reachable: &[MethodId],
+        call_edges: &[(CallSiteId, MethodId)],
+    ) -> Self {
         PrecisionMetrics {
-            fail_casts: fail_casts(result).len(),
-            reach_methods: result.state.reachable_methods_projected().len(),
-            poly_calls: poly_calls(result).len(),
-            call_edges: result.state.call_edges_projected().len(),
+            fail_casts: fail_casts(program, pts, reachable),
+            reach_methods: reachable.len(),
+            poly_calls: poly_calls(program, call_edges),
+            call_edges: call_edges.len(),
         }
-        .validate(program)
-    }
-
-    fn validate(self, _program: &Program) -> Self {
-        self
     }
 }
 
-/// The cast sites that may fail under the given result.
+/// The number of cast sites that may fail.
 ///
-/// A cast `x = (T) y` may fail iff some object in `pt(y)` (restricted to
-/// casts in reachable methods) is not a subtype of `T`.
-pub fn fail_casts(result: &PtaResult<'_>) -> HashSet<CastId> {
-    let program = result.state.program;
-    let reachable = result.state.reachable_methods_projected();
-    let mut out = HashSet::new();
-    for (i, cast) in program.casts().iter().enumerate() {
-        if !reachable.contains(&cast.method()) {
-            continue;
-        }
-        let pt = result.state.pt_var_projected(cast.rhs());
-        let may_fail = pt.iter().any(|&o| {
-            let ty = Type::Class(program.obj(o).class());
-            !program.is_subtype(ty, cast.ty())
-        });
-        if may_fail {
-            out.insert(CastId::from_usize(i));
-        }
-    }
-    out
+/// A cast `x = (T) y` in a method of `reachable` (ascending) may fail iff
+/// some object in `pts[y]` (points-to sets indexed by variable) is not a
+/// subtype of `T`.
+pub fn fail_casts(program: &Program, pts: &[Vec<ObjId>], reachable: &[MethodId]) -> usize {
+    program
+        .casts()
+        .iter()
+        .filter(|cast| {
+            reachable.binary_search(&cast.method()).is_ok()
+                && pts[cast.rhs().index()].iter().any(|&o| {
+                    let ty = Type::Class(program.obj(o).class());
+                    !program.is_subtype(ty, cast.ty())
+                })
+        })
+        .count()
 }
 
-/// The virtual call sites that resolve to more than one callee.
-pub fn poly_calls(result: &PtaResult<'_>) -> HashSet<CallSiteId> {
-    let program = result.state.program;
-    let mut targets: Vec<HashSet<csc_ir::MethodId>> =
-        vec![HashSet::new(); program.call_sites().len()];
-    for &(_, site, _, callee) in result.state.call_edges() {
-        targets[site.index()].insert(callee);
-    }
-    let mut out = HashSet::new();
-    for (i, cs) in program.call_sites().iter().enumerate() {
-        if cs.kind() == CallKind::Virtual && targets[i].len() > 1 {
-            out.insert(CallSiteId::from_usize(i));
-        }
-    }
-    out
+/// The number of virtual call sites that resolve to more than one callee
+/// in the projected call graph `call_edges` (ascending, deduplicated).
+pub fn poly_calls(program: &Program, call_edges: &[(CallSiteId, MethodId)]) -> usize {
+    call_edges
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|targets| {
+            targets.len() > 1 && program.call_site(targets[0].0).kind() == CallKind::Virtual
+        })
+        .count()
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 
 use std::path::{Path, PathBuf};
 
-use csc_ir::{CallSiteId, MethodId, ObjId, Program, VarId};
+use csc_ir::{CallSiteId, MethodId, ObjId, Program};
 
 use crate::analyses::Analysis;
 use crate::clients::PrecisionMetrics;
@@ -58,21 +58,21 @@ pub struct SolvedSummary {
 }
 
 impl SolvedSummary {
-    /// Captures the summary of a (completed) result.
+    /// Captures the summary of a (completed) result: one projection pass
+    /// over the pointer table for every variable, and the metrics taken
+    /// from those projections.
     pub fn capture(program: &Program, result: &PtaResult<'_>) -> Self {
-        let pts = (0..program.vars().len())
-            .map(|i| result.state.pt_var_projected(VarId::from_usize(i)))
-            .collect();
+        let state = &result.state;
+        let pts = state.pt_vars_projected(&vec![true; program.vars().len()]);
+        let reachable: Vec<MethodId> = state.reachable_methods_projected().into_iter().collect();
+        let call_edges: Vec<_> = state.call_edges_projected().into_iter().collect();
+        let metrics = PrecisionMetrics::from_projections(program, &pts, &reachable, &call_edges);
         SolvedSummary {
             analysis: result.analysis.clone(),
             pts,
-            reachable: result
-                .state
-                .reachable_methods_projected()
-                .into_iter()
-                .collect(),
-            call_edges: result.state.call_edges_projected().into_iter().collect(),
-            metrics: PrecisionMetrics::compute(result),
+            reachable,
+            call_edges,
+            metrics,
         }
     }
 

@@ -2455,23 +2455,47 @@ impl<'p> SolverState<'p> {
 
     /// Union of `pt(c:v)` over all contexts `c`, projected to allocation
     /// sites — sorted and deduplicated, so downstream tables and snapshots
-    /// are deterministic.
+    /// are deterministic. Walks the whole pointer table; to project many
+    /// variables use [`pt_vars_projected`](Self::pt_vars_projected).
     pub fn pt_var_projected(&self, v: VarId) -> Vec<ObjId> {
         let mut out: Vec<ObjId> = Vec::new();
         for (i, key) in self.ptr_keys.iter().enumerate() {
-            if let PtrKey::Var(_, var) = key {
-                if *var == v {
-                    // Fan collapsed members back out to their
-                    // representative's shared set at projection time.
-                    for o in self.slots.pts(self.reps.find(i as u32)).iter() {
-                        out.push(self.obj_keys[o as usize].1);
-                    }
-                }
+            if matches!(*key, PtrKey::Var(_, var) if var == v) {
+                self.project_ptr(i, &mut out);
             }
         }
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    /// [`pt_var_projected`](Self::pt_var_projected) for every wanted
+    /// variable in one walk over the pointer table: `out[v]` is
+    /// `pt_var_projected(v)` where `wanted[v]`, and empty elsewhere
+    /// (`out.len() == wanted.len()`). Costs one pass over the pointers
+    /// plus the projected elements, not one pass per variable.
+    pub fn pt_vars_projected(&self, wanted: &[bool]) -> Vec<Vec<ObjId>> {
+        let mut out: Vec<Vec<ObjId>> = vec![Vec::new(); wanted.len()];
+        for (i, key) in self.ptr_keys.iter().enumerate() {
+            if let PtrKey::Var(_, v) = *key {
+                if wanted.get(v.index()) == Some(&true) {
+                    self.project_ptr(i, &mut out[v.index()]);
+                }
+            }
+        }
+        for pt in &mut out {
+            pt.sort_unstable();
+            pt.dedup();
+        }
+        out
+    }
+
+    /// Appends pointer `i`'s points-to set, projected to allocation sites,
+    /// to `out`. A collapsed member reads its representative's shared set,
+    /// which fans the set back out at projection time.
+    fn project_ptr(&self, i: usize, out: &mut Vec<ObjId>) {
+        let set = self.slots.pts(self.reps.find(i as u32));
+        out.extend(set.iter().map(|o| self.obj_keys[o as usize].1));
     }
 
     /// Context-insensitive projection of the reachable-method set (ordered).

@@ -51,11 +51,12 @@ struct Projections {
 
 impl Projections {
     fn capture(program: &Program, result: &PtaResult<'_>) -> Self {
-        let pts = (0..program.vars().len())
-            .map(|i| {
-                let v = VarId::from_usize(i);
-                (v, result.state.pt_var_projected(v))
-            })
+        let pts = result
+            .state
+            .pt_vars_projected(&vec![true; program.vars().len()])
+            .into_iter()
+            .enumerate()
+            .map(|(i, pt)| (VarId::from_usize(i), pt))
             .collect();
         Projections {
             pts,

@@ -22,13 +22,14 @@ use csc_ir::{Program, VarId};
 fn render(program: &Program, result: &PtaResult<'_>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## points-to");
-    for i in 0..program.vars().len() {
-        let v = VarId::from_usize(i);
-        let pt = result.state.pt_var_projected(v);
+    let pts = result
+        .state
+        .pt_vars_projected(&vec![true; program.vars().len()]);
+    for (i, pt) in pts.iter().enumerate() {
         if pt.is_empty() {
             continue;
         }
-        let var = program.var(v);
+        let var = program.var(VarId::from_usize(i));
         let labels: Vec<&str> = pt.iter().map(|&o| program.obj(o).label()).collect();
         let _ = writeln!(
             out,

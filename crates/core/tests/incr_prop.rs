@@ -126,11 +126,12 @@ struct Projections {
 impl Projections {
     fn capture(program: &Program, result: &PtaResult<'_>) -> Self {
         Projections {
-            pts: (0..program.vars().len())
-                .map(|i| {
-                    let v = VarId::from_usize(i);
-                    (v, result.state.pt_var_projected(v))
-                })
+            pts: result
+                .state
+                .pt_vars_projected(&vec![true; program.vars().len()])
+                .into_iter()
+                .enumerate()
+                .map(|(i, pt)| (VarId::from_usize(i), pt))
                 .collect(),
             reachable: result.state.reachable_methods_projected(),
             call_edges: result.state.call_edges_projected(),

@@ -5,10 +5,12 @@
 use std::collections::HashSet;
 
 use csc_core::{
-    run_analysis, Analysis, Budget, CallSiteSelector, CiSelector, NoPlugin, ObjSelector,
-    SelectiveSelector, SolveStatus, Solver,
+    resolve_analysis_opts, run_analysis, run_analysis_opts, Analysis, Budget, CallSiteSelector,
+    CiSelector, Engine, NoPlugin, ObjSelector, PtrId, PtrKey, SelectiveSelector, SolveStatus,
+    Solver, SolverOptions, SolverState,
 };
-use csc_ir::Program;
+use csc_ir::{Program, VarId};
+use csc_workloads::{generate_delta, DeltaGenConfig};
 
 fn compile(src: &str) -> Program {
     csc_frontend::compile(src).expect("compiles")
@@ -345,4 +347,95 @@ fn constructor_chaining_via_super() {
         .find(|&v| p.var(v).name() == "p")
         .unwrap();
     assert_eq!(out.result.state.pt_var_projected(pv).len(), 1);
+}
+
+/// Asserts that the one-pass projection equals the per-variable one for
+/// every variable, over all variables and under a partial mask (unwanted
+/// variables project to nothing).
+fn assert_one_pass_projection(program: &Program, state: &SolverState<'_>, what: &str) {
+    let n = program.vars().len();
+    let all = state.pt_vars_projected(&vec![true; n]);
+    let every_third: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+    let masked = state.pt_vars_projected(&every_third);
+    assert_eq!(all.len(), n, "{what}: one output per variable");
+    assert_eq!(masked.len(), n, "{what}: one output per mask entry");
+    for i in 0..n {
+        let v = VarId::from_usize(i);
+        let reference = state.pt_var_projected(v);
+        assert_eq!(all[i], reference, "{what}: pt({v:?}) differs");
+        let expected = if every_third[i] { &reference[..] } else { &[] };
+        assert_eq!(masked[i], expected, "{what}: masked pt({v:?}) differs");
+    }
+}
+
+/// The one-pass projection must equal `pt_var_projected` on suite
+/// programs with SCC collapse on (collapsed members fan out from their
+/// representative's set) and after an incremental resolve with removals
+/// on the parallel engine (dead commit-plane slots and appended
+/// variables present).
+#[test]
+fn one_pass_projection_equals_per_variable_projection() {
+    for name in ["hsqldb", "findbugs"] {
+        let program = csc_workloads::compiled(name).unwrap();
+        for (label, analysis) in [
+            ("ci", Analysis::Ci),
+            ("2obj", Analysis::KObj(2)),
+            ("csc", Analysis::CutShortcut),
+        ] {
+            let out = run_analysis_opts(
+                program,
+                analysis,
+                Budget::unlimited(),
+                SolverOptions::default(),
+            );
+            assert!(out.completed(), "{name}/{label}: hit budget");
+            assert!(
+                out.result.state.stats.ptrs_collapsed > 0,
+                "{name}/{label}: no pointer was collapsed"
+            );
+            assert_one_pass_projection(program, &out.result.state, &format!("{name}/{label}"));
+        }
+    }
+
+    let base = csc_workloads::compiled("hsqldb").unwrap();
+    let opts = SolverOptions::default()
+        .with_threads(2)
+        .with_engine(Engine::Bsp);
+    let mut outcome = run_analysis_opts(base, Analysis::Ci, Budget::unlimited(), opts);
+    let mut current = base;
+    let mut incremental_with_dead_slots = false;
+    for step in 0..3u64 {
+        let cfg = DeltaGenConfig {
+            seed: 0xd1ed + step,
+            actions: 6,
+            removals: true,
+        };
+        let (patched, fx) = generate_delta(current, &cfg)
+            .apply(current)
+            .expect("generated delta applies");
+        let patched: &'static Program = Box::leak(Box::new(patched));
+        assert!(
+            patched.vars().len() > current.vars().len(),
+            "step {step}: the delta appends variables"
+        );
+        outcome = resolve_analysis_opts(
+            outcome,
+            patched,
+            &fx,
+            Analysis::Ci,
+            Budget::unlimited(),
+            opts,
+        );
+        assert!(outcome.completed(), "resolve step {step}: hit budget");
+        let state = &outcome.result.state;
+        let dead = (0..state.ptr_count()).any(|p| state.ptr_key(PtrId(p as u32)) == PtrKey::Dead);
+        incremental_with_dead_slots |=
+            dead && !fx.removed_stmts.is_empty() && state.stats.incr_fallback_reason.is_none();
+        assert_one_pass_projection(patched, state, &format!("hsqldb/ci resolve step {step}"));
+        current = patched;
+    }
+    assert!(
+        incremental_with_dead_slots,
+        "no step resolved removals incrementally over dead pointer slots"
+    );
 }

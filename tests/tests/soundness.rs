@@ -71,11 +71,13 @@ fn csc_results_subset_of_ci() {
             bench.name
         );
         // Per-variable points-to sets shrink.
+        let all = vec![true; program.vars().len()];
+        let ci_pts = ci.result.state.pt_vars_projected(&all);
+        let csc_pts = csc.result.state.pt_vars_projected(&all);
         for m in 0..program.methods().len() {
             let m = csc_ir::MethodId::from_usize(m);
             for &v in program.method(m).vars() {
-                let ci_pt = ci.result.state.pt_var_projected(v);
-                let csc_pt = csc.result.state.pt_var_projected(v);
+                let (ci_pt, csc_pt) = (&ci_pts[v.index()], &csc_pts[v.index()]);
                 // Both projections are sorted vectors.
                 assert!(
                     csc_pt.iter().all(|o| ci_pt.binary_search(o).is_ok()),
