@@ -19,35 +19,15 @@
 //! status only: a row that completed in the baseline but times out fresh
 //! is always a failure; a row that was already timed out is skipped.
 //!
-//! Rows are keyed by `(program, analysis, threads, engine)` — a parallel
-//! row (threads ≥ 2, whose propagation counts are deterministic per
-//! thread count on the BSP engine but differ from the sequential
-//! engine's) is only ever compared against a baseline row with the same
-//! thread count and engine. Snapshots predating the `threads` field
-//! parse as `threads = 1`; rows predating the `engine` field parse as
-//! `seq` (one thread) or `bsp` (more — the only parallel engine back
-//! then). A baseline row whose engine no longer appears in the fresh
-//! snapshot at the same `(program, analysis, threads)` is skipped with a
-//! note rather than failed: flipping the recorded engine set is a
-//! deliberate harness change, not a perf regression.
+//! Rows are keyed by `(program, analysis)`. Snapshots recorded while the
+//! solver still had parallel engines also carry rows with a `threads`
+//! field above 1; those rows are skipped, so such a snapshot compares by
+//! its sequential rows.
 //!
-//! Two comparisons are *warnings*, never failures:
-//!
-//! * wall-clock drift when the two snapshots carry different hardware
-//!   fingerprints (`cpu`/`cores` fields) — cross-machine timings are not
-//!   comparable, while propagation counts still are;
-//! * propagation drift on `engine: async` rows — the work-stealing
-//!   engine's propagation count depends on message-arrival order, so it
-//!   is reproducible in aggregate but not exactly (results stay
-//!   bit-identical; only the operation count wobbles).
-//!
-//! The `parallel_secs` / `coordinator_secs` / `commit_secs` phase split
-//! each row carries is **informational**: it is parsed, carried through,
-//! and printed next to the comparison (the fresh run's coordinator share
-//! and the commit section's share of the coordinator) so phase drift is
-//! visible in CI logs, but it never trips a tolerance — the split is a
-//! decomposition of wall-clock, and wall-clock is already gated.
-//! Snapshots predating the fields parse as absent and print `-`.
+//! Wall-clock drift is a *warning*, never a failure, when the two
+//! snapshots carry different hardware fingerprints (`cpu`/`cores`
+//! fields): cross-machine timings are not comparable, while propagation
+//! counts still are.
 //!
 //! The incremental-resolve counters (`incr_fallbacks`, `resolve_secs`)
 //! are likewise informational: from-scratch table rows record 0 for
@@ -60,10 +40,10 @@
 //! `peak_rss_kb` growth beyond the tolerance fails the run when the
 //! hardware fingerprints match (downgraded to a warning otherwise, like
 //! wall-clock — RSS depends on the allocator and page behaviour), and
-//! `pts_bytes` growth fails on deterministic engines (warning on
-//! `async` rows, whose set-capacity history is schedule-dependent).
-//! `edge_bytes` and `shared_chunks` are informational. Rows where either
-//! snapshot predates a memory field print `-` for it and never gate.
+//! `pts_bytes` growth always fails. `peak_rss_kb` is the row's own peak:
+//! `table_main` resets the high-water mark before each row. `edge_bytes`
+//! and `shared_chunks` are informational. Rows where either snapshot
+//! predates a memory field print `-` for it and never gate.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -74,13 +54,6 @@ struct Row {
     time_secs: f64,
     completed: bool,
     propagations: u64,
-    /// Seconds inside parallel phases (absent on old snapshots).
-    parallel_secs: Option<f64>,
-    /// Seconds on the coordinator (absent on old snapshots).
-    coordinator_secs: Option<f64>,
-    /// Seconds of the coordinator spent in the per-round commit section
-    /// (absent on snapshots predating the sharded commit plane).
-    commit_secs: Option<f64>,
     /// Incremental re-solves that fell back to a full solve (absent on
     /// snapshots predating the incremental resolver; 0 on table rows,
     /// which always solve from scratch).
@@ -88,8 +61,8 @@ struct Row {
     /// Seconds of the most recent incremental re-solve (absent on old
     /// snapshots).
     resolve_secs: Option<f64>,
-    /// Process peak RSS (kB) when the row finished (absent on snapshots
-    /// predating the memory plane, and on non-Linux recorders).
+    /// Peak RSS (kB) while the row ran (absent on snapshots predating the
+    /// memory plane, and on non-Linux recorders).
     peak_rss_kb: Option<u64>,
     /// Exact heap bytes of every live points-to set (absent on old
     /// snapshots).
@@ -100,28 +73,6 @@ struct Row {
     /// Dense chunk blocks reached through more than one set (absent on
     /// old snapshots).
     shared_chunks: Option<u64>,
-}
-
-impl Row {
-    /// The coordinator's share of wall-clock, when the phase split is
-    /// recorded: `coordinator / (parallel + coordinator)`.
-    fn coord_share(&self) -> Option<f64> {
-        let (p, c) = (self.parallel_secs?, self.coordinator_secs?);
-        if p + c <= 0.0 {
-            return None;
-        }
-        Some(c / (p + c))
-    }
-
-    /// The commit section's share of the coordinator, when recorded:
-    /// `commit / coordinator`.
-    fn commit_share(&self) -> Option<f64> {
-        let (c, k) = (self.coordinator_secs?, self.commit_secs?);
-        if c <= 0.0 {
-            return None;
-        }
-        Some(k / c)
-    }
 }
 
 /// Extracts `"key": <value>` from a single JSON row line. The snapshot is
@@ -135,8 +86,8 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim().trim_matches('"'))
 }
 
-/// Row key: `(program, analysis, threads, engine)`.
-type Key = (String, String, u64, String);
+/// Row key: `(program, analysis)`.
+type Key = (String, String);
 
 /// One parsed snapshot: its rows plus the hardware fingerprint recorded
 /// in them (absent on snapshots predating the `cpu`/`cores` fields).
@@ -154,16 +105,11 @@ fn parse(path: &str) -> Snapshot {
         if !line.trim_start().starts_with("{\"program\"") {
             continue;
         }
+        if field(line, "threads").is_some_and(|t| t != "1") {
+            continue;
+        }
         let program = field(line, "program").expect("program field").to_owned();
         let analysis = field(line, "analysis").expect("analysis field").to_owned();
-        let threads: u64 = field(line, "threads")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        // Rows predating the engine field: one thread was the sequential
-        // engine, more was the (only) sharded BSP engine.
-        let engine = field(line, "engine")
-            .map(str::to_owned)
-            .unwrap_or_else(|| if threads <= 1 { "seq" } else { "bsp" }.to_owned());
         if fingerprint.is_none() {
             if let (Some(cpu), Some(cores)) = (
                 field(line, "cpu"),
@@ -180,9 +126,6 @@ fn parse(path: &str) -> Snapshot {
             propagations: field(line, "propagations")
                 .and_then(|v| v.parse().ok())
                 .expect("propagations field"),
-            parallel_secs: field(line, "parallel_secs").and_then(|v| v.parse().ok()),
-            coordinator_secs: field(line, "coordinator_secs").and_then(|v| v.parse().ok()),
-            commit_secs: field(line, "commit_secs").and_then(|v| v.parse().ok()),
             incr_fallbacks: field(line, "incr_fallbacks").and_then(|v| v.parse().ok()),
             resolve_secs: field(line, "resolve_secs").and_then(|v| v.parse().ok()),
             peak_rss_kb: field(line, "peak_rss_kb").and_then(|v| v.parse().ok()),
@@ -190,7 +133,7 @@ fn parse(path: &str) -> Snapshot {
             edge_bytes: field(line, "edge_bytes").and_then(|v| v.parse().ok()),
             shared_chunks: field(line, "shared_chunks").and_then(|v| v.parse().ok()),
         };
-        rows.insert((program, analysis, threads, engine), row);
+        rows.insert((program, analysis), row);
     }
     assert!(!rows.is_empty(), "no rows parsed from {path}");
     Snapshot { rows, fingerprint }
@@ -261,20 +204,16 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     let mut warnings = 0usize;
     println!(
-        "{:<11} {:<9} {:>3} {:<5} {:>12} {:>12} {:>9} {:>14} {:>14} {:>9} {:>7} {:>7} {:>7} {:>8} \
+        "{:<11} {:<9} {:>12} {:>12} {:>9} {:>14} {:>14} {:>9} {:>7} {:>8} \
          {:>10} {:>7} {:>9} {:>7} {:>8} {:>7}",
         "Program",
         "Analysis",
-        "Thr",
-        "Eng",
         "base-time",
         "fresh-time",
         "Δtime%",
         "base-props",
         "fresh-props",
         "Δprops%",
-        "coord%",
-        "commit%",
         "fallbk",
         "resolve",
         "rss-kb",
@@ -284,41 +223,18 @@ fn main() -> ExitCode {
         "edge-MB",
         "shared"
     );
-    for ((program, analysis, threads, engine), base) in &baseline.rows {
-        let key = (program.clone(), analysis.clone(), *threads, engine.clone());
-        let Some(new) = fresh.rows.get(&key) else {
-            // The same configuration recorded under a different engine
-            // means the harness's engine set changed (e.g. dual-engine
-            // par rows replacing bsp-only ones) — note it, don't fail.
-            let engine_switched = fresh
-                .rows
-                .keys()
-                .any(|(p, a, t, _)| p == program && a == analysis && t == threads);
-            if engine_switched {
-                println!(
-                    "{program:<11} {analysis:<9} {threads:>3} {engine:<5} skipped \
-                     (engine set changed in fresh snapshot)"
-                );
-            } else {
-                println!(
-                    "{program:<11} {analysis:<9} {threads:>3} {engine:<5} \
-                     MISSING from fresh snapshot"
-                );
-                failures += 1;
-            }
+    for ((program, analysis), base) in &baseline.rows {
+        let Some(new) = fresh.rows.get(&(program.clone(), analysis.clone())) else {
+            println!("{program:<11} {analysis:<9} MISSING from fresh snapshot");
+            failures += 1;
             continue;
         };
         if !base.completed {
-            println!(
-                "{program:<11} {analysis:<9} {threads:>3} {engine:<5} skipped \
-                 (baseline timed out)"
-            );
+            println!("{program:<11} {analysis:<9} skipped (baseline timed out)");
             continue;
         }
         if !new.completed {
-            println!(
-                "{program:<11} {analysis:<9} {threads:>3} {engine:<5} REGRESSION: now times out"
-            );
+            println!("{program:<11} {analysis:<9} REGRESSION: now times out");
             failures += 1;
             continue;
         }
@@ -326,27 +242,12 @@ fn main() -> ExitCode {
         let dp = (new.propagations as f64 - base.propagations as f64)
             / (base.propagations as f64).max(1.0)
             * 100.0;
-        // Async propagation counts are schedule-dependent (results are
-        // not) — drift there warns instead of failing.
-        let (mut time_bad, mut prop_bad) = (dt > time_tol, dp > prop_tol);
-        let (mut time_warn, mut prop_warn) = (false, false);
+        let (mut time_bad, prop_bad) = (dt > time_tol, dp > prop_tol);
+        let mut time_warn = false;
         if time_bad && !same_hardware {
             time_bad = false;
             time_warn = true;
         }
-        if prop_bad && engine == "async" {
-            prop_bad = false;
-            prop_warn = true;
-        }
-        // Informational only — the phase split never trips a tolerance.
-        let coord = new
-            .coord_share()
-            .map(|s| format!("{:>6.1}%", s * 100.0))
-            .unwrap_or_else(|| format!("{:>7}", "-"));
-        let commit = new
-            .commit_share()
-            .map(|s| format!("{:>6.1}%", s * 100.0))
-            .unwrap_or_else(|| format!("{:>7}", "-"));
         // Informational incremental-resolve counters (never gated).
         let fallbk = new
             .incr_fallbacks
@@ -364,22 +265,16 @@ fn main() -> ExitCode {
             .zip(new.peak_rss_kb)
             .map(|(b, f)| pct(b, f));
         let dpts = base.pts_bytes.zip(new.pts_bytes).map(|(b, f)| pct(b, f));
-        let (mut rss_bad, mut pts_bad) = (
+        let (mut rss_bad, pts_bad) = (
             drss.is_some_and(|d| d > mem_tol),
             dpts.is_some_and(|d| d > mem_tol),
         );
-        let (mut rss_warn, mut pts_warn) = (false, false);
+        let mut rss_warn = false;
         // RSS depends on the allocator and page behaviour — only gate it
         // runner-against-runner, like wall-clock.
         if rss_bad && !same_hardware {
             rss_bad = false;
             rss_warn = true;
-        }
-        // Async set-capacity history is schedule-dependent, like its
-        // propagation count.
-        if pts_bad && engine == "async" {
-            pts_bad = false;
-            pts_warn = true;
         }
         let mb = |b: u64| b as f64 / (1024.0 * 1024.0);
         let rss = new
@@ -422,18 +317,12 @@ fn main() -> ExitCode {
         if time_warn {
             note.push_str("  (time drift: WARNING, hardware differs)");
         }
-        if prop_warn {
-            note.push_str("  (prop drift: WARNING, async schedule-dependent)");
-        }
         if rss_warn {
             note.push_str("  (rss drift: WARNING, hardware differs)");
         }
-        if pts_warn {
-            note.push_str("  (pts-bytes drift: WARNING, async schedule-dependent)");
-        }
         println!(
-            "{program:<11} {analysis:<9} {threads:>3} {engine:<5} {:>11.3}s {:>11.3}s {:>8.1}% \
-             {:>14} {:>14} {:>8.1}% {coord} {commit} {fallbk} {resolve} \
+            "{program:<11} {analysis:<9} {:>11.3}s {:>11.3}s {:>8.1}% \
+             {:>14} {:>14} {:>8.1}% {fallbk} {resolve} \
              {rss} {rss_d} {pts} {pts_d} {edge} {shared}{note}",
             base.time_secs, new.time_secs, dt, base.propagations, new.propagations, dp,
         );
@@ -441,17 +330,14 @@ fn main() -> ExitCode {
             + usize::from(prop_bad)
             + usize::from(rss_bad)
             + usize::from(pts_bad);
-        warnings += usize::from(time_warn)
-            + usize::from(prop_warn)
-            + usize::from(rss_warn)
-            + usize::from(pts_warn);
+        warnings += usize::from(time_warn) + usize::from(rss_warn);
     }
-    for key in fresh.rows.keys() {
-        if !baseline.rows.contains_key(key) {
-            println!(
-                "{:<11} {:<9} {:>3} {:<5} new row (no baseline)",
-                key.0, key.1, key.2, key.3
-            );
+    for (program, analysis) in fresh.rows.keys() {
+        if !baseline
+            .rows
+            .contains_key(&(program.clone(), analysis.clone()))
+        {
+            println!("{program:<11} {analysis:<9} new row (no baseline)");
         }
     }
     if warnings > 0 {

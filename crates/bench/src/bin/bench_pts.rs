@@ -3,11 +3,11 @@
 //!
 //! Times four pairings the propagation engine actually executes:
 //!
-//! * `bits∪bits widen`   — `union_with` on two dense bitmaps (the
-//!   accumulator path the chunked no-bounds-check kernel serves),
-//! * `bits∪bits delta`   — `union_delta` on the same operands (the
-//!   serial delta-extraction path),
-//! * `bits∪bits subset`  — the no-op union fast path at fixpoint,
+//! * `large∪large widen` — `union_with` on two promoted (chunked) sets
+//!   (the accumulator path),
+//! * `large∪large delta` — `union_delta` on the same operands (the
+//!   delta-extraction path),
+//! * `large∪large subset` — the no-op union fast path at fixpoint,
 //! * `small∪small merge` — the sorted-vector merge below `SMALL_MAX`.
 //!
 //! Operands are rebuilt from a fixed xorshift seed each iteration batch,
@@ -15,18 +15,15 @@
 //! printed to keep the optimizer from deleting the work. Iteration count
 //! scales with `CSC_PTS_ITERS` (default 2000).
 //!
-//! A second section compares the two large-set representations
-//! (`legacy` whole-range bitmap vs the default `chunked` hybrid) on
-//! three element distributions the solver produces — `sparse` (few ids
-//! scattered over a wide universe), `clustered` (ids bunched into a few
-//! hot chunks, the common allocation-site locality shape), and `dense`
-//! (most of a narrow universe) — reporting ns/union and the exact heap
-//! bytes per set, so the memory-diet trade is visible next to the speed
-//! trade.
+//! A second section times unions on three element distributions the
+//! solver produces — `sparse` (few ids scattered over a wide universe),
+//! `clustered` (ids bunched into a few hot chunks, the common
+//! allocation-site locality shape), and `dense` (most of a narrow
+//! universe) — reporting ns/union and the exact heap bytes per set.
 
 use std::time::Instant;
 
-use csc_core::{PointsToSet, PtsRepr};
+use csc_core::PointsToSet;
 
 /// Deterministic xorshift32 — no external RNG, identical streams on every
 /// run and machine.
@@ -73,25 +70,25 @@ fn main() {
         .unwrap_or(2000);
     let mut rng = XorShift(0x9e37_79b9);
 
-    // Dense operands: ~4k elements over a 64k universe — 1024 words each,
-    // comfortably past promotion, the shape of a hot library pointer.
+    // Large operands: ~4k elements over a 64k universe, comfortably past
+    // promotion, the shape of a hot library pointer.
     let big_a = random_set(&mut rng, 4096, 65_536);
     let big_b = random_set(&mut rng, 4096, 65_536);
     // Small operands: the sub-`SMALL_MAX` sorted-vector regime.
     let small_a = random_set(&mut rng, 48, 65_536);
     let small_b = random_set(&mut rng, 48, 65_536);
 
-    bench("bits∪bits widen", iters, || {
+    bench("large∪large widen", iters, || {
         let mut s = big_a.clone();
         s.union_with(&big_b);
         s.len() as u64
     });
-    bench("bits∪bits delta", iters, || {
+    bench("large∪large delta", iters, || {
         let mut s = big_a.clone();
         let d = s.union_delta(&big_b).map_or(0, |d| d.len());
         (s.len() + d) as u64
     });
-    bench("bits∪bits subset", iters, || {
+    bench("large∪large subset", iters, || {
         // `big_a ∪ big_a` is the fixpoint no-op the subset test answers.
         let mut s = big_a.clone();
         u64::from(s.union_with(&big_a))
@@ -102,16 +99,14 @@ fn main() {
         s.len() as u64
     });
 
-    // ---- representation comparison --------------------------------------
+    // ---- element distributions -------------------------------------------
     //
-    // Each distribution is rebuilt under each representation (the mode is
-    // read at promotion time, so operand construction must happen after
-    // `set_default_repr`). The rng is reseeded per pairing so both reprs
-    // union element-identical operands.
+    // The rng is reseeded per distribution, so every run unions
+    // element-identical operands.
     println!();
     println!(
-        "{:<11} {:<9} {:>12} {:>13} {:>9}",
-        "Distrib", "Repr", "ns/union", "bytes/set", "elems"
+        "{:<11} {:>12} {:>13} {:>9}",
+        "Distrib", "ns/union", "bytes/set", "elems"
     );
     for (dist, len, universe) in [
         // Few ids scattered wide: one sparse chunk per few elements.
@@ -121,50 +116,41 @@ fn main() {
         // Most of a narrow universe: every chunk dense.
         ("dense", 49_152, 1 << 16),
     ] {
-        for repr in [PtsRepr::Legacy, PtsRepr::Chunked] {
-            csc_core::pts::set_default_repr(repr);
-            let mut rng = XorShift(0xdead_beef ^ len as u32);
-            let (a, b) = if dist == "clustered" {
-                // Draw from four 4096-id windows spread across the
-                // universe — the chunked layout's best case, the
-                // whole-range bitmap's worst.
-                let windows: Vec<u32> = (0..4).map(|_| (rng.next() % universe) & !0xfff).collect();
-                let clustered = |rng: &mut XorShift| {
-                    let mut s = PointsToSet::new();
-                    while s.len() < len {
-                        let w = windows[(rng.next() % 4) as usize];
-                        s.insert(w + (rng.next() & 0xfff));
-                    }
-                    s
-                };
-                (clustered(&mut rng), clustered(&mut rng))
-            } else {
-                (
-                    random_set(&mut rng, len, universe),
-                    random_set(&mut rng, len, universe),
-                )
+        let mut rng = XorShift(0xdead_beef ^ len as u32);
+        let (a, b) = if dist == "clustered" {
+            // Draw from four 4096-id windows spread across the
+            // universe — the chunked layout's best case.
+            let windows: Vec<u32> = (0..4).map(|_| (rng.next() % universe) & !0xfff).collect();
+            let clustered = |rng: &mut XorShift| {
+                let mut s = PointsToSet::new();
+                while s.len() < len {
+                    let w = windows[(rng.next() % 4) as usize];
+                    s.insert(w + (rng.next() & 0xfff));
+                }
+                s
             };
-            let label = match repr {
-                PtsRepr::Legacy => "legacy",
-                PtsRepr::Chunked => "chunked",
-            };
-            let mut checksum = 0u64;
-            let start = Instant::now();
-            for _ in 0..iters {
-                let mut s = a.clone();
-                s.union_with(&b);
-                checksum = checksum.wrapping_add(s.len() as u64);
-            }
-            let elapsed = start.elapsed();
-            let mut merged = a.clone();
-            merged.union_with(&b);
-            println!(
-                "{dist:<11} {label:<9} {:>12.1} {:>13} {:>9}   (checksum={checksum})",
-                elapsed.as_nanos() as f64 / f64::from(iters),
-                merged.heap_bytes(),
-                merged.len(),
-            );
+            (clustered(&mut rng), clustered(&mut rng))
+        } else {
+            (
+                random_set(&mut rng, len, universe),
+                random_set(&mut rng, len, universe),
+            )
+        };
+        let mut checksum = 0u64;
+        let start = Instant::now();
+        for _ in 0..iters {
+            let mut s = a.clone();
+            s.union_with(&b);
+            checksum = checksum.wrapping_add(s.len() as u64);
         }
+        let elapsed = start.elapsed();
+        let mut merged = a.clone();
+        merged.union_with(&b);
+        println!(
+            "{dist:<11} {:>12.1} {:>13} {:>9}   (checksum={checksum})",
+            elapsed.as_nanos() as f64 / f64::from(iters),
+            merged.heap_bytes(),
+            merged.len(),
+        );
     }
-    csc_core::pts::set_default_repr(PtsRepr::Chunked);
 }

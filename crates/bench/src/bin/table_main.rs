@@ -5,79 +5,37 @@
 //! Besides the human-readable table, the run writes a machine-readable
 //! perf snapshot to `BENCH_main.json` (path overridable via
 //! `CSC_BENCH_JSON`) so CI can track wall-clock and precision drift.
-//! Every row records the propagation `threads` it ran with (`CSC_THREADS`;
-//! CI pins 1 for the gate), so `bench_diff` only ever compares rows with
-//! like thread counts. Opt-in extras: `CSC_XL=1` appends the
-//! 10⁵+-statement `xl` program, and `CSC_PAR_ROWS=N` (N ≥ 2) re-runs
-//! 2obj on the three slowest programs (columba, soot, gruntspud) with N
-//! worker threads, recording the thread-scaling rows next to their
-//! sequential counterparts. When `CSC_ENGINE` is unset the parallel rows
-//! are recorded for *both* engines (async and bsp) so the snapshot tracks
-//! them side by side; pin `CSC_ENGINE` to record just one.
+//! Each row's `peak_rss_kb` is that row's own peak: the high-water mark
+//! is reset before every row. `CSC_XL=1` appends the 10⁵+-statement `xl`
+//! program.
 
 use std::fmt::Write as _;
 
-use csc_bench::{analyses, budget_label, fmt_time, run_row, run_row_opts, Row};
-use csc_core::{Analysis, Engine, SolverOptions};
+use csc_bench::{analyses, budget_label, fmt_time, run_row, Row};
 
-/// The programs whose 2obj rows dominate suite wall-clock; `CSC_PAR_ROWS`
-/// re-measures exactly these with a parallel engine.
-const PAR_ROW_PROGRAMS: [&str; 3] = ["columba", "soot", "gruntspud"];
-
-/// Snapshot label for the engine a row ran on: `seq` below two threads
-/// (neither parallel engine engages), else the resolved engine name.
-/// `bench_diff` keys rows by it so async and bsp rows never collide.
-fn engine_label(opts: &SolverOptions) -> &'static str {
-    if opts.resolved_threads() <= 1 {
-        "seq"
-    } else {
-        match opts.resolved_engine() {
-            Engine::Async => "async",
-            Engine::Bsp => "bsp",
-        }
-    }
-}
-
-fn json_row(out: &mut String, program: &str, row: &Row<'_>, engine: &str, cpu: &str, cores: u64) {
+fn json_row(out: &mut String, program: &str, row: &Row<'_>, cpu: &str, cores: u64) {
     let stats = &row.outcome.result.state.stats;
-    // `stats.threads` is the *resolved* worker count (never the raw
-    // `CSC_THREADS=0` auto value) — bench_diff keys rows by it, and a
-    // literal 0 would alias rows from machines with different core
-    // counts. Pinned by `resolved_thread_count_recorded` below.
     let _ = write!(
         out,
-        "    {{\"program\": \"{program}\", \"analysis\": \"{}\", \"threads\": {}, \
-         \"engine\": \"{engine}\", \
+        "    {{\"program\": \"{program}\", \"analysis\": \"{}\", \
          \"time_secs\": {:.6}, \"completed\": {}, \
-         \"parallel_secs\": {:.6}, \"coordinator_secs\": {:.6}, \
-         \"commit_secs\": {:.6}, \
          \"propagations\": {}, \"pfg_edges\": {}, \"pointers\": {}, \
          \"scc_runs\": {}, \"sccs_collapsed\": {}, \"ptrs_collapsed\": {}, \
-         \"pause_count\": {}, \"steal_count\": {}, \
          \"incr_fallbacks\": {}, \"resolve_secs\": {:.6}",
         row.label,
-        stats.threads,
         row.outcome.total_time.as_secs_f64(),
         row.outcome.completed(),
-        stats.parallel_secs,
-        stats.coordinator_secs,
-        stats.commit_secs,
         stats.propagations,
         stats.edges,
         stats.pointers,
         stats.scc_runs,
         stats.sccs_collapsed,
         stats.ptrs_collapsed,
-        stats.pause_count,
-        stats.steal_count,
         stats.incr_fallbacks,
         stats.resolve_secs,
     );
-    // Memory-plane columns (PR 9): exact per-structure byte accounting from
-    // the solver, plus the process peak RSS at the time the row finished.
-    // VmHWM is a process-wide high-water mark, so later rows only reflect
-    // growth beyond every earlier row — bench_diff still catches a diet
-    // regression because the *first* row to blow the budget moves.
+    // Memory-plane columns: exact per-structure byte accounting from the
+    // solver, plus the peak RSS since the reset before this row.
     let _ = write!(
         out,
         ", \"pts_bytes\": {}, \"edge_bytes\": {}, \"shared_chunks\": {}",
@@ -98,18 +56,12 @@ fn json_row(out: &mut String, program: &str, row: &Row<'_>, engine: &str, cpu: &
     out.push('}');
 }
 
-fn print_row(program: &str, row: &Row<'_>, engine: &str) {
-    let threads = row.outcome.result.state.stats.threads;
-    let label = if threads > 1 {
-        format!("{}({}t,{engine})", row.label, threads)
-    } else {
-        row.label.to_owned()
-    };
+fn print_row(program: &str, row: &Row<'_>) {
     match &row.metrics {
         Some(m) => println!(
             "{:<11} {:<9} {:>8} {:>10} {:>11} {:>11} {:>11}",
             program,
-            label,
+            row.label,
             fmt_time(row.outcome.total_time),
             m.fail_casts,
             m.reach_methods,
@@ -119,7 +71,7 @@ fn print_row(program: &str, row: &Row<'_>, engine: &str) {
         None => println!(
             "{:<11} {:<9} {:>8} {:>10} {:>11} {:>11} {:>11}",
             program,
-            label,
+            row.label,
             budget_label(),
             "-",
             "-",
@@ -131,10 +83,6 @@ fn print_row(program: &str, row: &Row<'_>, engine: &str) {
 
 fn main() {
     let only: Option<String> = std::env::args().nth(1);
-    let par_rows: usize = std::env::var("CSC_PAR_ROWS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let (cpu, cores) = csc_bench::hardware_fingerprint();
     let mut json_rows: Vec<String> = Vec::new();
     println!(
@@ -149,40 +97,13 @@ fn main() {
             }
         }
         let program = csc_workloads::compiled(bench.name).expect("suite benchmark compiles");
-        let base_engine = engine_label(&csc_bench::solver_options());
         for analysis in analyses() {
+            csc_core::reset_peak_rss();
             let row = run_row(program, analysis);
-            print_row(bench.name, &row, base_engine);
+            print_row(bench.name, &row);
             let mut buf = String::new();
-            json_row(&mut buf, bench.name, &row, base_engine, &cpu, cores);
+            json_row(&mut buf, bench.name, &row, &cpu, cores);
             json_rows.push(buf);
-        }
-        // Thread-scaling rows: re-run the dominating 2obj rows on the
-        // parallel engines so the snapshot records the speedup. With
-        // `CSC_ENGINE` unset both engines get a row (async next to bsp);
-        // pinning the variable records just that engine. Skipped when the
-        // base options already run at this thread count — the suite loop
-        // produced that row, and a duplicate
-        // (program, analysis, threads, engine) key would shadow it in
-        // bench_diff.
-        let base_threads = csc_bench::solver_options().resolved_threads();
-        if par_rows >= 2 && par_rows != base_threads && PAR_ROW_PROGRAMS.contains(&bench.name) {
-            let engines: Vec<Engine> = if std::env::var("CSC_ENGINE").is_ok() {
-                vec![csc_bench::solver_options().resolved_engine()]
-            } else {
-                vec![Engine::Async, Engine::Bsp]
-            };
-            for engine in engines {
-                let opts = csc_bench::solver_options()
-                    .with_threads(par_rows)
-                    .with_engine(engine);
-                let label = engine_label(&opts);
-                let row = run_row_opts(program, Analysis::KObj(2), opts);
-                print_row(bench.name, &row, label);
-                let mut buf = String::new();
-                json_row(&mut buf, bench.name, &row, label, &cpu, cores);
-                json_rows.push(buf);
-            }
         }
         println!("{}", "-".repeat(78));
     }
@@ -195,26 +116,5 @@ fn main() {
     match std::fs::write(&path, snapshot) {
         Ok(()) => eprintln!("perf snapshot written to {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    /// `CSC_THREADS=0` (auto) must never record a literal 0 in the
-    /// snapshot: `bench_diff` keys rows by `(program, analysis, threads)`,
-    /// and a verbatim 0 would alias rows recorded on machines with
-    /// different core counts. `json_row` reads `stats.threads`, which the
-    /// solver seeds from the *resolved* count — pin that.
-    #[test]
-    fn resolved_thread_count_recorded() {
-        let program = csc_workloads::compiled("hsqldb").unwrap();
-        let opts = csc_core::SolverOptions::default().with_threads(0);
-        let row = csc_bench::run_row_opts(program, csc_core::Analysis::Ci, opts);
-        let threads = row.outcome.result.state.stats.threads;
-        assert!(
-            threads >= 1,
-            "auto thread count must resolve, got {threads}"
-        );
-        assert_eq!(threads as usize, opts.resolved_threads());
     }
 }

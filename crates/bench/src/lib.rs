@@ -39,23 +39,12 @@ pub fn budget_label() -> String {
 
 /// Engine options for bench runs: SCC-collapsed propagation is on by
 /// default; `CSC_SCC=0` (or `off`) selects the uncollapsed reference
-/// engine for A/B comparisons. The propagation thread count comes from
-/// `CSC_THREADS` (`0` = the machine's available parallelism). Unset
-/// defaults to `1`, *not* auto: snapshot rows are keyed by thread count
-/// in `bench_diff`, so the default `table_main` → `bench_diff` loop must
-/// produce the same row keys on every machine — parallel rows are an
-/// explicit opt-in (`CSC_THREADS=4`, or `CSC_PAR_ROWS=4` for the
-/// committed thread-scaling rows).
+/// engine for A/B comparisons.
 pub fn solver_options() -> SolverOptions {
-    let base = match std::env::var("CSC_SCC").as_deref() {
+    match std::env::var("CSC_SCC").as_deref() {
         Ok("0") | Ok("off") => SolverOptions::no_collapse(),
         _ => SolverOptions::default(),
-    };
-    let threads = std::env::var("CSC_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1);
-    base.with_threads(threads)
+    }
 }
 
 /// The five analyses of the paper's comparison, in table order.
@@ -81,13 +70,8 @@ pub struct Row<'p> {
 
 /// Runs one analysis and computes metrics unless it timed out.
 pub fn run_row(program: &Program, analysis: Analysis) -> Row<'_> {
-    run_row_opts(program, analysis, solver_options())
-}
-
-/// [`run_row`] with explicit engine options (thread-scaling rows).
-pub fn run_row_opts(program: &Program, analysis: Analysis, opts: SolverOptions) -> Row<'_> {
     let label = analysis.label();
-    let outcome = run_analysis_opts(program, analysis, budget(), opts);
+    let outcome = run_analysis_opts(program, analysis, budget(), solver_options());
     let metrics = outcome
         .completed()
         .then(|| PrecisionMetrics::compute(&outcome.result));
@@ -99,9 +83,8 @@ pub fn run_row_opts(program: &Program, analysis: Analysis, opts: SolverOptions) 
 }
 
 /// The bench programs for this run: the ten-program suite, plus the
-/// 10⁵+-statement `xl` stress program when `CSC_XL=1` (opt-in — it
-/// exists to give thread-scaling something that saturates cores, and its
-/// 2obj row blows any small budget by design).
+/// 10⁵+-statement `xl` stress program when `CSC_XL=1` (opt-in — its 2obj
+/// row blows any small budget by design).
 pub fn bench_programs() -> Vec<csc_workloads::Benchmark> {
     let mut benches = csc_workloads::suite();
     if matches!(std::env::var("CSC_XL").as_deref(), Ok("1") | Ok("on")) {

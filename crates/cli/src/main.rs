@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! csc analyze <file.mj> [--analysis ci|2obj|2type|2cs|zipper|csc|csc-doop|csc-hybrid]
-//!                       [--budget <secs>] [--threads <n>] [--engine async|bsp]
-//!                       [--pt <Class.method.var>] [--metrics]
+//!                       [--budget <secs>] [--pt <Class.method.var>] [--metrics]
 //! csc dump-ir <file.mj>
 //! csc run     <file.mj>            # concrete execution + trace summary
 //! csc bench   <name>               # analyze a built-in suite benchmark
 //! csc suite                        # list built-in benchmarks
 //! csc resolve <file.mj|name>       # incremental re-solve across deltas
 //!             [--delta <d.bin>]... [--gen-deltas <n>] [--seed <s>]
-//!             [--analysis ...] [--threads ...] [--metrics]
-//! csc serve   [--analysis ...] [--threads <n>] [--engine async|bsp]
-//!             [--budget-ms <ms>]   # resident line-delimited JSON daemon
+//!             [--analysis ...] [--metrics]
+//! csc serve   [--analysis ...] [--budget-ms <ms>]
+//!                                  # resident line-delimited JSON daemon
 //! ```
 //!
 //! `resolve` applies a sequence of program deltas (binary
@@ -25,12 +24,7 @@
 //! without running propagation at all. `CSC_RESULT_CACHE=0` opts out,
 //! `CSC_RESULT_CACHE_DIR` redirects.
 //!
-//! `--threads` selects the propagation engine: `1` runs the sequential
-//! solver, `0` (the default, also via `CSC_THREADS`) resolves to the
-//! machine's available parallelism, and `n >= 2` runs a parallel engine
-//! with `n` workers — the async work-stealing engine by default,
-//! `--engine bsp` (or `CSC_ENGINE=bsp`) for the bulk-synchronous rounds.
-//! Projected results are identical for every thread count and engine.
+//! Every command solves on one thread: the solver is sequential.
 //!
 //! `serve` starts the resident analysis daemon: a long-lived loop over a
 //! line-delimited JSON protocol on stdin/stdout with per-request budgets,
@@ -43,8 +37,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use csc_core::{
-    resolve_analysis_opts, run_analysis_opts, Analysis, Budget, Engine, PrecisionMetrics,
-    SolverOptions,
+    resolve_analysis_opts, run_analysis_opts, Analysis, Budget, PrecisionMetrics, SolverOptions,
 };
 use csc_interp::{execute, InterpConfig};
 use csc_ir::Program;
@@ -52,12 +45,11 @@ use csc_ir::Program;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  csc analyze <file.mj> [--analysis ci|2obj|2type|2cs|zipper|csc|csc-doop|csc-hybrid] \
-         [--budget <secs>] [--threads <n>] [--engine async|bsp] [--pt <Class.method.var>] \
-         [--metrics]\n  csc dump-ir <file.mj>\n  \
+         [--budget <secs>] [--pt <Class.method.var>] [--metrics]\n  csc dump-ir <file.mj>\n  \
          csc run <file.mj>\n  csc bench <name> [--analysis ...]\n  csc suite\n  \
          csc resolve <file.mj|name> [--delta <d.bin>]... [--gen-deltas <n>] [--seed <s>] \
-         [--analysis ...] [--threads <n>] [--metrics]\n  \
-         csc serve [--analysis ...] [--threads <n>] [--engine async|bsp] [--budget-ms <ms>]"
+         [--analysis ...] [--metrics]\n  \
+         csc serve [--analysis ...] [--budget-ms <ms>]"
     );
     ExitCode::from(2)
 }
@@ -85,50 +77,17 @@ fn analyze(
     program: &Program,
     analysis: Analysis,
     budget: Budget,
-    threads: usize,
-    engine_choice: Option<Engine>,
     pt_query: Option<&str>,
     metrics: bool,
 ) -> ExitCode {
     let label = analysis.label().to_owned();
-    let mut opts = SolverOptions::default().with_threads(threads);
-    if let Some(e) = engine_choice {
-        opts = opts.with_engine(e);
-    }
-    let outcome = run_analysis_opts(program, analysis, budget, opts);
+    let outcome = run_analysis_opts(program, analysis, budget, SolverOptions::default());
     if !outcome.completed() {
-        report_incomplete(&label, &outcome);
+        println!("{label}: budget exhausted after {:?}", outcome.total_time);
         return ExitCode::FAILURE;
     }
-    let stats = &outcome.result.state.stats;
-    let engine = if stats.threads > 1 {
-        // The Amdahl split of the run: time inside parallel phases vs the
-        // coordinator (commits, plugin events, graph growth, SCC epochs).
-        let total = stats.parallel_secs + stats.coordinator_secs;
-        let coord_share = if total > 0.0 {
-            stats.coordinator_secs / total * 100.0
-        } else {
-            0.0
-        };
-        if stats.pause_count > 0 {
-            // The async engine pauses (quiescence points) instead of
-            // running fixed rounds; steals are batch migrations between
-            // shard owners.
-            format!(
-                "{} threads, {} pauses, {} steals, {:.0}% coordinator",
-                stats.threads, stats.pause_count, stats.steal_count, coord_share
-            )
-        } else {
-            format!(
-                "{} threads, {} rounds, {:.0}% coordinator",
-                stats.threads, stats.parallel_rounds, coord_share
-            )
-        }
-    } else {
-        "sequential".to_owned()
-    };
     println!(
-        "{label}: completed in {:?} ({} reachable methods, {} call edges, {engine})",
+        "{label}: completed in {:?} ({} reachable methods, {} call edges)",
         outcome.total_time,
         outcome.result.state.reachable_methods_projected().len(),
         outcome.result.state.call_edges_projected().len(),
@@ -197,16 +156,6 @@ fn analyze(
     ExitCode::SUCCESS
 }
 
-/// Prints why an incomplete solve stopped: a typed failure (poisoned
-/// state or an injected fault) when one is recorded, budget exhaustion
-/// otherwise.
-fn report_incomplete(label: &str, outcome: &csc_core::AnalysisOutcome<'_>) {
-    match &outcome.result.error {
-        Some(e) => println!("{label}: solve failed after {:?}: {e}", outcome.total_time),
-        None => println!("{label}: budget exhausted after {:?}", outcome.total_time),
-    }
-}
-
 /// Prints one metrics line.
 fn print_metrics(m: &PrecisionMetrics) {
     println!(
@@ -218,22 +167,16 @@ fn print_metrics(m: &PrecisionMetrics) {
 /// The `resolve` subcommand: apply a delta chain, re-solving incrementally
 /// after each step, with the final answer memoized in (and, when warm,
 /// answered from) the on-disk solved-result cache.
-#[allow(clippy::too_many_arguments)]
 fn resolve_cmd(
     base: Program,
     analysis: Analysis,
     budget: Budget,
-    threads: usize,
-    engine_choice: Option<Engine>,
     metrics: bool,
     delta_files: &[String],
     gen_deltas: usize,
     seed: u64,
 ) -> ExitCode {
-    let mut opts = SolverOptions::default().with_threads(threads);
-    if let Some(e) = engine_choice {
-        opts = opts.with_engine(e);
-    }
+    let opts = SolverOptions::default();
     // Build the whole chain of patched programs up front; a delta that
     // does not apply should fail before any solving starts.
     let mut programs: Vec<Program> = vec![base];
@@ -309,7 +252,7 @@ fn resolve_cmd(
     // Cold path: solve the base once, then fold each delta incrementally.
     let mut outcome = run_analysis_opts(&programs[0], analysis.clone(), budget, opts);
     if !outcome.completed() {
-        report_incomplete(&label, &outcome);
+        println!("{label}: budget exhausted after {:?}", outcome.total_time);
         return ExitCode::FAILURE;
     }
     println!("{label}: base solve completed in {:?}", outcome.total_time);
@@ -323,10 +266,7 @@ fn resolve_cmd(
             opts,
         );
         if !outcome.completed() {
-            match &outcome.result.error {
-                Some(e) => println!("{label}: solve failed at delta {i}: {e}"),
-                None => println!("{label}: budget exhausted at delta {i}"),
-            }
+            println!("{label}: budget exhausted at delta {i}");
             return ExitCode::FAILURE;
         }
         let stats = &outcome.result.state.stats;
@@ -370,15 +310,6 @@ fn main() -> ExitCode {
     // Flag parsing shared by `analyze` and `bench`.
     let mut analysis = Analysis::CutShortcut;
     let mut budget = Budget::unlimited();
-    // Propagation threads: `--threads` wins, then `CSC_THREADS`, then auto
-    // (0 = available parallelism).
-    let mut threads: usize = std::env::var("CSC_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    // Parallel engine: `--engine` wins; unset defers to `CSC_ENGINE`
-    // (then the async default) inside the solver.
-    let mut engine_choice: Option<Engine> = None;
     let mut pt_query: Option<String> = None;
     // Default per-request wall-clock budget for `serve` (milliseconds).
     let mut budget_ms: Option<u64> = None;
@@ -390,24 +321,6 @@ fn main() -> ExitCode {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--threads" => {
-                let Some(v) = it.next() else { return usage() };
-                match v.parse::<usize>() {
-                    Ok(n) => threads = n,
-                    Err(_) => return usage(),
-                }
-            }
-            "--engine" => {
-                let Some(v) = it.next() else { return usage() };
-                match v.as_str() {
-                    "async" => engine_choice = Some(Engine::Async),
-                    "bsp" => engine_choice = Some(Engine::Bsp),
-                    other => {
-                        eprintln!("unknown engine `{other}` (expected async|bsp)");
-                        return usage();
-                    }
-                }
-            }
             "--analysis" => {
                 let Some(v) = it.next() else { return usage() };
                 match parse_analysis(v) {
@@ -465,15 +378,7 @@ fn main() -> ExitCode {
                 return usage();
             };
             match load(path) {
-                Ok(program) => analyze(
-                    &program,
-                    analysis,
-                    budget,
-                    threads,
-                    engine_choice,
-                    pt_query.as_deref(),
-                    metrics,
-                ),
+                Ok(program) => analyze(&program, analysis, budget, pt_query.as_deref(), metrics),
                 Err(e) => {
                     eprintln!("{e}");
                     ExitCode::FAILURE
@@ -528,15 +433,7 @@ fn main() -> ExitCode {
             match csc_workloads::by_name(name) {
                 Some(b) => {
                     let program = b.compile();
-                    analyze(
-                        &program,
-                        analysis,
-                        budget,
-                        threads,
-                        engine_choice,
-                        pt_query.as_deref(),
-                        metrics,
-                    )
+                    analyze(&program, analysis, budget, pt_query.as_deref(), metrics)
                 }
                 None => {
                     eprintln!("unknown benchmark `{name}` (try `csc suite`)");
@@ -574,15 +471,13 @@ fn main() -> ExitCode {
                 program,
                 analysis,
                 budget,
-                threads,
-                engine_choice,
                 metrics,
                 &delta_files,
                 gen_deltas,
                 seed,
             )
         }
-        "serve" => serve::Server::new(analysis, threads, engine_choice, budget_ms).run(),
+        "serve" => serve::Server::new(analysis, budget_ms).run(),
         "suite" => {
             for b in csc_workloads::suite() {
                 let program = b.compile();

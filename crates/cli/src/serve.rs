@@ -10,8 +10,8 @@
 //! * **Per-request budgets.** `load` and `resolve` accept `budget_ms`
 //!   (or inherit the `--budget-ms` default); budget exhaustion is a
 //!   degraded reply, not a dead daemon.
-//! * **Graceful degradation.** `resolve` is transactional: a timed-out,
-//!   poisoned, or panicked re-solve leaves the resident program and the
+//! * **Graceful degradation.** `resolve` is transactional: a timed-out
+//!   or panicked re-solve leaves the resident program and the
 //!   last-good snapshot untouched, answers from that snapshot, and marks
 //!   the session `degraded: true` until a later resolve succeeds.
 //! * **Request-scoped panic isolation.** Every request runs behind a
@@ -23,7 +23,7 @@
 //!
 //! ```text
 //! {"cmd":"load","bench":"hsqldb"}                // or "path":"f.mj" / "source":"class ..."
-//!     [,"analysis":"ci",...]["threads":2]["engine":"bsp"]["budget_ms":5000]
+//!     [,"analysis":"ci",...]["budget_ms":5000]
 //! {"cmd":"resolve","seed":42}                    // seeded synthetic delta, or "delta_file":"d.bin"
 //!     [,"actions":8]["budget_ms":5000]
 //! {"cmd":"query","kind":"points-to","var":"Class.method.var"}
@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use csc_core::{
     decode_delta_guarded, resolve_analysis_guarded, run_analysis_guarded, Analysis,
-    AnalysisOutcome, Budget, Engine, SolveError, SolvedSummary, SolverOptions,
+    AnalysisOutcome, Budget, SolveError, SolvedSummary, SolverOptions,
 };
 use csc_ir::Program;
 
@@ -313,7 +313,6 @@ impl Reply {
 struct Session {
     program: &'static Program,
     analysis: Analysis,
-    opts: SolverOptions,
     /// The resident solver state. `None` after a failed resolve consumed
     /// it — the next resolve then falls back to a from-scratch solve.
     outcome: Option<AnalysisOutcome<'static>>,
@@ -338,8 +337,6 @@ pub struct Server {
     session: Option<Session>,
     counters: Counters,
     default_analysis: Analysis,
-    default_threads: usize,
-    default_engine: Option<Engine>,
     default_budget_ms: Option<u64>,
 }
 
@@ -353,18 +350,11 @@ fn error_kind(e: &SolveError) -> &'static str {
 
 impl Server {
     /// Creates a server with the CLI-level defaults.
-    pub fn new(
-        analysis: Analysis,
-        threads: usize,
-        engine: Option<Engine>,
-        budget_ms: Option<u64>,
-    ) -> Self {
+    pub fn new(analysis: Analysis, budget_ms: Option<u64>) -> Self {
         Server {
             session: None,
             counters: Counters::default(),
             default_analysis: analysis,
-            default_threads: threads,
-            default_engine: engine,
             default_budget_ms: budget_ms,
         }
     }
@@ -479,23 +469,9 @@ impl Server {
             },
             None => self.default_analysis.clone(),
         };
-        let threads = req
-            .get("threads")
-            .and_then(Val::as_u64)
-            .map(|n| n as usize)
-            .unwrap_or(self.default_threads);
-        let mut opts = SolverOptions::default().with_threads(threads);
-        let engine = match req.get("engine").and_then(Val::as_str) {
-            Some("bsp") => Some(Engine::Bsp),
-            Some("async") => Some(Engine::Async),
-            Some(other) => return Reply::err("bad-request", &format!("unknown engine `{other}`")),
-            None => self.default_engine,
-        };
-        if let Some(e) = engine {
-            opts = opts.with_engine(e);
-        }
         let program: &'static Program = Box::leak(Box::new(program));
-        match run_analysis_guarded(program, analysis.clone(), self.budget_of(req), opts) {
+        let budget = self.budget_of(req);
+        match run_analysis_guarded(program, analysis.clone(), budget, SolverOptions::default()) {
             Ok(out) if out.completed() => {
                 let snapshot = SolvedSummary::capture(program, &out.result);
                 let mut r = Reply::ok(true);
@@ -506,27 +482,16 @@ impl Server {
                 self.session = Some(Session {
                     program,
                     analysis,
-                    opts,
                     outcome: Some(out),
                     snapshot,
                     degraded: false,
                 });
                 r
             }
-            Ok(out) => {
-                // A load that timed out or poisoned publishes nothing:
-                // there is no last-good snapshot of *this* program to
-                // degrade to. Any existing session stays untouched.
-                let kind = match out.solve_error() {
-                    Some(e) => error_kind(e),
-                    None => "timeout",
-                };
-                let msg = out
-                    .solve_error()
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "budget exhausted".into());
-                Reply::err(kind, &msg)
-            }
+            // A load that timed out or panicked publishes nothing: there
+            // is no last-good snapshot of *this* program to degrade to.
+            // Any existing session stays untouched.
+            Ok(_) => Reply::err("timeout", "budget exhausted"),
             Err(e) => Reply::err(error_kind(&e), &e.to_string()),
         }
     }
@@ -576,9 +541,14 @@ impl Server {
                 &fx,
                 sess.analysis.clone(),
                 budget,
-                sess.opts,
+                SolverOptions::default(),
             ),
-            None => run_analysis_guarded(patched, sess.analysis.clone(), budget, sess.opts),
+            None => run_analysis_guarded(
+                patched,
+                sess.analysis.clone(),
+                budget,
+                SolverOptions::default(),
+            ),
         };
         match attempt {
             Ok(out) if out.completed() => {
@@ -599,17 +569,8 @@ impl Server {
                 self.counters.resolves_ok += 1;
                 r
             }
-            Ok(out) => {
-                let (kind, msg) = match out.solve_error() {
-                    Some(e) => (error_kind(e), e.to_string()),
-                    None => ("timeout", "budget exhausted".to_owned()),
-                };
-                self.degraded_reply(kind, &msg)
-            }
-            Err(e) => {
-                let (kind, msg) = (error_kind(&e), e.to_string());
-                self.degraded_reply(kind, &msg)
-            }
+            Ok(_) => self.degraded_reply("timeout", "budget exhausted"),
+            Err(e) => self.degraded_reply(error_kind(&e), &e.to_string()),
         }
     }
 
@@ -733,11 +694,11 @@ mod tests {
 
     #[test]
     fn parses_flat_objects() {
-        let m = parse_object(r#"{"cmd":"load","bench":"hsqldb","threads":2,"fresh":true}"#)
+        let m = parse_object(r#"{"cmd":"load","bench":"hsqldb","budget_ms":2,"fresh":true}"#)
             .expect("parses");
         assert_eq!(m["cmd"], Val::Str("load".into()));
         assert_eq!(m["bench"], Val::Str("hsqldb".into()));
-        assert_eq!(m["threads"].as_u64(), Some(2));
+        assert_eq!(m["budget_ms"].as_u64(), Some(2));
         assert_eq!(m["fresh"], Val::Bool(true));
         assert!(parse_object(r#"{"a":{"b":1}}"#).is_err(), "nested rejected");
         assert!(parse_object(r#"{"a":1} trailing"#).is_err());

@@ -1,6 +1,6 @@
 //! End-to-end exercise of the `csc serve` daemon over its stdio JSON
 //! protocol: load a benchmark, fold in a delta, query, then inject a
-//! worker panic into the next re-solve and watch the daemon degrade
+//! panic into the next re-solve and watch the daemon degrade
 //! gracefully — answering from the last-good snapshot — and recover on
 //! the following resolve. One process for the whole conversation; the
 //! injected panic must not kill it.
@@ -17,15 +17,7 @@ struct Daemon {
 impl Daemon {
     fn spawn() -> Self {
         let mut child = Command::new(env!("CARGO_BIN_EXE_csc"))
-            .args([
-                "serve",
-                "--analysis",
-                "ci",
-                "--threads",
-                "2",
-                "--engine",
-                "bsp",
-            ])
+            .args(["serve", "--analysis", "ci"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -84,8 +76,9 @@ fn serve_survives_worker_panic_and_recovers() {
     has(&healthy, r#""ok":true"#);
     has(&healthy, r#""degraded":false"#);
 
-    // Arm a worker panic through the protocol, then ask for a re-solve.
-    // The solve poisons; the daemon answers from the last-good snapshot.
+    // Arm a panic at the first worklist step through the protocol, then
+    // ask for a re-solve. The guarded re-solve reports it as `poisoned`;
+    // the daemon answers from the last-good snapshot.
     let r = d.roundtrip(r#"{"cmd":"fault","spec":"worker-round:1:panic"}"#);
     has(&r, r#""ok":true"#);
     let degraded = d.roundtrip(r#"{"cmd":"resolve","seed":43}"#);

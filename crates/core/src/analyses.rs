@@ -84,13 +84,6 @@ impl AnalysisOutcome<'_> {
     pub fn completed(&self) -> bool {
         self.result.status == crate::solver::SolveStatus::Completed
     }
-
-    /// The typed failure when the main solve was poisoned (worker panic or
-    /// injected fault on a parallel engine); `None` for completed and
-    /// timed-out solves.
-    pub fn solve_error(&self) -> Option<&SolveError> {
-        self.result.error.as_ref()
-    }
 }
 
 /// Runs one analysis on a program under a budget (the paper uses 2 hours;
@@ -188,11 +181,9 @@ pub fn run_analysis_opts<'p>(
                 SelectiveSelector::new(ObjSelector::new(zopts.k), zipper.selected, "Zipper-e");
             let (mut result, _) =
                 Solver::with_options(program, selector, NoPlugin, main_budget, opts).solve();
-            // Fold the pre-analysis solve's phase split into the reported
-            // stats, so parallel_secs + coordinator_secs stays a
-            // decomposition of the row's wall-clock for two-phase
-            // analyses too (modulo the selection step between solves).
-            result.state.stats.parallel_secs += pre.state.stats.parallel_secs;
+            // Fold the pre-analysis solve's time into the reported stats,
+            // so coordinator_secs covers both solves of a two-phase
+            // analysis (modulo the selection step between them).
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
             let total_time = pre_time + result.elapsed;
             AnalysisOutcome {
@@ -251,9 +242,7 @@ pub fn run_analysis_opts<'p>(
             let (mut result, plugin) =
                 Solver::with_options(program, selector, plugin, main_budget, opts).solve();
             result.analysis = "csc-hybrid".to_owned();
-            // As for Zipper-e: keep the phase split a decomposition of the
-            // two-phase row's wall-clock.
-            result.state.stats.parallel_secs += pre.state.stats.parallel_secs;
+            // As for Zipper-e: coordinator_secs covers both solves.
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
             let total_time = pre_time + result.elapsed;
             AnalysisOutcome {
@@ -377,7 +366,6 @@ pub fn resolve_analysis_opts<'p>(
             } else {
                 resolve_plain(prev.result, patched, fx, mk, main_budget, opts)
             };
-            result.state.stats.parallel_secs += pre.state.stats.parallel_secs;
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
             result.state.stats.resolve_secs += pre.state.stats.resolve_secs;
             let total_time = pre_time + result.elapsed;
@@ -467,7 +455,6 @@ pub fn resolve_analysis_opts<'p>(
                 }
             };
             result.analysis = "csc-hybrid".to_owned();
-            result.state.stats.parallel_secs += pre.state.stats.parallel_secs;
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
             result.state.stats.resolve_secs += pre.state.stats.resolve_secs;
             let total_time = pre_time + result.elapsed;
@@ -510,14 +497,11 @@ fn stamp_fallback(res: &mut PtaResult<'_>, prior: &SolverStats, reason: Fallback
     stats.resolve_secs = res.elapsed.as_secs_f64();
 }
 
-/// [`run_analysis_opts`] behind a panic guard: a panic escaping the
-/// sequential engine or the coordinator (including `err`-mode injected
-/// faults, which unwind with the [`crate::fault::InjectedFault`] marker)
-/// is translated into a typed [`SolveError`] instead of aborting the
-/// caller. Worker panics on the parallel engines never reach this guard —
-/// the pool isolates them and the outcome comes back `Ok` with
-/// [`crate::solver::SolveStatus::Poisoned`] and [`PtaResult::error`] set;
-/// use [`AnalysisOutcome::solve_error`] to observe both shapes uniformly.
+/// [`run_analysis_opts`] behind a panic guard: a panic escaping the solve
+/// (including `err`-mode injected faults, which unwind with the
+/// [`crate::fault::InjectedFault`] marker) is translated into a typed
+/// [`SolveError`] instead of aborting the caller. This is the one failure
+/// path: an `Ok` outcome either completed or ran out of budget.
 pub fn run_analysis_guarded<'p>(
     program: &'p Program,
     analysis: Analysis,
@@ -527,7 +511,7 @@ pub fn run_analysis_guarded<'p>(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_analysis_opts(program, analysis, budget, opts)
     }))
-    .map_err(|payload| crate::fault::error_from_panic(None, payload))
+    .map_err(crate::fault::error_from_panic)
 }
 
 /// [`resolve_analysis_opts`] behind the same panic guard as
@@ -545,7 +529,7 @@ pub fn resolve_analysis_guarded<'p>(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         resolve_analysis_opts(prev, patched, fx, analysis, budget, opts)
     }))
-    .map_err(|payload| crate::fault::error_from_panic(None, payload))
+    .map_err(crate::fault::error_from_panic)
 }
 
 /// Decodes a `CSCDL` delta byte stream behind the `delta-decode` fault

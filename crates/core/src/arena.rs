@@ -8,9 +8,9 @@
 //! over ~84k pointers) that is death by a hundred thousand small
 //! allocations.
 //!
-//! [`SuccTable`] replaces it with a *segment arena*: all rows of a shard
-//! share one `Vec<SuccSeg>` of fixed six-entry segments chained by index,
-//! plus a 12-byte [`RowMeta`] per row. Appends go to the tail segment;
+//! [`SuccTable`] replaces it with a *segment arena*: all rows share one
+//! `Vec<SuccSeg>` of fixed six-entry segments chained by index, plus a
+//! 12-byte [`RowMeta`] per row. Appends go to the tail segment;
 //! rows cleared by SCC collapse return their segments to a freelist, so
 //! condensation churn recycles instead of reallocating. Cast filters are
 //! stored as a `u32` code (`0` = none, `class + 1` otherwise), which packs
@@ -95,7 +95,7 @@ impl RowMeta {
     }
 }
 
-/// A shard's successor-edge arena: one segment pool shared by all rows.
+/// The successor-edge arena: one segment pool shared by all rows.
 pub(crate) struct SuccTable {
     rows: Vec<RowMeta>,
     segs: Vec<SuccSeg>,
@@ -114,22 +114,10 @@ impl Default for SuccTable {
 }
 
 impl SuccTable {
-    /// Appends one empty row (parallel to the shard's `pts` rows).
+    /// Appends one empty row (paired with the slot plane's `pts` rows).
     #[inline]
     pub(crate) fn push_row(&mut self) {
         self.rows.push(RowMeta::empty());
-    }
-
-    /// Grows the table to `target` rows with empty rows.
-    pub(crate) fn resize_rows(&mut self, target: usize) {
-        debug_assert!(self.rows.len() <= target);
-        self.rows.resize(target, RowMeta::empty());
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub(crate) fn rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Number of edges in `row`.
@@ -145,7 +133,7 @@ impl SuccTable {
     }
 
     /// Fetches segment `idx` *by value* — the cursor step that lets a
-    /// caller walk a row while mutating everything else in the shard.
+    /// caller walk a row while mutating everything else in the slot plane.
     #[inline]
     pub(crate) fn seg(&self, idx: u32) -> SuccSeg {
         self.segs[idx as usize]
@@ -189,7 +177,7 @@ impl SuccTable {
 
     /// Iterates `row`'s edges in insertion order (borrowing the table —
     /// use the [`head`](Self::head)/[`seg`](Self::seg) cursor when the
-    /// shard must be mutated mid-walk).
+    /// slot plane must be mutated mid-walk).
     pub(crate) fn iter_row(&self, row: usize) -> SuccIter<'_> {
         SuccIter {
             table: self,

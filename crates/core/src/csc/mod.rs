@@ -39,11 +39,7 @@ use csc_ir::{CallSiteId, DeltaEffects, FieldId, MethodId, Program, StoreId, VarI
 use crate::context::CtxId;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::pts::PointsToSet;
-use crate::solver::{
-    CsObjId, DiscoverCtx, EdgeKind, Event, Plugin, PtrId, PtrKey, Reaction, ShortcutKind,
-    SolverState,
-};
-use crate::table::ShardedTable;
+use crate::solver::{CsObjId, EdgeKind, Event, Plugin, PtrId, PtrKey, ShortcutKind, SolverState};
 
 /// Which patterns are enabled. The default enables all three, matching the
 /// paper's Tai-e configuration; `CscConfig::doop()` disables the load half
@@ -244,27 +240,22 @@ pub struct CutShortcut {
     temp_stores_seen: FxHashSet<(CtxId, VarId, FieldId, VarId)>,
     temp_loads_seen: FxHashSet<(CtxId, VarId, VarId, FieldId)>,
     /// Grounded `[ShortcutStore]` obligations: on growth of `pt(base)`, add
-    /// `from → o.f`. Sharded by base pointer so the parallel workers'
-    /// discovery reads stay shard-local ([`ShardedTable`]).
-    store_obls: ShardedTable<PtrId, Vec<(FieldId, PtrId)>>,
+    /// `from → o.f`.
+    store_obls: FxHashMap<PtrId, Vec<(FieldId, PtrId)>>,
     /// `[ShortcutLoad]` obligations: on growth of `pt(base)`, add `o.f → to`.
-    /// Sharded like `store_obls`.
-    load_obls: ShardedTable<PtrId, Vec<(FieldId, PtrId)>>,
+    load_obls: FxHashMap<PtrId, Vec<(FieldId, PtrId)>>,
     /// All PFG edges into each method-unit's return variable, with the
     /// `returnLoadEdges` classification.
     ret_in: FxHashMap<(MethodId, CtxId), Vec<(PtrId, bool)>>,
     /// `[RelayEdge]` targets (call-site lhs pointers) per cut method unit.
     relay_targets: FxHashMap<(MethodId, CtxId), Vec<PtrId>>,
-    /// The pointer-host map `ptH`, sharded by pointer; worker-discovered
-    /// host deltas ([`Reaction::Hosts`]) are committed into it through
-    /// keyed accesses, in deterministic packet order, on the coordinator.
-    pth: ShardedTable<PtrId, PointsToSet>,
+    /// The pointer-host map `ptH`.
+    pth: FxHashMap<PtrId, PointsToSet>,
     host_succ: FxHashMap<PtrId, Vec<PtrId>>,
     host_edges: FxHashSet<(PtrId, PtrId)>,
     host_worklist: VecDeque<(PtrId, PointsToSet)>,
-    /// Container watches per receiver pointer, sharded like the obligation
-    /// tables.
-    watches: ShardedTable<PtrId, Vec<Watch>>,
+    /// Container watches per receiver pointer.
+    watches: FxHashMap<PtrId, Vec<Watch>>,
     host_sources: FxHashMap<(u32, Category), Vec<PtrId>>,
     host_targets: FxHashMap<(u32, Category), Vec<PtrId>>,
     source_seen: FxHashSet<(u32, Category, PtrId)>,
@@ -311,15 +302,15 @@ impl CutShortcut {
             prop_loads: FxHashMap::default(),
             temp_stores_seen: FxHashSet::default(),
             temp_loads_seen: FxHashSet::default(),
-            store_obls: ShardedTable::new(1),
-            load_obls: ShardedTable::new(1),
+            store_obls: FxHashMap::default(),
+            load_obls: FxHashMap::default(),
             ret_in: FxHashMap::default(),
             relay_targets: FxHashMap::default(),
-            pth: ShardedTable::new(1),
+            pth: FxHashMap::default(),
             host_succ: FxHashMap::default(),
             host_edges: FxHashSet::default(),
             host_worklist: VecDeque::new(),
-            watches: ShardedTable::new(1),
+            watches: FxHashMap::default(),
             host_sources: FxHashMap::default(),
             host_targets: FxHashMap::default(),
             source_seen: FxHashSet::default(),
@@ -423,7 +414,10 @@ impl CutShortcut {
             // object the base may point to, now and in the future.
             let base_ptr = st.var_ptr(caller_ctx, b);
             let from_ptr = st.var_ptr(caller_ctx, fr);
-            self.store_obls.or_default(base_ptr).push((f, from_ptr));
+            self.store_obls
+                .entry(base_ptr)
+                .or_default()
+                .push((f, from_ptr));
             let current: Vec<u32> = st.pt(base_ptr).iter().collect();
             for o in current {
                 let t = st.field_ptr(CsObjId(o), f);
@@ -457,7 +451,10 @@ impl CutShortcut {
         // [ShortcutLoad]
         let base_ptr = st.var_ptr(caller_ctx, b);
         let to_ptr = st.var_ptr(caller_ctx, lhs);
-        self.load_obls.or_default(base_ptr).push((f, to_ptr));
+        self.load_obls
+            .entry(base_ptr)
+            .or_default()
+            .push((f, to_ptr));
         let current: Vec<u32> = st.pt(base_ptr).iter().collect();
         for o in current {
             let s = st.field_ptr(CsObjId(o), f);
@@ -540,7 +537,7 @@ impl CutShortcut {
 
     fn register_watch(&mut self, st: &mut SolverState<'_>, ctx: CtxId, recv: VarId, w: Watch) {
         let recv_ptr = st.var_ptr(ctx, recv);
-        let list = self.watches.or_default(recv_ptr);
+        let list = self.watches.entry(recv_ptr).or_default();
         if list.contains(&w) {
             return;
         }
@@ -601,7 +598,7 @@ impl CutShortcut {
     /// propagates along the host graph (`[PropHost]`).
     fn drain_hosts(&mut self, st: &mut SolverState<'_>) {
         while let Some((ptr, hosts)) = self.host_worklist.pop_front() {
-            let entry = self.pth.or_default(ptr);
+            let entry = self.pth.entry(ptr).or_default();
             let Some(delta) = entry.union_delta(&hosts) else {
                 continue;
             };
@@ -733,15 +730,45 @@ impl CutShortcut {
         }
     }
 
+    /// Grounded `[ShortcutStore]` / `[ShortcutLoad]` obligations fire on
+    /// the new objects of `pt(ptr)`, and `[ColHost]` / `[MapHost]` classify
+    /// them as container hosts. Obligations registered later replay the
+    /// full points-to set at registration time, so none misses a delta.
     fn on_points_to(&mut self, st: &mut SolverState<'_>, ptr: PtrId, delta: &PointsToSet) {
-        // The sequential event path shares the discover/apply split with
-        // the parallel engine: read the obligation tables into reactions,
-        // then commit them — one code path to trust, two schedules to run
-        // it on.
-        let mut reactions = Vec::new();
-        Plugin::discover(self, ptr, delta, &st.discover_ctx(), &mut reactions);
-        for r in reactions {
-            self.apply(st, delta, r);
+        // The loops need `&mut self`, so they run over copies of the
+        // obligation lists; adding shortcut edges only queues events, so
+        // the lists cannot change meanwhile.
+        if let Some(obls) = self.store_obls.get(&ptr).cloned() {
+            for (f, from) in obls {
+                for o in delta.iter() {
+                    let t = st.field_ptr(CsObjId(o), f);
+                    self.add_shortcut(st, from, t, ShortcutKind::Store);
+                }
+            }
+        }
+        if let Some(obls) = self.load_obls.get(&ptr).cloned() {
+            for (f, to) in obls {
+                for o in delta.iter() {
+                    let s = st.field_ptr(CsObjId(o), f);
+                    self.add_shortcut(st, s, to, ShortcutKind::Load);
+                }
+            }
+        }
+        if self.cfg.container
+            && !(self.spec.collection_roots.is_empty() && self.spec.map_roots.is_empty())
+        {
+            let hosts: PointsToSet = delta
+                .iter()
+                .filter(|&o| {
+                    let (_, obj) = st.obj_key(CsObjId(o));
+                    self.spec
+                        .is_host_class(st.program, st.program.obj(obj).class())
+                })
+                .collect();
+            if !hosts.is_empty() {
+                self.queue_hosts(ptr, hosts);
+                self.drain_hosts(st);
+            }
         }
     }
 
@@ -782,17 +809,6 @@ impl CutShortcut {
 }
 
 impl Plugin for CutShortcut {
-    fn init(&mut self, st: &mut SolverState<'_>) {
-        // Size the obligation tables to the worker count so worker-side
-        // discovery reads stay shard-local on the parallel engine (one
-        // shard — a plain map — when sequential).
-        let n = st.threads();
-        self.store_obls.set_shards(n);
-        self.load_obls.set_shards(n);
-        self.watches.set_shards(n);
-        self.pth.set_shards(n);
-    }
-
     fn wants_events(&self) -> bool {
         true
     }
@@ -844,87 +860,5 @@ impl Plugin for CutShortcut {
         (self.cfg.field_load && self.is_load_cut(m))
             || (self.cfg.container && self.spec.exits.contains_key(&m))
             || (self.cfg.local_flow && self.info.lflow.contains_key(&m))
-    }
-
-    fn parallel_discovery(&self) -> bool {
-        true
-    }
-
-    /// The read-only half of [`CutShortcut::on_points_to`]: grounded
-    /// `[ShortcutStore]` / `[ShortcutLoad]` obligation lookups and the
-    /// `[ColHost]` / `[MapHost]` classification, emitted as reactions. On
-    /// the parallel engines this runs on the shard workers against
-    /// phase-frozen tables — frozen for one BSP round, or for one entire
-    /// async work-stealing phase (many drained deltas between two pause
-    /// points). Obligations registered later replay the full current
-    /// points-to set at registration time, so no reaction is lost to a
-    /// round or pause boundary, however long the frozen window was.
-    fn discover(
-        &self,
-        ptr: PtrId,
-        delta: &PointsToSet,
-        dctx: &DiscoverCtx<'_>,
-        out: &mut Vec<Reaction>,
-    ) {
-        // Grounded [ShortcutStore] obligations — one reaction per
-        // obligation; `apply` fans it out over the delta at commit time.
-        if let Some(obls) = self.store_obls.get(&ptr) {
-            for &(f, from) in obls {
-                out.push(Reaction::ShortcutToFields {
-                    src: from,
-                    field: f,
-                    kind: ShortcutKind::Store,
-                });
-            }
-        }
-        // [ShortcutLoad] obligations.
-        if let Some(obls) = self.load_obls.get(&ptr) {
-            for &(f, to) in obls {
-                out.push(Reaction::ShortcutFromFields {
-                    field: f,
-                    dst: to,
-                    kind: ShortcutKind::Load,
-                });
-            }
-        }
-        // [ColHost] / [MapHost].
-        if self.cfg.container
-            && !(self.spec.collection_roots.is_empty() && self.spec.map_roots.is_empty())
-        {
-            let mut hosts = PointsToSet::new();
-            for o in delta.iter() {
-                let (_, obj) = dctx.obj_key(CsObjId(o));
-                let class = dctx.program.obj(obj).class();
-                if self.spec.is_host_class(dctx.program, class) {
-                    hosts.insert(o);
-                }
-            }
-            if !hosts.is_empty() {
-                out.push(Reaction::Hosts { ptr, hosts });
-            }
-        }
-    }
-
-    fn apply(&mut self, st: &mut SolverState<'_>, delta: &PointsToSet, reaction: Reaction) {
-        match reaction {
-            Reaction::ShortcutToFields { src, field, kind } => {
-                // Same shape as the pre-split obligation loop: one edge
-                // per new object of the delta.
-                for o in delta.iter() {
-                    let t = st.field_ptr(CsObjId(o), field);
-                    self.add_shortcut(st, src, t, kind);
-                }
-            }
-            Reaction::ShortcutFromFields { field, dst, kind } => {
-                for o in delta.iter() {
-                    let s = st.field_ptr(CsObjId(o), field);
-                    self.add_shortcut(st, s, dst, kind);
-                }
-            }
-            Reaction::Hosts { ptr, hosts } => {
-                self.queue_hosts(ptr, hosts);
-                self.drain_hosts(st);
-            }
-        }
     }
 }

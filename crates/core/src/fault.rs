@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the solve lifecycle.
 //!
-//! The failure plane (worker panic isolation, typed [`SolveError`]s, cache
+//! The failure plane (guarded entry points, typed [`SolveError`]s, cache
 //! degradation, serve-mode snapshots) is only trustworthy if every failure
 //! edge can be exercised on demand, deterministically. This module provides
 //! **named fault points** compiled into the hot paths but reduced to a single
@@ -21,7 +21,7 @@
 //! `panic`:
 //!
 //! * `panic` — panic with a human-readable payload; exercises the poisoned
-//!   path (pool isolation, guarded entry points).
+//!   path (the guarded entry points).
 //! * `err` — surface a typed error: I/O fault points return `io::Error`,
 //!   propagation fault points unwind with the [`InjectedFault`] marker which
 //!   the catch sites translate into [`SolveError::Fault`] instead of
@@ -29,10 +29,8 @@
 //! * `delay` — sleep briefly at the fault point; exercises budget/timeout
 //!   interleavings without killing anything.
 //!
-//! Hit counting is process-global and deterministic for deterministic
-//! schedules (sequential and BSP engines); the async engine's hit order is
-//! schedule-dependent, but every mode still yields a typed, survivable
-//! outcome — that is the property the chaos matrix pins.
+//! Hit counting is process-global, and the solver is sequential, so a
+//! schedule fires at the same step of the same solve on every run.
 //!
 //! [`SolveError`]: crate::solver::SolveError
 //! [`SolveError::Fault`]: crate::solver::SolveError::Fault
@@ -48,25 +46,18 @@ pub enum FaultPoint {
     CacheRead,
     /// Writing (tmp + rename) a cache entry.
     CacheWrite,
-    /// A propagation worker starting a unit of round work (sequential
-    /// drain iteration, BSP `run_worker` entry, async shard acquisition).
+    /// The solver starting one worklist step.
     WorkerRound,
-    /// A worker flushing its outbox of derived packets to peers.
-    OutboxSend,
     /// Decoding a `ProgramDelta` byte stream (serve/resolve ingest).
     DeltaDecode,
-    /// The coordinator's async quiescence wait.
-    Quiescence,
 }
 
 /// All fault points, in schedule order (used by the chaos matrix).
-pub const ALL_POINTS: [FaultPoint; 6] = [
+pub const ALL_POINTS: [FaultPoint; 4] = [
     FaultPoint::CacheRead,
     FaultPoint::CacheWrite,
     FaultPoint::WorkerRound,
-    FaultPoint::OutboxSend,
     FaultPoint::DeltaDecode,
-    FaultPoint::Quiescence,
 ];
 
 impl FaultPoint {
@@ -76,9 +67,7 @@ impl FaultPoint {
             FaultPoint::CacheRead => "cache-read",
             FaultPoint::CacheWrite => "cache-write",
             FaultPoint::WorkerRound => "worker-round",
-            FaultPoint::OutboxSend => "outbox-send",
             FaultPoint::DeltaDecode => "delta-decode",
-            FaultPoint::Quiescence => "quiescence",
         }
     }
 
@@ -150,7 +139,7 @@ const SLOT_INIT: Slot = Slot {
     fired: AtomicBool::new(false),
 };
 
-static SLOTS: [Slot; 6] = [SLOT_INIT; 6];
+static SLOTS: [Slot; ALL_POINTS.len()] = [SLOT_INIT; ALL_POINTS.len()];
 /// Fast-path gate: false ⇒ every fault helper is a single relaxed load.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: OnceLock<()> = OnceLock::new();
@@ -304,10 +293,7 @@ pub fn init() {
 /// [`SolveError`]: crate::solver::SolveError
 /// [`SolveError::Fault`]: crate::solver::SolveError::Fault
 /// [`SolveError::Poisoned`]: crate::solver::SolveError::Poisoned
-pub fn error_from_panic(
-    worker: Option<usize>,
-    payload: Box<dyn std::any::Any + Send>,
-) -> crate::solver::SolveError {
+pub fn error_from_panic(payload: Box<dyn std::any::Any + Send>) -> crate::solver::SolveError {
     if let Some(f) = payload.downcast_ref::<InjectedFault>() {
         return crate::solver::SolveError::Fault { point: f.0 };
     }
@@ -318,8 +304,5 @@ pub fn error_from_panic(
     } else {
         "unknown panic payload".to_string()
     };
-    crate::solver::SolveError::Poisoned {
-        worker,
-        payload: msg,
-    }
+    crate::solver::SolveError::Poisoned { payload: msg }
 }

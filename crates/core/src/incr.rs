@@ -288,10 +288,11 @@ fn compute_taint(st: &SolverState<'_>, fx: &DeltaEffects) -> Result<TaintSet, ()
 
 /// Rebases a base solver state onto the patched program: dense tables are
 /// extended over the appended entity ids, the statement index is rebuilt
-/// from the patched bodies, and the per-run budget/clock/timing stats are
-/// reset. Everything else — interned pointers and objects, points-to sets,
-/// PFG, call graph, reachability, SCC structure, shard layout — carries
-/// over verbatim (entity ids are append-only across a delta).
+/// from the patched bodies, and the per-run budget and clock are reset
+/// (the drain re-stamps the timing stats). Everything else — interned
+/// pointers and objects, points-to sets, PFG, call graph, reachability,
+/// SCC structure, slot plane — carries over verbatim (entity ids are
+/// append-only across a delta).
 fn rebase_state<'p>(
     old: SolverState<'_>,
     patched: &'p Program,
@@ -313,14 +314,6 @@ fn rebase_state<'p>(
         members,
         copy_edges_since_collapse,
         opts,
-        nthreads,
-        par_commit,
-        balanced_route,
-        async_engine,
-        round_fusion,
-        inline_cap,
-        fused_streak,
-        route_cost,
         queue,
         events,
         emit_events,
@@ -331,18 +324,13 @@ fn rebase_state<'p>(
         call_edges,
         call_edges_by_callee,
         stmts: _,
-        mut stats,
+        stats,
         budget: _,
         started: _,
-        poisoned,
     } = old;
     ci_var_ptrs.resize(patched.vars().len(), ABSENT);
     ci_objs.resize(patched.objs().len(), ABSENT);
     reachable_ci.resize(patched.methods().len(), false);
-    // Per-run timing: drain() recomputes the Amdahl split from zero.
-    stats.parallel_secs = 0.0;
-    stats.coordinator_secs = 0.0;
-    stats.commit_secs = 0.0;
     SolverState {
         program: patched,
         interner,
@@ -358,14 +346,6 @@ fn rebase_state<'p>(
         members,
         copy_edges_since_collapse,
         opts,
-        nthreads,
-        par_commit,
-        balanced_route,
-        async_engine,
-        round_fusion,
-        inline_cap,
-        fused_streak,
-        route_cost,
         queue,
         events,
         emit_events,
@@ -377,7 +357,6 @@ fn rebase_state<'p>(
         call_edges_by_callee,
         stmts: crate::shard::StmtIndex::build(patched),
         stats,
-        poisoned,
         budget,
         started: start,
     }
@@ -722,10 +701,7 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
         selector: S,
         mut plugin: P,
         budget: Budget,
-    ) -> Resolved<'p, P>
-    where
-        P: Send + Sync,
-    {
+    ) -> Resolved<'p, P> {
         let start = Instant::now();
         if prev.status != SolveStatus::Completed {
             return Resolved::Fallback(FallbackReason::BaseIncomplete, plugin);

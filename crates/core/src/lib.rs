@@ -51,14 +51,11 @@ pub mod pts;
 pub mod results;
 pub mod scc;
 pub mod solver;
-pub mod table;
 pub mod zipper;
 
 mod analyses;
 mod arena;
-mod pool;
 mod shard;
-mod steal;
 
 pub use analyses::{
     decode_delta_guarded, resolve_analysis, resolve_analysis_guarded, resolve_analysis_opts,
@@ -71,8 +68,8 @@ pub use context::{
 };
 pub use csc::{pattern_methods, rebase_compatible, CscConfig, CscStats, CutShortcut};
 pub use fault::{FaultMode, FaultPoint};
-pub use mem::peak_rss_kb;
-pub use pts::{PointsToSet, PtsRepr};
+pub use mem::{peak_rss_kb, reset_peak_rss};
+pub use pts::PointsToSet;
 pub use results::{
     load_result, result_cache_dir, result_cache_enabled, result_cache_key, store_result,
     SolvedSummary,
@@ -80,10 +77,7 @@ pub use results::{
 pub use scc::OnlineScc;
 pub use solver::incr::Resolved;
 pub use solver::{
-    Budget, CsObjId, DiscoverCtx, EdgeKind, Engine, Event, FallbackReason, NoPlugin, Plugin,
-    PtaResult, PtrId, PtrKey, Reaction, ShortcutKind, SolveError, SolveStatus, Solver,
-    SolverOptions, SolverState, SolverStats,
+    Budget, CsObjId, EdgeKind, Event, FallbackReason, NoPlugin, Plugin, PtaResult, PtrId, PtrKey,
+    ShortcutKind, SolveError, SolveStatus, Solver, SolverOptions, SolverState, SolverStats,
 };
-pub use steal::Quiesce;
-pub use table::{ShardKey, ShardedTable};
 pub use zipper::ZipperE;

@@ -58,6 +58,14 @@ pub fn peak_rss_kb() -> Option<u64> {
     None
 }
 
+/// Resets the peak RSS that [`peak_rss_kb`] reports to the current RSS,
+/// by writing `5` to `/proc/self/clear_refs` (Linux 4.0+), so the next
+/// reading covers only what ran since. A no-op where that file is
+/// missing or not writable.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +83,19 @@ mod tests {
         if cfg!(target_os = "linux") {
             let kb = peak_rss_kb().expect("VmHWM present on Linux");
             assert!(kb > 0);
+            // 64 MiB is above glibc's largest mmap threshold, so the
+            // allocation is unmapped on drop and the reset must bring the
+            // high-water mark back down.
+            let big = vec![1u8; 64 << 20];
+            std::hint::black_box(&big);
+            let high = peak_rss_kb().expect("VmHWM present on Linux");
+            drop(big);
+            reset_peak_rss();
+            let low = peak_rss_kb().expect("VmHWM present on Linux");
+            assert!(
+                low + 32 * 1024 < high,
+                "reset must lower VmHWM after the free: {high} kB -> {low} kB"
+            );
         }
     }
 }

@@ -15,30 +15,19 @@
 //! unioning a set into one that lacks the chunk entirely — the shape of
 //! 2obj's per-context duplicates of one base set) bumps a refcount instead
 //! of copying 512 bytes, and the first mutation of a shared block clones it
-//! ([`Arc::make_mut`]). A block is immutable while shared, which is what
-//! keeps sharing safe under the sharded/work-stealing engines: workers own
-//! their slots, and a worker that must mutate a shared block copies it into
-//! its own slot first.
+//! ([`Arc::make_mut`]).
 //!
 //! The solver propagates *deltas*: [`PointsToSet::union_delta`] merges a set
 //! in and returns exactly the elements that were new, which is what gets
 //! pushed further along pointer-flow-graph edges. Every representation
 //! preserves the exact-delta contract, and iteration is always in ascending
 //! id order regardless of representation.
-//!
-//! The pre-chunking whole-id-range bitmap remains selectable as an A/B
-//! baseline (`CSC_PTS_REPR=legacy`, plumbed through
-//! `SolverOptions::pts_repr`); see [`PtsRepr`]. The two representations
-//! interoperate element-exactly, so flipping the default mid-process (tests
-//! do) only changes layout, never results.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Elements before a small sorted vector promotes to the large
-/// representation (chunked by default, whole-range bitmap under
-/// [`PtsRepr::Legacy`]).
+/// Elements before a small sorted vector promotes to the chunked
+/// representation.
 ///
 /// 64 keeps every small set within a few cache lines while bounding the
 /// quadratic insertion-sort regime; beyond it, word-parallel unions win
@@ -61,118 +50,6 @@ const CHUNK_WORDS: usize = 64;
 /// 2× of optimal while densification still happens early enough for the
 /// word-parallel union kernel to carry the hot chunks.
 const SPARSE_MAX: usize = 128;
-
-/// Which large-set representation freshly promoted sets use. The small
-/// sorted-vector tier below [`SMALL_MAX`] is common to both.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PtsRepr {
-    /// Chunked hybrid set with copy-on-write dense blocks (the default).
-    Chunked,
-    /// The pre-chunking whole-id-range bitmap (one word span covering the
-    /// full object-id space per set). Kept selectable for A/B comparison
-    /// via `CSC_PTS_REPR=legacy`.
-    Legacy,
-}
-
-/// Process-wide promotion default; `false` = chunked. Set per solve from
-/// `SolverOptions::resolved_pts_repr`. Reading it only at promotion sites
-/// keeps existing sets valid across a flip: the representations
-/// interoperate, so a mid-process change (tests flip it) affects layout
-/// only.
-static LEGACY_REPR: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default large-set representation (what sets
-/// promote to when they outgrow the small sorted-vector tier).
-pub fn set_default_repr(repr: PtsRepr) {
-    LEGACY_REPR.store(repr == PtsRepr::Legacy, Ordering::Relaxed);
-}
-
-/// The current process-wide default large-set representation.
-pub fn default_repr() -> PtsRepr {
-    if LEGACY_REPR.load(Ordering::Relaxed) {
-        PtsRepr::Legacy
-    } else {
-        PtsRepr::Chunked
-    }
-}
-
-/// A dense bitmap spanning the whole id range, with a cached population
-/// count (the [`PtsRepr::Legacy`] large representation).
-#[derive(Clone, Default)]
-struct BitSet {
-    words: Vec<u64>,
-    len: u32,
-}
-
-impl BitSet {
-    fn with_capacity_for(max_elem: u32) -> Self {
-        BitSet {
-            words: vec![0; (max_elem as usize / 64) + 1],
-            len: 0,
-        }
-    }
-
-    /// Pre-sizes the word vector to cover `max_elem`, so a following batch
-    /// of inserts never pays the per-element tail-resize (which zeroes and
-    /// regrows the vector one element at a time).
-    fn reserve_for(&mut self, max_elem: u32) {
-        let need = (max_elem as usize / 64) + 1;
-        if need > self.words.len() {
-            self.words.resize(need, 0);
-        }
-    }
-
-    fn contains(&self, e: u32) -> bool {
-        let w = (e / 64) as usize;
-        w < self.words.len() && self.words[w] & (1u64 << (e % 64)) != 0
-    }
-
-    /// Sets a bit; returns whether it was newly set.
-    fn insert(&mut self, e: u32) -> bool {
-        let w = (e / 64) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let mask = 1u64 << (e % 64);
-        if self.words[w] & mask != 0 {
-            return false;
-        }
-        self.words[w] |= mask;
-        self.len += 1;
-        true
-    }
-
-    fn iter(&self) -> BitIter<'_> {
-        BitIter {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-}
-
-struct BitIter<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for BitIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.current = self.words[self.word_idx];
-        }
-        let bit = self.current.trailing_zeros();
-        self.current &= self.current - 1;
-        Some(self.word_idx as u32 * 64 + bit)
-    }
-}
 
 /// One 4096-id chunk: sparse sorted low halves below [`SPARSE_MAX`], a
 /// copy-on-write dense block above it.
@@ -231,9 +108,8 @@ impl Chunk {
         }
     }
 
-    /// Builds a dense block from sorted offsets (pre-sized by
-    /// construction: the block is a fixed array, so densification never
-    /// resizes, unlike the legacy bitmap's per-element tail growth).
+    /// Builds a dense block from sorted offsets (the block is a fixed
+    /// array, so densification never resizes).
     fn densify(sorted: &[u16]) -> Chunk {
         let mut words = [0u64; CHUNK_WORDS];
         for &l in sorted {
@@ -396,22 +272,6 @@ impl ChunkedSet {
                 self.len += 1;
                 true
             }
-        }
-    }
-
-    /// The largest element, if any (used to pre-size legacy bitmaps on
-    /// cross-representation unions).
-    fn max_elem(&self) -> Option<u32> {
-        let key = *self.keys.last()?;
-        let base = key << CHUNK_BITS;
-        match self.chunks.last()? {
-            Chunk::Sparse(v) => v.last().map(|&l| base | l as u32),
-            Chunk::Dense { words, .. } => words
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, &w)| w != 0)
-                .map(|(i, &w)| base | (i as u32 * 64 + 63 - w.leading_zeros())),
         }
     }
 
@@ -721,9 +581,7 @@ fn union_chunk(dst: &mut Chunk, other: &Chunk, base: u32, delta: Option<&mut Vec
 enum Repr {
     /// Sorted, deduplicated vector.
     Small(Vec<u32>),
-    /// Legacy whole-id-range dense bitmap (`CSC_PTS_REPR=legacy`).
-    Bits(BitSet),
-    /// Chunked hybrid set with CoW dense blocks (the default).
+    /// Chunked hybrid set with CoW dense blocks.
     Chunked(ChunkedSet),
 }
 
@@ -734,7 +592,7 @@ impl Default for Repr {
 }
 
 /// A set of dense u32 ids with delta-union support and a hybrid
-/// sorted-vec / chunked (or legacy bitmap) representation.
+/// sorted-vec / chunked representation.
 #[derive(Clone, Default)]
 pub struct PointsToSet {
     repr: Repr,
@@ -766,17 +624,7 @@ impl PointsToSet {
             };
         }
         PointsToSet {
-            repr: match default_repr() {
-                PtsRepr::Chunked => Repr::Chunked(ChunkedSet::from_sorted(&elems)),
-                PtsRepr::Legacy => {
-                    let mut bits = BitSet::with_capacity_for(*elems.last().unwrap());
-                    for &e in &elems {
-                        bits.words[(e / 64) as usize] |= 1u64 << (e % 64);
-                    }
-                    bits.len = elems.len() as u32;
-                    Repr::Bits(bits)
-                }
-            },
+            repr: Repr::Chunked(ChunkedSet::from_sorted(&elems)),
         }
     }
 
@@ -784,7 +632,6 @@ impl PointsToSet {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Small(v) => v.len(),
-            Repr::Bits(b) => b.len as usize,
             Repr::Chunked(c) => c.len as usize,
         }
     }
@@ -798,7 +645,6 @@ impl PointsToSet {
     pub fn contains(&self, e: u32) -> bool {
         match &self.repr {
             Repr::Small(v) => v.binary_search(&e).is_ok(),
-            Repr::Bits(b) => b.contains(e),
             Repr::Chunked(c) => c.contains(e),
         }
     }
@@ -814,7 +660,6 @@ impl PointsToSet {
                     true
                 }
             },
-            Repr::Bits(b) => b.insert(e),
             Repr::Chunked(c) => c.insert(e),
         }
     }
@@ -822,19 +667,7 @@ impl PointsToSet {
     fn maybe_promote(&mut self) {
         if let Repr::Small(v) = &self.repr {
             if v.len() > SMALL_MAX {
-                self.repr = match default_repr() {
-                    PtsRepr::Chunked => Repr::Chunked(ChunkedSet::from_sorted(v)),
-                    PtsRepr::Legacy => {
-                        // Pre-sized from the largest element and filled
-                        // word-directly: promotion never tail-resizes.
-                        let mut bits = BitSet::with_capacity_for(*v.last().unwrap());
-                        for &e in v {
-                            bits.words[(e / 64) as usize] |= 1u64 << (e % 64);
-                        }
-                        bits.len = v.len() as u32;
-                        Repr::Bits(bits)
-                    }
-                };
+                self.repr = Repr::Chunked(ChunkedSet::from_sorted(v));
             }
         }
     }
@@ -911,42 +744,6 @@ impl PointsToSet {
                 self.maybe_promote();
                 true
             }
-            (Repr::Bits(sb), Repr::Small(ov)) => {
-                // Pre-size once from the incoming batch's maximum so the
-                // insert loop never pays the per-element tail-resize.
-                sb.reserve_for(*ov.last().expect("non-empty other"));
-                let mut changed = false;
-                for &e in ov {
-                    if sb.insert(e) {
-                        changed = true;
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push(e);
-                        }
-                    }
-                }
-                changed
-            }
-            (Repr::Small(_), Repr::Bits(_)) => {
-                // The incoming set is already a legacy bitmap; promote to
-                // match and do the word-parallel union. Sized up front for
-                // both sides so neither the fill nor the union resizes.
-                let Repr::Small(sv) = std::mem::take(&mut self.repr) else {
-                    unreachable!()
-                };
-                let Repr::Bits(ob) = &other.repr else {
-                    unreachable!()
-                };
-                let mut bits = BitSet::with_capacity_for(sv.last().copied().unwrap_or(0));
-                if bits.words.len() < ob.words.len() {
-                    bits.words.resize(ob.words.len(), 0);
-                }
-                for &e in &sv {
-                    bits.words[(e / 64) as usize] |= 1u64 << (e % 64);
-                }
-                bits.len = sv.len() as u32;
-                self.repr = Repr::Bits(bits);
-                self.union_impl(other, delta)
-            }
             (Repr::Small(_), Repr::Chunked(oc)) => {
                 // The incoming set is chunked; promote to match and do the
                 // chunk-merge union (which shares missing dense blocks).
@@ -972,85 +769,6 @@ impl PointsToSet {
                 }
                 changed
             }
-            (Repr::Bits(sb), Repr::Chunked(oc)) => {
-                // Mixed-mode pairing (only seen when the process default
-                // flips between solves): element-exact, pre-sized once.
-                if let Some(max) = oc.max_elem() {
-                    sb.reserve_for(max);
-                }
-                let mut changed = false;
-                for e in oc.iter() {
-                    if sb.insert(e) {
-                        changed = true;
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push(e);
-                        }
-                    }
-                }
-                changed
-            }
-            (Repr::Chunked(cs), Repr::Bits(ob)) => {
-                let mut changed = false;
-                for e in ob.iter() {
-                    if cs.insert(e) {
-                        changed = true;
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push(e);
-                        }
-                    }
-                }
-                changed
-            }
-            (Repr::Bits(sb), Repr::Bits(ob)) => {
-                if ob.words.len() > sb.words.len() {
-                    sb.words.resize(ob.words.len(), 0);
-                }
-                if let Some(d) = delta {
-                    // Delta extraction is inherently serial (bit positions
-                    // must come out in ascending order), so this path keeps
-                    // the word-at-a-time scan.
-                    let mut changed = false;
-                    for (w, (&ow, sw)) in ob.words.iter().zip(sb.words.iter_mut()).enumerate() {
-                        let mut new = ow & !*sw;
-                        if new == 0 {
-                            continue;
-                        }
-                        *sw |= ow;
-                        sb.len += new.count_ones();
-                        changed = true;
-                        while new != 0 {
-                            let bit = new.trailing_zeros();
-                            new &= new - 1;
-                            d.push(w as u32 * 64 + bit);
-                        }
-                    }
-                    changed
-                } else {
-                    // Widen-only union (the accumulator path): branchless
-                    // or-and-popcount over exact-size eight-word chunks.
-                    // The equal-length reslice and the fixed-size inner
-                    // loop keep the hot loop free of bounds checks, which
-                    // is what lets it compile to SIMD or/popcnt batches.
-                    let m = ob.words.len();
-                    let dst = &mut sb.words[..m];
-                    let src = &ob.words[..m];
-                    let mut added = 0u32;
-                    let mut d8 = dst.chunks_exact_mut(8);
-                    let mut s8 = src.chunks_exact(8);
-                    for (dw, sw) in (&mut d8).zip(&mut s8) {
-                        for k in 0..8 {
-                            added += (sw[k] & !dw[k]).count_ones();
-                            dw[k] |= sw[k];
-                        }
-                    }
-                    for (dw, &sw) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-                        added += (sw & !*dw).count_ones();
-                        *dw |= sw;
-                    }
-                    sb.len += added;
-                    added != 0
-                }
-            }
         }
     }
 
@@ -1058,7 +776,6 @@ impl PointsToSet {
     pub fn iter(&self) -> Iter<'_> {
         match &self.repr {
             Repr::Small(v) => Iter(IterInner::Small(v.iter())),
-            Repr::Bits(b) => Iter(IterInner::Bits(b.iter())),
             Repr::Chunked(c) => Iter(IterInner::Chunked(c.iter())),
         }
     }
@@ -1074,11 +791,6 @@ impl PointsToSet {
             return false;
         }
         match (&self.repr, &other.repr) {
-            (Repr::Bits(a), Repr::Bits(b)) => a
-                .words
-                .iter()
-                .enumerate()
-                .all(|(i, &w)| w & !b.words.get(i).copied().unwrap_or(0) == 0),
             (Repr::Chunked(a), Repr::Chunked(b)) => a.is_subset(b),
             _ => self.iter().all(|e| other.contains(e)),
         }
@@ -1098,17 +810,9 @@ impl PointsToSet {
                 }
                 false
             }
-            (Repr::Bits(a), Repr::Bits(b)) => a
-                .words
-                .iter()
-                .zip(b.words.iter())
-                .any(|(&x, &y)| x & y != 0),
             (Repr::Chunked(a), Repr::Chunked(b)) => a.intersects(b),
             (Repr::Small(v), _) => v.iter().any(|&e| other.contains(e)),
             (_, Repr::Small(v)) => v.iter().any(|&e| self.contains(e)),
-            // Mixed large representations (legacy × chunked): only seen
-            // when the process default flips between solves.
-            _ => self.iter().any(|e| other.contains(e)),
         }
     }
 
@@ -1118,7 +822,6 @@ impl PointsToSet {
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
             Repr::Small(v) => v.capacity() * std::mem::size_of::<u32>(),
-            Repr::Bits(b) => b.words.capacity() * std::mem::size_of::<u64>(),
             Repr::Chunked(c) => c.heap_bytes(),
         }
     }
@@ -1129,9 +832,6 @@ impl PointsToSet {
     pub fn account(&self, acc: &mut crate::mem::PtsAccount) {
         match &self.repr {
             Repr::Small(v) => acc.bytes += (v.capacity() * std::mem::size_of::<u32>()) as u64,
-            Repr::Bits(b) => {
-                acc.bytes += (b.words.capacity() * std::mem::size_of::<u64>()) as u64;
-            }
             Repr::Chunked(c) => {
                 acc.bytes += (c.keys.capacity() * std::mem::size_of::<u32>()
                     + c.chunks.capacity() * std::mem::size_of::<Chunk>())
@@ -1162,7 +862,6 @@ pub struct Iter<'a>(IterInner<'a>);
 
 enum IterInner<'a> {
     Small(std::slice::Iter<'a, u32>),
-    Bits(BitIter<'a>),
     Chunked(ChunkedIter<'a>),
 }
 
@@ -1222,7 +921,6 @@ impl Iterator for Iter<'_> {
     fn next(&mut self) -> Option<u32> {
         match &mut self.0 {
             IterInner::Small(it) => it.next().copied(),
-            IterInner::Bits(it) => it.next(),
             IterInner::Chunked(it) => it.next(),
         }
     }
@@ -1265,16 +963,6 @@ impl Extend<u32> for PointsToSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Runs `f` once per large-set representation, with the process
-    /// default pinned for the duration of the call.
-    fn for_each_repr(f: impl Fn()) {
-        for repr in [PtsRepr::Chunked, PtsRepr::Legacy] {
-            set_default_repr(repr);
-            f();
-        }
-        set_default_repr(PtsRepr::Chunked);
-    }
 
     #[test]
     fn insert_and_contains() {
@@ -1322,81 +1010,45 @@ mod tests {
 
     #[test]
     fn promotion_preserves_contents_and_order() {
-        for_each_repr(|| {
-            let mut s = PointsToSet::new();
-            for e in (0..400u32).rev().step_by(3) {
-                s.insert(e);
-            }
-            assert!(
-                !matches!(s.repr, Repr::Small(_)),
-                "must promote past SMALL_MAX"
-            );
-            let got: Vec<u32> = s.iter().collect();
-            let expect: Vec<u32> = (0..400u32).filter(|e| e % 3 == 0).collect();
-            assert_eq!(got, expect);
-            for &e in &got {
-                assert!(s.contains(e));
-            }
-            assert!(!s.contains(1));
-        });
+        let mut s = PointsToSet::new();
+        for e in (0..400u32).rev().step_by(3) {
+            s.insert(e);
+        }
+        assert!(
+            !matches!(s.repr, Repr::Small(_)),
+            "must promote past SMALL_MAX"
+        );
+        let got: Vec<u32> = s.iter().collect();
+        let expect: Vec<u32> = (0..400u32).filter(|e| e % 3 == 0).collect();
+        assert_eq!(got, expect);
+        for &e in &got {
+            assert!(s.contains(e));
+        }
+        assert!(!s.contains(1));
     }
 
     #[test]
     fn union_delta_across_representations() {
-        // Small ∪ large, large ∪ Small, large ∪ large — under both
-        // large-set representations.
-        for_each_repr(|| {
-            let big_a: PointsToSet = (0..300u32).step_by(2).collect();
-            let big_b: PointsToSet = (0..300u32).step_by(3).collect();
-            let small: PointsToSet = [1, 2, 601].into_iter().collect();
+        // Small ∪ large, large ∪ Small, large ∪ large.
+        let big_a: PointsToSet = (0..300u32).step_by(2).collect();
+        let big_b: PointsToSet = (0..300u32).step_by(3).collect();
+        let small: PointsToSet = [1, 2, 601].into_iter().collect();
 
-            let mut s = small.clone();
-            let delta = s.union_delta(&big_a).unwrap();
-            let expect_delta: Vec<u32> = (0..300u32).step_by(2).filter(|e| *e != 2).collect();
-            assert_eq!(delta.iter().collect::<Vec<u32>>(), expect_delta);
-            assert_eq!(s.len(), 150 + 2);
-
-            let mut s = big_a.clone();
-            let delta = s.union_delta(&small).unwrap();
-            assert_eq!(delta.iter().collect::<Vec<u32>>(), vec![1, 601]);
-
-            let mut s = big_a.clone();
-            let delta = s.union_delta(&big_b).unwrap();
-            let expect: Vec<u32> = (0..300u32).filter(|e| e % 3 == 0 && e % 2 != 0).collect();
-            assert_eq!(delta.iter().collect::<Vec<u32>>(), expect);
-            assert!(s.union_delta(&big_b).is_none());
-        });
-    }
-
-    #[test]
-    fn union_across_mixed_large_representations() {
-        // A legacy-bitmap set and a chunked set must union element-exactly
-        // in both directions (the process default can flip between solves).
-        set_default_repr(PtsRepr::Legacy);
-        let legacy: PointsToSet = (0..300u32).step_by(2).collect();
-        set_default_repr(PtsRepr::Chunked);
-        let chunked: PointsToSet = (0..9000u32).step_by(3).collect();
-        assert!(matches!(legacy.repr, Repr::Bits(_)));
-        assert!(matches!(chunked.repr, Repr::Chunked(_)));
-
-        let expect: Vec<u32> = (0..9000u32)
-            .filter(|e| (*e < 300 && e % 2 == 0) || e % 3 == 0)
-            .collect();
-
-        let mut a = legacy.clone();
-        let delta = a.union_delta(&chunked).unwrap();
-        assert_eq!(a.iter().collect::<Vec<u32>>(), expect);
-        let expect_delta: Vec<u32> = (0..9000u32)
-            .filter(|e| e % 3 == 0 && !(*e < 300 && e % 2 == 0))
-            .collect();
+        let mut s = small.clone();
+        let delta = s.union_delta(&big_a).unwrap();
+        let expect_delta: Vec<u32> = (0..300u32).step_by(2).filter(|e| *e != 2).collect();
         assert_eq!(delta.iter().collect::<Vec<u32>>(), expect_delta);
+        assert_eq!(s.len(), 150 + 2);
 
-        let mut b = chunked.clone();
-        b.union_with(&legacy);
-        assert_eq!(b.iter().collect::<Vec<u32>>(), expect);
-        assert!(legacy.is_subset(&b));
-        assert!(chunked.is_subset(&b));
-        assert!(legacy.intersects(&chunked));
+        let mut s = big_a.clone();
+        let delta = s.union_delta(&small).unwrap();
+        assert_eq!(delta.iter().collect::<Vec<u32>>(), vec![1, 601]);
+
+        let mut s = big_a.clone();
+        let delta = s.union_delta(&big_b).unwrap();
+        let expect: Vec<u32> = (0..300u32).filter(|e| e % 3 == 0 && e % 2 != 0).collect();
+        assert_eq!(delta.iter().collect::<Vec<u32>>(), expect);
+        assert!(s.union_delta(&big_b).is_none());
     }
 
     #[test]
@@ -1413,7 +1065,7 @@ mod tests {
         sorted.dedup();
         assert_eq!(s.iter().collect::<Vec<u32>>(), sorted);
         assert_eq!(s.len(), sorted.len());
-        // A legacy bitmap spanning id ~1e8 would cost ~12.5 MB; the
+        // A whole-range bitmap spanning id ~1e8 would cost ~12.5 MB; the
         // chunked set must stay within a few KB.
         assert!(
             s.heap_bytes() < 64 * 1024,
@@ -1430,7 +1082,6 @@ mod tests {
     fn cow_clone_shares_then_diverges() {
         // Cloning a chunked set shares its dense blocks; mutating the
         // clone must never perturb the original.
-        set_default_repr(PtsRepr::Chunked);
         let a: PointsToSet = (0..2000u32).collect();
         let before: Vec<u32> = a.iter().collect();
         let mut b = a.clone();
@@ -1451,7 +1102,6 @@ mod tests {
     fn union_into_empty_shares_blocks() {
         // The 2obj context-copy shape: unioning a large set into an empty
         // accumulator adopts its dense blocks by reference.
-        set_default_repr(PtsRepr::Chunked);
         let base: PointsToSet = (0..3000u32).collect();
         let mut copy = PointsToSet::new();
         assert!(copy.union_with(&base));
@@ -1479,44 +1129,40 @@ mod tests {
 
     #[test]
     fn union_with_matches_union_delta() {
-        for_each_repr(|| {
-            let cases: Vec<(PointsToSet, PointsToSet)> = vec![
-                ([1, 3].into_iter().collect(), [2, 3].into_iter().collect()),
-                ((0..200u32).collect(), (100..300u32).collect()),
-                ([5].into_iter().collect(), (0..200u32).collect()),
-                ((0..200u32).collect(), [7, 500].into_iter().collect()),
-                ((0..10u32).collect(), (0..10u32).collect()),
-                (
-                    (0..5000u32).step_by(7).collect(),
-                    (0..9000u32).step_by(13).collect(),
-                ),
-            ];
-            for (a, b) in cases {
-                let mut via_delta = a.clone();
-                let changed_delta = via_delta.union_delta(&b).is_some();
-                let mut via_with = a.clone();
-                let changed_with = via_with.union_with(&b);
-                assert_eq!(changed_delta, changed_with);
-                assert_eq!(via_delta, via_with);
-            }
-        });
+        let cases: Vec<(PointsToSet, PointsToSet)> = vec![
+            ([1, 3].into_iter().collect(), [2, 3].into_iter().collect()),
+            ((0..200u32).collect(), (100..300u32).collect()),
+            ([5].into_iter().collect(), (0..200u32).collect()),
+            ((0..200u32).collect(), [7, 500].into_iter().collect()),
+            ((0..10u32).collect(), (0..10u32).collect()),
+            (
+                (0..5000u32).step_by(7).collect(),
+                (0..9000u32).step_by(13).collect(),
+            ),
+        ];
+        for (a, b) in cases {
+            let mut via_delta = a.clone();
+            let changed_delta = via_delta.union_delta(&b).is_some();
+            let mut via_with = a.clone();
+            let changed_with = via_with.union_with(&b);
+            assert_eq!(changed_delta, changed_with);
+            assert_eq!(via_delta, via_with);
+        }
     }
 
     #[test]
     fn is_subset_across_representations() {
-        for_each_repr(|| {
-            let small: PointsToSet = [2, 4].into_iter().collect();
-            let big: PointsToSet = (0..200u32).step_by(2).collect();
-            let other: PointsToSet = [2, 5].into_iter().collect();
-            assert!(small.is_subset(&big));
-            assert!(!big.is_subset(&small));
-            assert!(!other.is_subset(&big));
-            assert!(PointsToSet::new().is_subset(&small));
-            assert!(big.is_subset(&big));
-            let shifted: PointsToSet = (0..200u32).collect();
-            assert!(big.is_subset(&shifted));
-            assert!(!shifted.is_subset(&big));
-        });
+        let small: PointsToSet = [2, 4].into_iter().collect();
+        let big: PointsToSet = (0..200u32).step_by(2).collect();
+        let other: PointsToSet = [2, 5].into_iter().collect();
+        assert!(small.is_subset(&big));
+        assert!(!big.is_subset(&small));
+        assert!(!other.is_subset(&big));
+        assert!(PointsToSet::new().is_subset(&small));
+        assert!(big.is_subset(&big));
+        let shifted: PointsToSet = (0..200u32).collect();
+        assert!(big.is_subset(&shifted));
+        assert!(!shifted.is_subset(&big));
     }
 
     #[test]

@@ -412,7 +412,7 @@ mod tests {
         assert_ne!(a, result_cache_key(&different, &Analysis::Ci, &opts));
         assert_ne!(
             a,
-            result_cache_key(&program, &Analysis::Ci, &opts.with_threads(4)),
+            result_cache_key(&program, &Analysis::Ci, &SolverOptions::no_collapse()),
             "options are part of the key"
         );
     }

@@ -36,10 +36,7 @@ const UNVISITED: u32 = u32::MAX;
 /// gets.
 ///
 /// This is a pure function of committed-edge volume, *not* of the
-/// propagation schedule: the sequential engine, the bulk-synchronous
-/// rounds, and the async work-stealing engine (whose "rounds" do not
-/// exist) all trigger epochs from the same accumulated-edge counter at
-/// their own coordinator-side quiescent points.
+/// propagation schedule.
 pub fn epoch_threshold(edges: u64) -> u32 {
     u32::try_from((edges / 2).max(4096)).unwrap_or(u32::MAX)
 }
@@ -220,20 +217,6 @@ impl UnionFind {
     /// Whether `u` is its own representative.
     pub fn is_rep(&self, u: u32) -> bool {
         self.parent[u as usize] == u
-    }
-
-    /// [`find`](UnionFind::find) extended over ids the index does not track
-    /// yet: an untracked id is its own representative. The parallel commit
-    /// plane allocates fresh pointer ids on worker threads against a
-    /// round-frozen union-find; those ids join the index (and may be
-    /// aliased onto a canonical duplicate) only at the coordinator's
-    /// reconciliation pass after the round.
-    pub fn find_ext(&self, u: u32) -> u32 {
-        if (u as usize) < self.parent.len() {
-            self.find(u)
-        } else {
-            u
-        }
     }
 
     /// Points `child` (which must currently be a representative) at `root`.

@@ -1,320 +1,70 @@
-//! Sharded pointer-slot storage, the sharded statement index, and the
-//! parallel propagation workers.
+//! The pointer-slot plane, the statement index, and the cast filter.
 //!
-//! The multi-threaded engine partitions pointer slots across `N` shards by
-//! SCC representative: slot `i` lives in shard `i % N`, and because every
-//! member of a collapsed assign-SCC reads and writes through its
-//! representative's slot, a collapsed cycle never straddles shards. Each
-//! worker thread owns exactly one [`Shard`] — the points-to sets and the
-//! pending-delta accumulators of its representatives — so the hot set
-//! unions of a propagation round run without any locking at all.
+//! [`Shard`] holds the per-pointer data the solver's worklist loop
+//! touches on every step: the points-to set, the pending-delta
+//! accumulator, the successor row, and the PFG edge-dedup group of every
+//! interned pointer. Slot `i` is row `i` of each table, so a pointer id
+//! indexes its slot directly.
 //!
-//! One bulk-synchronous round has three sub-phases per worker:
-//!
-//! 1. **propagate** — drain the round's batch of `(representative,
-//!    incoming delta)` pairs: union each delta into the owned points-to
-//!    set, and turn the genuinely new elements into outbox messages for
-//!    the successors' owning shards (cast filters applied worker-side);
-//! 2. **fan-out discovery** — replay statement fan-out for the committed
-//!    deltas *worker-side*: walk the [`StmtIndex`] for every member of the
-//!    delta's SCC and emit [`Derived`] packets — derived `[Load]`/`[Store]`
-//!    edges (per new object), `[Call]` resolutions (virtual dispatch runs
-//!    on the worker), and plugin reactions discovered through
-//!    [`Plugin::discover`] against the per-shard obligation tables. The
-//!    packets describe mutations by *key*, not by id, so this sub-phase
-//!    touches no shared mutable state; it runs after the outboxes are sent,
-//!    overlapping peers' propagate sub-phase;
-//! 3. **merge** — receive one outbox from every peer (mpsc channels; the
-//!    receive-from-all acts as the phase barrier), sort the packets by
-//!    source shard so the merge order is deterministic, and union the
-//!    payloads into the owned pending accumulators, recording which
-//!    representatives became newly pending.
-//!
-//! The coordinator then *commits* the derived packets in deterministic
-//! (shard, batch, packet) order: interning, PFG/call-graph mutation,
-//! context selection, and plugin table updates all stay single-threaded,
-//! which is what keeps runs deterministic per thread count and projections
-//! bit-identical to the sequential engine's (see `solver.rs`).
-//!
-//! The statement index itself ([`StmtIndex`]) is built once per solve and
-//! is read-only thereafter; it is "sharded by access" — each worker reads
-//! the rows of the pointers it owns — rather than physically partitioned,
-//! because its rows are keyed by variable while shard ownership is keyed
-//! by (representative) pointer: one variable's row serves every context
-//! qualification of that variable, and those pointers hash to different
-//! shards.
+//! [`StmtIndex`] maps each variable to the loads, stores, and instance
+//! calls that use it as base or receiver; it is built once per solve and
+//! read by the `[Load]`/`[Store]`/`[Call]` rules.
 
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
-
-use csc_ir::{CallKind, CallSiteId, ClassId, FieldId, LoadId, ObjId, Program, StoreId, VarId};
+use csc_ir::{CallSiteId, ClassId, LoadId, ObjId, Program, StoreId};
 
 use crate::arena::{PairSet, SuccTable};
 use crate::context::CtxId;
 use crate::fx::FxHashMap;
 use crate::pts::PointsToSet;
-use crate::scc::UnionFind;
-use crate::solver::{CsObjId, DiscoverCtx, EdgeKind, Plugin, PtrId, PtrKey, Reaction, ABSENT};
+use crate::solver::PtrId;
 
-/// One shard of the pointer-slot plane: the points-to sets, pending
-/// accumulators, successor lists, and PFG edge-dedup sets of every slot
-/// `i` with `i % nshards == shard_index`. Local storage index is
-/// `i / nshards`.
-///
-/// The PFG growth state (`succ`, `edge_pairs`) lives *inside* the shard —
-/// not in the round-frozen snapshot — so the commit plane can grow the
-/// graph worker-side: a worker owns every edge whose (canonical) source it
-/// owns, and commits it without touching shared mutable state.
+/// The pointer-slot plane: the points-to sets, pending accumulators,
+/// successor lists, and PFG edge-dedup sets of every interned pointer,
+/// one row per slot id.
 #[derive(Default)]
 pub(crate) struct Shard {
-    /// Points-to sets (live at SCC representatives, like the sequential
-    /// engine's flat vector).
-    pub(crate) pts: Vec<PointsToSet>,
+    /// Points-to sets (live at SCC representatives; merged members keep
+    /// an empty row).
+    pts: Vec<PointsToSet>,
     /// Batched worklist accumulators, paired 1:1 with `pts`.
-    pub(crate) pending: Vec<PointsToSet>,
+    pending: Vec<PointsToSet>,
     /// Successor edges with optional cast filters, rows paired 1:1 with
     /// `pts` (rows live at SCC representatives; see
     /// `SolverState::add_edge`). Arena-backed: all rows share one segment
     /// pool instead of one `Vec` allocation per source.
-    pub(crate) succ: SuccTable,
+    succ: SuccTable,
     /// Per-representative *logical* PFG edge sets, keyed by original
     /// `(src, dst)` endpoints and grouped under the source's current
     /// representative (deduplication + `has_edge`; identical with
-    /// collapsing on or off). Grouping by representative keeps ownership
-    /// aligned with `succ`: the shard that owns a source's successor row
-    /// also owns its dedup set, so worker-side edge commits stay
-    /// shard-local. Condensation epochs migrate groups when
+    /// collapsing on or off). Condensation epochs migrate groups when
     /// representatives merge.
-    pub(crate) edge_pairs: FxHashMap<u32, PairSet>,
+    edge_pairs: FxHashMap<u32, PairSet>,
 }
 
 impl Shard {
-    /// Heap bytes of this shard's edge storage (successor arena plus the
-    /// dedup pair sets).
-    pub(crate) fn edge_bytes(&self) -> u64 {
-        self.succ.bytes()
-            + (self.edge_pairs.capacity() * std::mem::size_of::<(u32, PairSet)>()) as u64
-            + self.edge_pairs.values().map(PairSet::bytes).sum::<u64>()
-    }
-}
-
-/// A per-slot physical placement, installed by topology-aware routing
-/// (`CSC_SHARD_ROUTE=balanced`): slot `i` lives at
-/// `shards[shard[i]].pts[local[i]]`. Absent (the `mod` default and the
-/// state before the first rebalance), placement is the arithmetic
-/// round-robin `(i % n, i / n)`.
-///
-/// Fresh ids minted after a rebalance — by the sequential interner and by
-/// the commit plane's worker strides alike — are always mod-routed: the
-/// stride reservation argument (worker `w` owns ids `≡ w`) is what makes
-/// worker-side allocation lock-free, so only *observed* slots are ever
-/// re-homed, at condensation epochs, seeded by accumulated union cost.
-#[derive(Clone)]
-pub(crate) struct RouteMap {
-    /// Owning shard per slot id.
-    pub(crate) shard: Vec<u32>,
-    /// Row index within the owning shard per slot id.
-    pub(crate) local: Vec<u32>,
-}
-
-/// The complete sharded slot plane: `pts` and `pending` for every interned
-/// pointer, distributed round-robin across shards (or per an installed
-/// [`RouteMap`]). With one shard this is the sequential engine's flat
-/// storage behind an index indirection that compiles to the identity.
-pub(crate) struct ShardedSlots {
-    n: u32,
-    len: u32,
-    pub(crate) shards: Vec<Shard>,
-    pub(crate) route: Option<RouteMap>,
-}
-
-impl ShardedSlots {
-    /// Creates an empty slot plane with `n` shards (at least one).
-    pub(crate) fn new(n: usize) -> Self {
-        let n = n.max(1);
-        ShardedSlots {
-            n: u32::try_from(n).expect("shard count fits u32"),
-            len: 0,
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            route: None,
-        }
-    }
-
-    /// The shard owning slot `i`.
-    #[inline]
-    pub(crate) fn shard_of(&self, i: u32) -> usize {
-        if let Some(r) = &self.route {
-            return r.shard[i as usize] as usize;
-        }
-        if self.n == 1 {
-            0
-        } else {
-            (i % self.n) as usize
-        }
-    }
-
-    #[inline]
-    fn loc(&self, i: u32) -> (usize, usize) {
-        if let Some(r) = &self.route {
-            return (r.shard[i as usize] as usize, r.local[i as usize] as usize);
-        }
-        if self.n == 1 {
-            (0, i as usize)
-        } else {
-            ((i % self.n) as usize, (i / self.n) as usize)
-        }
-    }
-
-    /// Appends one empty slot (the next dense id) and returns nothing; the
-    /// caller assigns ids densely, and fresh slots are always mod-routed:
-    /// slot `len` goes to shard `len % n` (appended at the end of that
-    /// shard's rows when a [`RouteMap`] is installed).
+    /// Appends one empty slot (the next dense id).
     pub(crate) fn push(&mut self) {
-        let i = self.len;
-        let s = if self.n == 1 {
-            0
-        } else {
-            (i % self.n) as usize
-        };
-        let shard = &mut self.shards[s];
-        if let Some(r) = &mut self.route {
-            r.shard.push(s as u32);
-            r.local
-                .push(u32::try_from(shard.pts.len()).expect("row index fits u32"));
-        } else {
-            debug_assert_eq!(shard.pts.len(), (i / self.n) as usize);
-        }
-        shard.pts.push(PointsToSet::new());
-        shard.pending.push(PointsToSet::new());
-        shard.succ.push_row();
-        self.len += 1;
+        self.pts.push(PointsToSet::new());
+        self.pending.push(PointsToSet::new());
+        self.succ.push_row();
     }
 
     /// Number of slots (the next dense id).
     #[inline]
     pub(crate) fn len(&self) -> u32 {
-        self.len
-    }
-
-    /// Pads every shard to the layout of a plane with `new_len` dense
-    /// slots after a commit-plane round. The workers appended their stride
-    /// allocations (`appended[w]` rows each, in allocation order) to their
-    /// own shards only, so the shards are ragged and the id gaps of
-    /// under-allocating strides have no rows yet.
-    ///
-    /// Without a route map, shard `s` simply grows to
-    /// `ceil((new_len - s) / n)` rows — worker appends land exactly at
-    /// their arithmetic row positions, and the resize fills the gap ids
-    /// (which all sort after the allocated strides within a shard). With a
-    /// route map installed, the same layout is recorded explicitly: fresh
-    /// ids are mod-owned, allocated strides sit at the end of each shard's
-    /// pre-round rows in stride order, and gap ids get fresh empty rows
-    /// after them.
-    pub(crate) fn pad_to(&mut self, new_len: u32, appended: &[usize]) {
-        debug_assert!(new_len >= self.len);
-        let n = self.n;
-        let old_len = self.len;
-        if let Some(mut route) = self.route.take() {
-            // Rows each shard held before the workers' appends, and the
-            // first stride index of this round's allocations per shard.
-            let base_rows: Vec<usize> = self
-                .shards
-                .iter()
-                .zip(appended)
-                .map(|(sh, &a)| sh.pts.len() - a)
-                .collect();
-            for id in old_len..new_len {
-                let w = (id % n) as usize;
-                let stride = id / n;
-                let first = old_len.saturating_sub(w as u32).div_ceil(n);
-                let local = if ((stride - first) as usize) < appended[w] {
-                    // A worker-allocated id: its row already exists.
-                    base_rows[w] + (stride - first) as usize
-                } else {
-                    // A gap id of an under-allocating stride: append an
-                    // empty row.
-                    let shard = &mut self.shards[w];
-                    let l = shard.pts.len();
-                    shard.pts.push(PointsToSet::new());
-                    shard.pending.push(PointsToSet::new());
-                    shard.succ.push_row();
-                    l
-                };
-                route.shard.push(w as u32);
-                route
-                    .local
-                    .push(u32::try_from(local).expect("row index fits u32"));
-            }
-            self.route = Some(route);
-        } else {
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let target = (new_len.saturating_sub(s as u32)).div_ceil(n) as usize;
-                debug_assert!(shard.pts.len() <= target);
-                shard.pts.resize_with(target, PointsToSet::new);
-                shard.pending.resize_with(target, PointsToSet::new);
-                shard.succ.resize_rows(target);
-            }
-        }
-        self.len = new_len;
-    }
-
-    /// Physically re-homes every slot per `target` (the new owning shard
-    /// per slot id) and installs the resulting [`RouteMap`]. Rows are
-    /// migrated in slot-id order, so the produced layout — and every
-    /// subsequent worker-side access — is deterministic. Edge-pair groups
-    /// follow their representative's slot.
-    pub(crate) fn apply_route(&mut self, target: Vec<u32>) {
-        debug_assert_eq!(target.len(), self.len as usize);
-        let n = self.n as usize;
-        let mut old =
-            std::mem::replace(&mut self.shards, (0..n).map(|_| Shard::default()).collect());
-        let old_route = self.route.take();
-        let old_loc = |i: u32| -> (usize, usize) {
-            if let Some(r) = &old_route {
-                (r.shard[i as usize] as usize, r.local[i as usize] as usize)
-            } else {
-                ((i as usize) % n, (i as usize) / n)
-            }
-        };
-        let mut route = RouteMap {
-            shard: target,
-            local: Vec::with_capacity(self.len as usize),
-        };
-        for i in 0..self.len {
-            let (os, ol) = old_loc(i);
-            let s = route.shard[i as usize] as usize;
-            let shard = &mut self.shards[s];
-            route
-                .local
-                .push(u32::try_from(shard.pts.len()).expect("row index fits u32"));
-            shard.pts.push(std::mem::take(&mut old[os].pts[ol]));
-            shard.pending.push(std::mem::take(&mut old[os].pending[ol]));
-            let row = shard.succ.rows();
-            shard.succ.push_row();
-            let migrated = old[os].succ.take_row(ol);
-            shard.succ.extend_row(row, migrated);
-        }
-        for o in &mut old {
-            for (rep, pairs) in o.edge_pairs.drain() {
-                let s = route.shard[rep as usize] as usize;
-                self.shards[s].edge_pairs.insert(rep, pairs);
-            }
-        }
-        self.route = Some(route);
+        u32::try_from(self.pts.len()).expect("slot count fits u32")
     }
 
     /// Shared points-to set of slot `i`.
     #[inline]
     pub(crate) fn pts(&self, i: u32) -> &PointsToSet {
-        let (s, l) = self.loc(i);
-        &self.shards[s].pts[l]
+        &self.pts[i as usize]
     }
 
     /// Mutable points-to set of slot `i`.
     #[inline]
     pub(crate) fn pts_mut(&mut self, i: u32) -> &mut PointsToSet {
-        let (s, l) = self.loc(i);
-        &mut self.shards[s].pts[l]
+        &mut self.pts[i as usize]
     }
 
     /// Takes slot `i`'s points-to set out, leaving it empty (take/restore
@@ -333,8 +83,7 @@ impl ShardedSlots {
     /// Mutable pending accumulator of slot `i`.
     #[inline]
     pub(crate) fn pending_mut(&mut self, i: u32) -> &mut PointsToSet {
-        let (s, l) = self.loc(i);
-        &mut self.shards[s].pending[l]
+        &mut self.pending[i as usize]
     }
 
     /// Takes slot `i`'s pending accumulator out, leaving it empty.
@@ -352,15 +101,13 @@ impl ShardedSlots {
     /// Iterates slot `i`'s successor edges in insertion order.
     #[inline]
     pub(crate) fn succ_iter(&self, i: u32) -> impl Iterator<Item = (PtrId, Option<ClassId>)> + '_ {
-        let (s, l) = self.loc(i);
-        self.shards[s].succ.iter_row(l).map(|(d, f)| (PtrId(d), f))
+        self.succ.iter_row(i as usize).map(|(d, f)| (PtrId(d), f))
     }
 
     /// Appends one successor edge at slot `i`.
     #[inline]
     pub(crate) fn succ_push(&mut self, i: u32, dst: PtrId, filter: Option<ClassId>) {
-        let (s, l) = self.loc(i);
-        self.shards[s].succ.push_entry(l, dst.0, filter);
+        self.succ.push_entry(i as usize, dst.0, filter);
     }
 
     /// First segment of slot `i`'s successor chain ([`crate::arena::NONE`]
@@ -368,26 +115,22 @@ impl ShardedSlots {
     /// mutating other slots (see [`succ_seg`](Self::succ_seg)).
     #[inline]
     pub(crate) fn succ_head(&self, i: u32) -> u32 {
-        let (s, l) = self.loc(i);
-        self.shards[s].succ.head(l)
+        self.succ.head(i as usize)
     }
 
-    /// Fetches one segment of slot `i`'s successor chain *by value*,
-    /// releasing the arena borrow: the hot propagation loop copies 56
-    /// bytes per six edges instead of taking and restoring the row.
+    /// Fetches one segment of a successor chain *by value*, releasing the
+    /// arena borrow: the hot propagation loop copies 56 bytes per six
+    /// edges instead of taking and restoring the row.
     #[inline]
-    pub(crate) fn succ_seg(&self, i: u32, seg: u32) -> crate::arena::SuccSeg {
-        let (s, _) = self.loc(i);
-        self.shards[s].succ.seg(seg)
+    pub(crate) fn succ_seg(&self, seg: u32) -> crate::arena::SuccSeg {
+        self.succ.seg(seg)
     }
 
-    /// Removes and returns slot `i`'s successor edges (cold paths: SCC
-    /// collapse and reconciliation rebuild rows wholesale).
+    /// Removes and returns slot `i`'s successor edges (cold path: SCC
+    /// collapse and removal cones rebuild rows wholesale).
     pub(crate) fn take_succ(&mut self, i: u32) -> Vec<(PtrId, Option<ClassId>)> {
-        let (s, l) = self.loc(i);
-        self.shards[s]
-            .succ
-            .take_row(l)
+        self.succ
+            .take_row(i as usize)
             .into_iter()
             .map(|(d, f)| (PtrId(d), f))
             .collect()
@@ -396,47 +139,33 @@ impl ShardedSlots {
     /// Installs a successor list at slot `i` (the row must be empty — the
     /// restore half of [`take_succ`](Self::take_succ)).
     pub(crate) fn put_succ(&mut self, i: u32, succ: Vec<(PtrId, Option<ClassId>)>) {
-        let (s, l) = self.loc(i);
-        debug_assert_eq!(self.shards[s].succ.row_len(l), 0);
-        self.shards[s]
-            .succ
-            .extend_row(l, succ.into_iter().map(|(d, f)| (d.0, f)));
-    }
-
-    /// Appends a batch of successor edges at slot `i` (reconciliation
-    /// folds aliased rows onto their canonical slot).
-    pub(crate) fn extend_succ(&mut self, i: u32, succ: Vec<(PtrId, Option<ClassId>)>) {
-        let (s, l) = self.loc(i);
-        self.shards[s]
-            .succ
-            .extend_row(l, succ.into_iter().map(|(d, f)| (d.0, f)));
+        debug_assert_eq!(self.succ.row_len(i as usize), 0);
+        self.succ
+            .extend_row(i as usize, succ.into_iter().map(|(d, f)| (d.0, f)));
     }
 
     /// The edge-dedup pair group of representative `rep`, created on
     /// demand.
     #[inline]
     pub(crate) fn edge_pairs_mut(&mut self, rep: u32) -> &mut PairSet {
-        let shard = self.shard_of(rep);
-        self.shards[shard].edge_pairs.entry(rep).or_default()
+        self.edge_pairs.entry(rep).or_default()
     }
 
     /// The edge-dedup pair group of representative `rep`, if any.
     #[inline]
     pub(crate) fn edge_pairs(&self, rep: u32) -> Option<&PairSet> {
-        self.shards[self.shard_of(rep)].edge_pairs.get(&rep)
+        self.edge_pairs.get(&rep)
     }
 
     /// Removes and returns `rep`'s pair group (condensation epochs migrate
     /// merged members' groups onto the surviving representative).
     pub(crate) fn take_edge_pairs(&mut self, rep: u32) -> Option<PairSet> {
-        let shard = self.shard_of(rep);
-        self.shards[shard].edge_pairs.remove(&rep)
+        self.edge_pairs.remove(&rep)
     }
 
-    /// Installs a pair group at `rep`'s owning shard.
+    /// Installs a pair group at `rep`.
     pub(crate) fn put_edge_pairs(&mut self, rep: u32, pairs: PairSet) {
-        let shard = self.shard_of(rep);
-        self.shards[shard].edge_pairs.insert(rep, pairs);
+        self.edge_pairs.insert(rep, pairs);
     }
 
     /// Heap bytes of the points-to plane (`pts` + `pending` sets), with
@@ -444,24 +173,24 @@ impl ShardedSlots {
     /// references deduplicated (see [`crate::mem`]).
     pub(crate) fn pts_account(&self) -> crate::mem::PtsAccount {
         let mut acc = crate::mem::PtsAccount::default();
-        for shard in &self.shards {
-            for set in shard.pts.iter().chain(shard.pending.iter()) {
-                set.account(&mut acc);
-            }
+        for set in self.pts.iter().chain(self.pending.iter()) {
+            set.account(&mut acc);
         }
         acc
     }
 
-    /// Heap bytes of the PFG edge storage across all shards.
+    /// Heap bytes of the PFG edge storage (successor arena plus the dedup
+    /// pair sets).
     pub(crate) fn edge_bytes(&self) -> u64 {
-        self.shards.iter().map(Shard::edge_bytes).sum()
+        self.succ.bytes()
+            + (self.edge_pairs.capacity() * std::mem::size_of::<(u32, PairSet)>()) as u64
+            + self.edge_pairs.values().map(PairSet::bytes).sum::<u64>()
     }
 }
 
 /// Per-variable static usage index (which loads/stores/calls have the
 /// variable as base/receiver), built once per solve and read-only
-/// thereafter — the workers' fan-out discovery and the sequential engine's
-/// statement processing both walk it.
+/// thereafter.
 #[derive(Default)]
 pub(crate) struct StmtIndex {
     pub(crate) loads_with_base: Vec<Vec<LoadId>>,
@@ -503,8 +232,7 @@ impl StmtIndex {
 }
 
 /// Restricts a delta to the objects assignable to `class` (`checkcast`
-/// semantics). Free function so the parallel workers can filter without a
-/// `SolverState` borrow.
+/// semantics).
 pub(crate) fn filter_pts(
     objs: &PointsToSet,
     class: ClassId,
@@ -517,644 +245,4 @@ pub(crate) fn filter_pts(
             program.is_subclass(program.obj(obj).class(), class)
         })
         .collect()
-}
-
-/// A work item a worker *derived* from a committed delta and hands to the
-/// coordinator for commit. Mutation descriptions travel by key (context ×
-/// site, object × field), never by pointer id the coordinator has not
-/// interned yet — interning order therefore stays a coordinator-only
-/// concern and runs in deterministic packet order.
-///
-/// Load/store fan-out is one packet per *site activation* — the committed
-/// delta rides along with the packet group, and the coordinator iterates
-/// it during commit exactly like the sequential `process_var_stmts` loop,
-/// so a delta of `k` objects hitting `s` sites costs `s` packets, not
-/// `s × k`. Call resolutions are per (site, object) because that is where
-/// the worker does real work: virtual dispatch runs worker-side.
-pub(crate) enum Derived {
-    /// `[Load]` fan-out at one load site under one context: the edges
-    /// `obj.field -> (ctx, lhs)` for every `obj` in the delta.
-    LoadFan { site: LoadId, ctx: CtxId },
-    /// `[Store]` fan-out at one store site under one context (cut stores
-    /// were filtered worker-side through [`Plugin::is_store_cut`]): the
-    /// edges `(ctx, rhs) -> obj.field` for every `obj` in the delta.
-    StoreFan { site: StoreId, ctx: CtxId },
-    /// A `[Call]`-rule resolution: virtual dispatch already performed on
-    /// the worker; the coordinator selects the callee context and commits
-    /// the call edge.
-    Call {
-        caller_ctx: CtxId,
-        site: CallSiteId,
-        recv: u32,
-        callee: csc_ir::MethodId,
-    },
-    /// A plugin reaction discovered worker-side ([`Plugin::discover`]);
-    /// committed through [`Plugin::apply`]. Boxed so the rare reaction
-    /// variant (it can carry a whole points-to set) does not inflate every
-    /// packet in the stream.
-    React(Box<Reaction>),
-}
-
-/// Everything the workers share for the duration of one parallel round.
-///
-/// The coordinator *moves* these pieces out of the solver state into one
-/// `Arc` per round, the workers read them, and the coordinator reclaims
-/// them (`Arc::try_unwrap`) after the round barrier — safe Rust's way of
-/// expressing "frozen during the round, mutable between rounds" without
-/// cloning anything but an `Arc` header per round.
-pub(crate) struct RoundShared<'p, P> {
-    pub(crate) reps: UnionFind,
-    pub(crate) members: FxHashMap<u32, Vec<u32>>,
-    pub(crate) ptr_keys: Vec<PtrKey>,
-    pub(crate) obj_keys: Vec<(CtxId, ObjId)>,
-    pub(crate) stmts: StmtIndex,
-    pub(crate) program: &'p Program,
-    pub(crate) plugin: P,
-    /// Whether [`Plugin::discover`] runs worker-side this round.
-    pub(crate) discovery: bool,
-    pub(crate) nshards: u32,
-    pub(crate) deadline: Option<std::time::Instant>,
-    /// The frozen intern tables of the sharded commit plane; `None` runs
-    /// the PR-5 coordinator-replay fallback (`CSC_PAR_COMMIT=0`).
-    pub(crate) commit: Option<CommitShared>,
-    /// The slot plane's physical placement, when topology-aware routing
-    /// (`CSC_SHARD_ROUTE=balanced`) has re-homed slots; `None` means the
-    /// arithmetic mod layout. Moved out of [`ShardedSlots`] for the round
-    /// (placement only changes at coordinator-side condensation epochs).
-    pub(crate) route: Option<RouteMap>,
-}
-
-impl<P> RoundShared<'_, P> {
-    /// The shard owning slot `u`. Ids past the route map (fresh stride
-    /// allocations of this round) are always mod-owned.
-    #[inline]
-    pub(crate) fn shard_of(&self, u: u32) -> u32 {
-        match &self.route {
-            Some(r) if (u as usize) < r.shard.len() => r.shard[u as usize],
-            _ => u % self.nshards,
-        }
-    }
-
-    /// The row index of slot `u` within its owning shard. Only valid for
-    /// pre-round slots — this round's fresh stride ids live at worker-local
-    /// appended rows the allocating worker tracks itself.
-    #[inline]
-    pub(crate) fn local_of(&self, u: u32) -> usize {
-        match &self.route {
-            Some(r) => r.local[u as usize] as usize,
-            None => (u / self.nshards) as usize,
-        }
-    }
-}
-
-/// The round-frozen intern tables the commit plane's worker-side interner
-/// reads through. Lookups hit these first; a miss allocates a fresh id
-/// from the worker's own stride (see [`run_worker`]) and records it for
-/// the coordinator's reconciliation pass.
-pub(crate) struct CommitShared {
-    /// Dense empty-context variable pointers ([`ABSENT`] = not interned).
-    pub(crate) ci_var_ptrs: Vec<u32>,
-    /// Residual context-qualified variable pointers.
-    pub(crate) var_ptr_table: FxHashMap<(CtxId, VarId), PtrId>,
-    /// Field pointers.
-    pub(crate) field_ptr_table: FxHashMap<(CsObjId, FieldId), PtrId>,
-}
-
-/// An outbox packet: `(source shard, messages)` where each message is a
-/// `(destination representative, delta)` pair. Deltas travel by `Arc` —
-/// an unfiltered delta fanning out to many successors ships one shared
-/// set plus per-edge pointer clones, mirroring the sequential engine's
-/// propagate-by-reference invariant; only the receiving shard's pending
-/// union copies elements.
-pub(crate) type Packet = (usize, Vec<(u32, Arc<PointsToSet>)>);
-
-/// A commit-plane edge request: one `[Load]`/`[Store]` PFG edge by
-/// original `(src, dst)` endpoints (either may be a fresh stride id),
-/// routed to the shard owning the source's representative, which commits
-/// it — dedup, successor push, flush — without coordinator involvement.
-pub(crate) type EdgeReq = (u32, u32, EdgeKind);
-
-/// An edge-commit outbox packet: `(source shard, edge requests)`.
-pub(crate) type EdgePacket = (usize, Vec<EdgeReq>);
-
-/// One round's input to a pooled worker (see `crate::pool`).
-pub(crate) struct RoundJob<'p, P> {
-    pub(crate) shared: Arc<RoundShared<'p, P>>,
-    pub(crate) shard: Shard,
-    pub(crate) batch: Vec<(u32, PointsToSet)>,
-    /// `txs[d]` reaches shard `d`'s worker (including self).
-    pub(crate) txs: Vec<Sender<Packet>>,
-    /// This worker's inbox for the round.
-    pub(crate) rx: Receiver<Packet>,
-    /// Edge-commit channels (second exchange; exercised only when the
-    /// commit plane is on).
-    pub(crate) etxs: Vec<Sender<EdgePacket>>,
-    pub(crate) erx: Receiver<EdgePacket>,
-    /// The worker pool's shared packet freelist: outbox message vectors
-    /// are drawn from and returned to it, so steady-state rounds allocate
-    /// nothing on the delta path.
-    pub(crate) bufs: Arc<crate::steal::BufPool<(u32, Arc<PointsToSet>)>>,
-}
-
-/// One committed delta with its worker-derived packets:
-/// `(representative, committed delta, derived work)`.
-pub(crate) type DeltaCommit = (PtrId, Arc<PointsToSet>, u32);
-
-/// What one worker hands back to the coordinator after a round.
-pub(crate) struct WorkerResult {
-    /// Committed deltas in batch order — the coordinator commits the
-    /// derived packets and (for plugins without worker-side discovery)
-    /// replays `NewPointsTo` events from these. The third element is the
-    /// *exclusive end* of the delta's packet range in `derived` (ranges
-    /// are contiguous and start where the previous delta's ended), so the
-    /// whole round's packet stream lives in one allocation per worker. By
-    /// the time the coordinator runs, all outbox clones of a delta have
-    /// been merged and dropped, so the `Arc` is unique again and unwraps
-    /// without a copy.
-    pub(crate) stmt: Vec<DeltaCommit>,
-    /// The round's derived packets, all deltas concatenated in batch
-    /// order; `stmt` carries the range boundaries.
-    pub(crate) derived: Vec<Derived>,
-    /// Representatives whose pending accumulator went from empty to
-    /// non-empty during the merge sub-phase, in deterministic order.
-    pub(crate) newly_queued: Vec<PtrId>,
-    /// Worklist propagations with a non-empty delta.
-    pub(crate) propagations: u64,
-    /// Whether this worker hit the wall-clock deadline mid-batch (its
-    /// remaining deltas were restored to pending; the coordinator aborts
-    /// the solve).
-    pub(crate) timed_out: bool,
-    /// Commit plane: fresh pointers this worker interned, in allocation
-    /// order — `(key, stride id)`. Reconciliation registers the first
-    /// occurrence of each key (shard-major order) as canonical and aliases
-    /// later duplicates onto it.
-    pub(crate) fresh: Vec<(PtrKey, u32)>,
-    /// Commit plane: edges this worker committed into its own shard
-    /// (post-dedup, deterministic order). The coordinator re-checks them
-    /// against the canonicalized id space, counts the survivors, and
-    /// queues their `NewEdge` events.
-    pub(crate) edges: Vec<EdgeReq>,
-    /// Commit plane: flush requests for committed edges whose source
-    /// already had a non-empty points-to set — `(original dst, source
-    /// set)`. The payload was cloned shard-side; the coordinator only
-    /// enqueues it.
-    pub(crate) flushes: Vec<(u32, Arc<PointsToSet>)>,
-}
-
-/// Replays statement fan-out and plugin discovery for one committed delta,
-/// worker-side. Mirrors the member enumeration of the sequential engine's
-/// `fan_out`: every member of a collapsed SCC sees the shared set's growth
-/// exactly as it would uncollapsed. Emits packets in the deterministic
-/// order the coordinator commits them: per member (ascending,
-/// representative first) — loads, stores, calls, then plugin reactions.
-pub(crate) fn discover_fan_out<P: Plugin>(
-    shared: &RoundShared<'_, P>,
-    rep: u32,
-    delta: &PointsToSet,
-    out: &mut Vec<Derived>,
-) {
-    let group: &[u32] = shared
-        .members
-        .get(&rep)
-        .map(Vec::as_slice)
-        .unwrap_or(std::slice::from_ref(&rep));
-    let dctx = DiscoverCtx {
-        obj_keys: &shared.obj_keys,
-        program: shared.program,
-    };
-    for &m in group {
-        if let PtrKey::Var(ctx, v) = shared.ptr_keys[m as usize] {
-            // [Load]
-            for &l in &shared.stmts.loads_with_base[v.index()] {
-                out.push(Derived::LoadFan { site: l, ctx });
-            }
-            // [Store] (cut-aware; `is_store_cut` is a pure predicate, so
-            // evaluating it worker-side matches the sequential engine).
-            for &s in &shared.stmts.stores_with_base[v.index()] {
-                if shared.plugin.is_store_cut(s) {
-                    continue;
-                }
-                out.push(Derived::StoreFan { site: s, ctx });
-            }
-            // [Call]: virtual dispatch resolves worker-side; spurious
-            // receivers (no concrete impl) are dropped here, like the
-            // sequential engine's early return.
-            for &site in &shared.stmts.calls_with_recv[v.index()] {
-                let cs = shared.program.call_site(site);
-                for recv in delta.iter() {
-                    let (_, obj) = shared.obj_keys[recv as usize];
-                    let callee = match cs.kind() {
-                        CallKind::Virtual => {
-                            let class = shared.program.obj(obj).class();
-                            match shared.program.dispatch(class, cs.target()) {
-                                Some(m) => m,
-                                None => continue,
-                            }
-                        }
-                        CallKind::Special => cs.target(),
-                        CallKind::Static => unreachable!("static calls have no receiver"),
-                    };
-                    out.push(Derived::Call {
-                        caller_ctx: ctx,
-                        site,
-                        recv,
-                        callee,
-                    });
-                }
-            }
-        }
-        if shared.discovery {
-            let mut reactions = Vec::new();
-            shared
-                .plugin
-                .discover(PtrId(m), delta, &dctx, &mut reactions);
-            out.extend(reactions.into_iter().map(|r| Derived::React(Box::new(r))));
-        }
-    }
-}
-
-/// The commit plane's worker-side interner: frozen-table lookups with
-/// stride-allocated fresh ids.
-///
-/// Worker `s` of `n` owns the id stride `{ l*n + s }`; its `k`-th fresh
-/// pointer this round gets the id `(base + k) * n + s` where `base` is the
-/// shard's slot count at round start — a *pre-reserved, lock-free id
-/// range*: no two workers can allocate the same id, every fresh id is
-/// self-owned (`id % n == s`, so its slot storage appends to the
-/// allocating worker's own shard), and the assignment is a pure function
-/// of the worker's deterministic round schedule, never of cross-thread
-/// timing. Two workers may still intern the *same key* under different
-/// ids; the coordinator's reconciliation pass aliases such duplicates
-/// onto the first occurrence in shard-major order (see
-/// `SolverState::reconcile_round`).
-struct StrideInterner<'a> {
-    commit: &'a CommitShared,
-    me: u32,
-    n: u32,
-    /// Next unallocated stride index — starts at the first index whose id
-    /// `index * n + me` lies past the frozen id space. Derived from the
-    /// frozen `ptr_keys` length, *not* from the shard's row count: with
-    /// topology-aware routing the two decouple (rows migrate between
-    /// shards; the id stride does not).
-    next: u32,
-    /// Worker-local fresh interns (so a key allocated twice by the *same*
-    /// worker reuses its id).
-    fresh_vars: FxHashMap<(CtxId, VarId), u32>,
-    fresh_fields: FxHashMap<(CsObjId, FieldId), u32>,
-    /// Allocation-ordered log for the reconciliation pass.
-    fresh: Vec<(PtrKey, u32)>,
-}
-
-impl StrideInterner<'_> {
-    /// Allocates the next id of this worker's stride and appends its slot
-    /// storage to the owned shard.
-    fn alloc(&mut self, key: PtrKey, shard: &mut Shard) -> u32 {
-        let id = u64::from(self.next) * u64::from(self.n) + u64::from(self.me);
-        let id = u32::try_from(id).expect("too many pointers");
-        self.next += 1;
-        shard.pts.push(PointsToSet::new());
-        shard.pending.push(PointsToSet::new());
-        shard.succ.push_row();
-        self.fresh.push((key, id));
-        id
-    }
-
-    /// Interns a context-qualified variable pointer (mirrors
-    /// `SolverState::var_ptr`).
-    fn var_ptr(&mut self, ctx: CtxId, v: VarId, shard: &mut Shard) -> u32 {
-        if ctx == CtxId::EMPTY {
-            let slot = self.commit.ci_var_ptrs[v.index()];
-            if slot != ABSENT {
-                return slot;
-            }
-        } else if let Some(&p) = self.commit.var_ptr_table.get(&(ctx, v)) {
-            return p.0;
-        }
-        if let Some(&id) = self.fresh_vars.get(&(ctx, v)) {
-            return id;
-        }
-        let id = self.alloc(PtrKey::Var(ctx, v), shard);
-        self.fresh_vars.insert((ctx, v), id);
-        id
-    }
-
-    /// Interns a field pointer (mirrors `SolverState::field_ptr`).
-    fn field_ptr(&mut self, obj: CsObjId, f: FieldId, shard: &mut Shard) -> u32 {
-        if let Some(&p) = self.commit.field_ptr_table.get(&(obj, f)) {
-            return p.0;
-        }
-        if let Some(&id) = self.fresh_fields.get(&(obj, f)) {
-            return id;
-        }
-        let id = self.alloc(PtrKey::Field(obj, f), shard);
-        self.fresh_fields.insert((obj, f), id);
-        id
-    }
-}
-
-/// Commit-plane fan-out for one committed delta: like [`discover_fan_out`]
-/// but the `[Load]`/`[Store]` rules are *resolved* here — targets interned
-/// through the stride interner, one [`EdgeReq`] per edge routed to the
-/// shard owning the source's representative — instead of shipped to the
-/// coordinator as replay packets. `[Call]` resolutions and plugin
-/// reactions still travel as [`Derived`] packets (context selection and
-/// obligation-table writes stay coordinator-side).
-#[allow(clippy::too_many_arguments)]
-fn commit_fan_out<P: Plugin>(
-    shared: &RoundShared<'_, P>,
-    shard: &mut Shard,
-    interner: &mut StrideInterner<'_>,
-    rep: u32,
-    delta: &PointsToSet,
-    derived: &mut Vec<Derived>,
-    eout: &mut [Vec<EdgeReq>],
-) {
-    let group: &[u32] = shared
-        .members
-        .get(&rep)
-        .map(Vec::as_slice)
-        .unwrap_or(std::slice::from_ref(&rep));
-    let dctx = DiscoverCtx {
-        obj_keys: &shared.obj_keys,
-        program: shared.program,
-    };
-    for &m in group {
-        if let PtrKey::Var(ctx, v) = shared.ptr_keys[m as usize] {
-            // [Load]: one edge per (site, object), source-owner routed.
-            for &l in &shared.stmts.loads_with_base[v.index()] {
-                let site = shared.program.load(l);
-                let t = interner.var_ptr(ctx, site.lhs(), shard);
-                for o in delta.iter() {
-                    let s = interner.field_ptr(CsObjId(o), site.field(), shard);
-                    let owner = shared.shard_of(shared.reps.find_ext(s)) as usize;
-                    eout[owner].push((s, t, EdgeKind::Load(l)));
-                }
-            }
-            // [Store] (cut-aware): all edges share the source, so the
-            // owner is computed once.
-            for &st in &shared.stmts.stores_with_base[v.index()] {
-                if shared.plugin.is_store_cut(st) {
-                    continue;
-                }
-                let site = shared.program.store(st);
-                let s = interner.var_ptr(ctx, site.rhs(), shard);
-                let owner = shared.shard_of(shared.reps.find_ext(s)) as usize;
-                for o in delta.iter() {
-                    let t = interner.field_ptr(CsObjId(o), site.field(), shard);
-                    eout[owner].push((s, t, EdgeKind::Store(st)));
-                }
-            }
-            // [Call]: identical to the replay path — dispatch worker-side,
-            // context selection coordinator-side.
-            for &site in &shared.stmts.calls_with_recv[v.index()] {
-                let cs = shared.program.call_site(site);
-                for recv in delta.iter() {
-                    let (_, obj) = shared.obj_keys[recv as usize];
-                    let callee = match cs.kind() {
-                        CallKind::Virtual => {
-                            let class = shared.program.obj(obj).class();
-                            match shared.program.dispatch(class, cs.target()) {
-                                Some(m) => m,
-                                None => continue,
-                            }
-                        }
-                        CallKind::Special => cs.target(),
-                        CallKind::Static => unreachable!("static calls have no receiver"),
-                    };
-                    derived.push(Derived::Call {
-                        caller_ctx: ctx,
-                        site,
-                        recv,
-                        callee,
-                    });
-                }
-            }
-        }
-        if shared.discovery {
-            let mut reactions = Vec::new();
-            shared
-                .plugin
-                .discover(PtrId(m), delta, &dctx, &mut reactions);
-            derived.extend(reactions.into_iter().map(|r| Derived::React(Box::new(r))));
-        }
-    }
-}
-
-/// Runs one worker's share of a bulk-synchronous propagation round. See
-/// the module docs for the three sub-phases (plus the commit plane's
-/// fourth: edge commit). `shared.deadline` is the
-/// wall-clock budget's cutoff: checked every 1024 propagations like the
-/// sequential engine, so a single oversized round cannot overshoot the
-/// budget unboundedly — on expiry the worker restores its remaining
-/// deltas to pending and still completes the channel protocol (all
-/// sub-phases must run or peers would deadlock).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_worker<P: Plugin>(
-    me: usize,
-    shared: &RoundShared<'_, P>,
-    shard: &mut Shard,
-    batch: Vec<(u32, PointsToSet)>,
-    txs: Vec<Sender<Packet>>,
-    rx: Receiver<Packet>,
-    etxs: Vec<Sender<EdgePacket>>,
-    erx: Receiver<EdgePacket>,
-    bufs: &crate::steal::BufPool<(u32, Arc<PointsToSet>)>,
-) -> WorkerResult {
-    crate::fault::hit(crate::fault::FaultPoint::WorkerRound);
-    let nshards = shared.nshards;
-    // Pre-round geometry for this round's fresh stride allocations: the
-    // first unallocated stride index, and the shard row where the first
-    // appended fresh slot will land (row count at round start).
-    let frozen_len = u32::try_from(shared.ptr_keys.len()).expect("too many pointers");
-    let first_stride = frozen_len.saturating_sub(me as u32).div_ceil(nshards);
-    let base_rows = shard.pts.len();
-    // Sub-phase 1: propagate. Union incoming deltas into the owned
-    // points-to sets; route genuinely new elements to the successors'
-    // owning shards.
-    let mut out: Vec<Vec<(u32, Arc<PointsToSet>)>> = (0..nshards).map(|_| bufs.get()).collect();
-    let mut stmt: Vec<DeltaCommit> = Vec::with_capacity(batch.len());
-    let mut propagations = 0u64;
-    let mut timed_out = false;
-    for (rep, incoming) in batch {
-        debug_assert_eq!(shared.shard_of(rep), me as u32);
-        let local = shared.local_of(rep);
-        if timed_out {
-            // Restore the drained delta so the partial state stays
-            // consistent (the coordinator aborts after this round).
-            shard.pending[local].union_with(&incoming);
-            continue;
-        }
-        let Some(delta) = shard.pts[local].union_delta(&incoming) else {
-            continue;
-        };
-        propagations += 1;
-        if let Some(d) = shared.deadline {
-            if propagations.is_multiple_of(1024) && std::time::Instant::now() > d {
-                timed_out = true;
-            }
-        }
-        let delta = Arc::new(delta);
-        // The successor row lives in this worker's own shard (rows are
-        // stored at representatives, and batch representatives are
-        // self-owned by construction).
-        for (t, filter) in shard.succ.iter_row(local) {
-            // Stored targets may be stale (merged away); canonicalize like
-            // the sequential engine's enqueue does. A target canonicalizing
-            // back onto the source is a no-op (the delta is already in the
-            // shared set).
-            let trep = shared.reps.find(t);
-            if trep == rep {
-                continue;
-            }
-            let payload = match filter {
-                None => Arc::clone(&delta),
-                Some(class) => {
-                    Arc::new(filter_pts(&delta, class, &shared.obj_keys, shared.program))
-                }
-            };
-            if !payload.is_empty() {
-                out[shared.shard_of(trep) as usize].push((trep, payload));
-            }
-        }
-        stmt.push((PtrId(rep), delta, 0));
-    }
-    crate::fault::hit(crate::fault::FaultPoint::OutboxSend);
-    for (d, tx) in txs.iter().enumerate() {
-        tx.send((me, std::mem::take(&mut out[d])))
-            .expect(crate::pool::PEER_HANGUP);
-    }
-    drop(txs);
-
-    // Sub-phase 2: fan-out discovery, overlapping the peers' propagate
-    // sub-phase (the outboxes are already on the wire). With the commit
-    // plane on, `[Load]`/`[Store]` edges are resolved right here — fresh
-    // pointers interned from this worker's pre-reserved id stride, edge
-    // requests routed to the source's owning shard over the second channel
-    // plane. Otherwise everything ships to the coordinator as replay
-    // packets, which read only the frozen round state (keys, not ids).
-    // All deltas share one flat packet vector; `stmt` records each
-    // delta's exclusive range end.
-    let mut derived: Vec<Derived> = Vec::new();
-    let mut fresh: Vec<(PtrKey, u32)> = Vec::new();
-    if let Some(commit) = &shared.commit {
-        let mut interner = StrideInterner {
-            commit,
-            me: me as u32,
-            n: nshards,
-            next: first_stride,
-            fresh_vars: FxHashMap::default(),
-            fresh_fields: FxHashMap::default(),
-            fresh: Vec::new(),
-        };
-        let mut eout: Vec<Vec<EdgeReq>> = vec![Vec::new(); nshards as usize];
-        for (rep, delta, end) in &mut stmt {
-            commit_fan_out(
-                shared,
-                shard,
-                &mut interner,
-                rep.0,
-                delta,
-                &mut derived,
-                &mut eout,
-            );
-            *end = u32::try_from(derived.len()).expect("packet count fits u32");
-        }
-        for (d, tx) in etxs.iter().enumerate() {
-            tx.send((me, std::mem::take(&mut eout[d])))
-                .expect(crate::pool::PEER_HANGUP);
-        }
-        fresh = interner.fresh;
-    } else {
-        for (rep, delta, end) in &mut stmt {
-            discover_fan_out(shared, rep.0, delta, &mut derived);
-            *end = u32::try_from(derived.len()).expect("packet count fits u32");
-        }
-    }
-    drop(etxs);
-
-    // Sub-phase 3: merge. Receiving one packet from every shard (self
-    // included) doubles as the round barrier; sorting by source shard
-    // makes the merge order — and therefore the newly-queued order —
-    // deterministic regardless of thread scheduling.
-    let mut packets: Vec<Packet> = (0..nshards)
-        .map(|_| rx.recv().expect(crate::pool::PEER_HANGUP))
-        .collect();
-    packets.sort_unstable_by_key(|&(src, _)| src);
-    let mut newly_queued: Vec<PtrId> = Vec::new();
-    for (_, mut msgs) in packets {
-        for (trep, payload) in msgs.drain(..) {
-            debug_assert_eq!(shared.shard_of(trep), me as u32);
-            let slot = &mut shard.pending[shared.local_of(trep)];
-            let was_empty = slot.is_empty();
-            slot.union_with(&payload);
-            if was_empty {
-                newly_queued.push(PtrId(trep));
-            }
-        }
-        bufs.put(msgs);
-    }
-    // Sub-phase 4 (commit plane only): edge commit. Receive one edge
-    // packet from every shard (the second barrier), sort by source shard
-    // for determinism, and commit the edges whose *source representative*
-    // this worker owns: dedup against the owned pair sets, grow the owned
-    // successor rows, and clone flush payloads for edges whose source
-    // already points somewhere. Everything here reads the round-frozen
-    // union-find, so commits are order-independent across shards; the
-    // coordinator re-checks the logs against the canonicalized id space
-    // before counting them.
-    let mut edges: Vec<EdgeReq> = Vec::new();
-    let mut flushes: Vec<(u32, Arc<PointsToSet>)> = Vec::new();
-    if shared.commit.is_some() {
-        let mut epackets: Vec<EdgePacket> = (0..nshards)
-            .map(|_| erx.recv().expect(crate::pool::PEER_HANGUP))
-            .collect();
-        epackets.sort_unstable_by_key(|&(src, _)| src);
-        // One flush payload per source representative per round, shared
-        // across its edges by `Arc` like the sequential flush path.
-        let mut flush_cache: FxHashMap<u32, Arc<PointsToSet>> = FxHashMap::default();
-        for (_, reqs) in epackets {
-            for (src, dst, kind) in reqs {
-                if src == dst {
-                    continue;
-                }
-                let csrc = shared.reps.find_ext(src);
-                debug_assert_eq!(shared.shard_of(csrc), me as u32);
-                if !shard.edge_pairs.entry(csrc).or_default().insert(src, dst) {
-                    continue;
-                }
-                // Pre-round slots resolve through the shared placement;
-                // this round's own fresh stride ids live at the rows this
-                // worker appended past `base_rows`, in stride order.
-                let local = if csrc >= frozen_len {
-                    base_rows + ((csrc / nshards) - first_stride) as usize
-                } else {
-                    shared.local_of(csrc)
-                };
-                if csrc != shared.reps.find_ext(dst) {
-                    // Worker-committed edges are `[Load]`/`[Store]` copies
-                    // — never cast-filtered.
-                    shard.succ.push_entry(local, dst, None);
-                    if !shard.pts[local].is_empty() {
-                        let payload = flush_cache
-                            .entry(csrc)
-                            .or_insert_with(|| Arc::new(shard.pts[local].clone()));
-                        flushes.push((dst, Arc::clone(payload)));
-                    }
-                }
-                edges.push((src, dst, kind));
-            }
-        }
-    }
-    drop(erx);
-
-    WorkerResult {
-        stmt,
-        derived,
-        newly_queued,
-        propagations,
-        timed_out,
-        fresh,
-        edges,
-        flushes,
-    }
 }

@@ -49,41 +49,14 @@
 //! `tests/differential.rs` harness asserts bit-identical results with
 //! collapsing on and off for every suite program × analysis configuration.
 //!
-//! ## Sharded parallel propagation
+//! ## One sequential engine
 //!
-//! With [`SolverOptions::threads`] ≥ 2 the solver runs a bulk-synchronous
-//! sharded engine (see [`crate::shard`]): pointer slots are partitioned
-//! across shards by SCC representative (slot id modulo shard count — a
-//! collapsed cycle reads and writes only its representative's slot, so it
-//! never straddles shards), each worker thread owns one shard's `pts` and
-//! `pending` halves, and a round unions the drained worklist deltas in
-//! parallel, exchanging cross-shard deltas through per-shard outboxes.
-//! The workers are spawned **once per solve** into a persistent parked
-//! pool ([`crate::pool`]) — event-driven solves execute thousands of tiny
-//! rounds, and a spawn/join pair per worker per round used to dominate
-//! them.
-//!
-//! ### The parallel coordinator
-//!
-//! Statement fan-out no longer runs on the coordinator: each worker
-//! replays the `[Load]`/`[Store]`/`[Call]` discovery (including virtual
-//! dispatch) and the plugin's [`Plugin::discover`] reactions for the
-//! deltas it committed, against a round-frozen snapshot of the statement
-//! index, SCC membership, and the per-shard obligation tables, and emits
-//! *derived-edge* and *call-resolution* packets ([`crate::shard::Derived`])
-//! describing the resulting mutations by key. What remains on the (now
-//! much thinner) coordinator is the commit half: interning, PFG and
-//! call-graph growth, context selection, plugin-table updates, event
-//! delivery, and condensation epochs — all replayed in deterministic
-//! (shard, batch, packet) order. [`SolverStats::parallel_secs`] and
-//! [`SolverStats::coordinator_secs`] time the two phases so the Amdahl
-//! split is measurable per run.
-//!
-//! Cross-thread merge orders are sorted by source shard, so a run is
-//! deterministic for a fixed thread count and its *projected* results are
-//! bit-identical to the sequential engine's for every thread count
-//! (enforced by the differential harness). `threads = 1` takes the
-//! original sequential loop untouched, propagation counts included.
+//! The worklist loop in `Solver::drain` is the only engine. Measured
+//! parallel engines spent 80–94% of each solve in sequential coordinator
+//! work, which caps any speedup near 1.07–1.25× on any core count, and on
+//! 2 cores they ran slower than this loop. A parallel engine is worth
+//! adding only once a profile shows the sequential share of a solve under
+//! about half.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
@@ -119,12 +92,6 @@ pub enum PtrKey {
     Var(CtxId, VarId),
     /// An instance field of a context-qualified object.
     Field(CsObjId, FieldId),
-    /// A commit-plane placeholder: an unused slot in a worker's pre-
-    /// reserved id stride, or a duplicate intern that reconciliation
-    /// aliased onto its canonical id (the alias reads through the
-    /// union-find; its own slot carries no state). Never reachable from
-    /// projections, events, or statement fan-out.
-    Dead,
 }
 
 /// Provenance of a PFG edge; lets plugins distinguish load edges from
@@ -202,64 +169,6 @@ pub enum Event {
     },
 }
 
-/// The read-only solver facts available to worker-side discovery
-/// ([`Plugin::discover`]): enough to classify the objects of a delta
-/// without touching (or being able to touch) the mutable solver state.
-pub struct DiscoverCtx<'a> {
-    /// `CsObjId` → (heap context, allocation site), indexed by raw id.
-    pub obj_keys: &'a [(CtxId, ObjId)],
-    /// The program under analysis.
-    pub program: &'a Program,
-}
-
-impl DiscoverCtx<'_> {
-    /// The (heap context, allocation site) behind a context-qualified
-    /// object.
-    pub fn obj_key(&self, o: CsObjId) -> (CtxId, ObjId) {
-        self.obj_keys[o.0 as usize]
-    }
-}
-
-/// A plugin reaction discovered on a worker thread and committed on the
-/// coordinator through [`Plugin::apply`]. Reactions name their targets by
-/// key (field, already-interned pointer), never by a pointer id the
-/// coordinator has not interned yet, so discovery cannot observe or
-/// constrain interning order. The delta the reaction was discovered for
-/// is *not* embedded: `apply` receives it alongside the reaction, so a
-/// delta of `k` objects hitting an obligation costs one reaction, not
-/// `k` (mirroring the `LoadFan`/`StoreFan` per-site-activation economy).
-#[derive(Clone, Debug)]
-pub enum Reaction {
-    /// Add shortcut edges `src -> o.field` for every object `o` of the
-    /// delta.
-    ShortcutToFields {
-        /// Source pointer (already interned — obligations carry it).
-        src: PtrId,
-        /// Target field.
-        field: FieldId,
-        /// Which Cut-Shortcut rule the edges belong to.
-        kind: ShortcutKind,
-    },
-    /// Add shortcut edges `o.field -> dst` for every object `o` of the
-    /// delta.
-    ShortcutFromFields {
-        /// Source field.
-        field: FieldId,
-        /// Target pointer (already interned).
-        dst: PtrId,
-        /// Which Cut-Shortcut rule the edges belong to.
-        kind: ShortcutKind,
-    },
-    /// Objects of the delta classified as container hosts (`[ColHost]` /
-    /// `[MapHost]`): merge into the pointer-host map and propagate.
-    Hosts {
-        /// The pointer whose host set grew.
-        ptr: PtrId,
-        /// The new host objects.
-        hosts: PointsToSet,
-    },
-}
-
 /// A solver extension. The Cut-Shortcut analysis is the canonical
 /// implementation; [`NoPlugin`] is the identity.
 pub trait Plugin {
@@ -281,9 +190,7 @@ pub trait Plugin {
     }
 
     /// `[Store]` cut check: whether the given store site's PFG edges are
-    /// suppressed (`cutStores`). Must be a pure predicate of the plugin's
-    /// current tables — the parallel engine evaluates it on worker threads
-    /// against the round-frozen plugin.
+    /// suppressed (`cutStores`).
     fn is_store_cut(&self, site: StoreId) -> bool {
         let _ = site;
         false
@@ -294,42 +201,6 @@ pub trait Plugin {
     fn is_return_cut(&self, m: MethodId) -> bool {
         let _ = m;
         false
-    }
-
-    /// Whether [`Plugin::discover`] replaces `NewPointsTo` event delivery
-    /// on the parallel engine. When `true`, parallel rounds run the
-    /// plugin's points-to reactions worker-side (discovery) and commit
-    /// them through [`Plugin::apply`], and no `NewPointsTo` events are
-    /// queued for deltas those rounds commit; `NewCallEdge` / `NewEdge` /
-    /// `NewReachable` events are unaffected. The sequential engine ignores
-    /// this entirely.
-    fn parallel_discovery(&self) -> bool {
-        false
-    }
-
-    /// Worker-side discovery: reactions to `delta` being added to
-    /// `pt(ptr)`. Runs on worker threads against the round-frozen plugin
-    /// (`&self`), so it must only *read* plugin tables and describe the
-    /// mutations as [`Reaction`]s; the coordinator commits them through
-    /// [`Plugin::apply`] in deterministic packet order. Registration
-    /// replay (obligations added later re-scan the current points-to set)
-    /// must make the discover/apply split insensitive to the round
-    /// boundary — the Cut-Shortcut tables are built that way.
-    fn discover(
-        &self,
-        ptr: PtrId,
-        delta: &PointsToSet,
-        dctx: &DiscoverCtx<'_>,
-        out: &mut Vec<Reaction>,
-    ) {
-        let _ = (ptr, delta, dctx, out);
-    }
-
-    /// Commits one worker-discovered [`Reaction`] (coordinator-side).
-    /// `delta` is the points-to growth the reaction was discovered for —
-    /// per-object reactions iterate it here, at commit time.
-    fn apply(&mut self, st: &mut SolverState<'_>, delta: &PointsToSet, reaction: Reaction) {
-        let _ = (st, delta, reaction);
     }
 
     /// Whether the plugin can carry its derived state across a program
@@ -357,28 +228,17 @@ pub enum SolveStatus {
     Completed,
     /// The time or propagation budget was exhausted first.
     Timeout,
-    /// A propagation worker panicked (or an injected fault fired) and the
-    /// round was unwound like a budget abort: the state is safe to drop
-    /// and safe to read, but its projections are partial and it must not
-    /// be continued. [`PtaResult::error`] carries the typed cause.
-    Poisoned,
 }
 
 /// A typed, survivable solve failure — the replacement for
-/// panic-as-abort. The process never dies on these: the worker pool
-/// catches the unwind, the coordinator finishes the round teardown
-/// deterministically, and callers receive this alongside a
-/// [`SolveStatus::Poisoned`] result (or through the guarded entry points
-/// `run_analysis_guarded` / `resolve_analysis_guarded` when the panic
-/// happened coordinator-side).
+/// panic-as-abort. The guarded entry points (`run_analysis_guarded` /
+/// `resolve_analysis_guarded`) catch a panic that unwinds out of a solve
+/// and return it as this error; the partial state unwinds with it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveError {
-    /// A panic escaped a propagation worker (`worker = Some(i)`) or the
-    /// coordinator / sequential engine (`worker = None`); `payload` is the
-    /// stringified panic payload.
+    /// A panic escaped the solve; `payload` is the stringified panic
+    /// payload.
     Poisoned {
-        /// Index of the panicking pool worker, `None` for the coordinator.
-        worker: Option<usize>,
         /// The stringified panic payload.
         payload: String,
     },
@@ -392,10 +252,7 @@ pub enum SolveError {
 impl std::fmt::Display for SolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SolveError::Poisoned { worker, payload } => match worker {
-                Some(w) => write!(f, "solve poisoned: worker {w} panicked: {payload}"),
-                None => write!(f, "solve poisoned: {payload}"),
-            },
+            SolveError::Poisoned { payload } => write!(f, "solve poisoned: {payload}"),
             SolveError::Fault { point } => write!(f, "injected fault at {point}"),
         }
     }
@@ -449,36 +306,16 @@ pub struct SolverStats {
     pub sccs_collapsed: u64,
     /// Pointers merged into another representative.
     pub ptrs_collapsed: u64,
-    /// Worker threads the propagation engine ran with (1 = the sequential
-    /// engine; the resolved value when [`SolverOptions::threads`] was 0).
+    /// Always 1: the solver is sequential. Kept for the benchmark
+    /// harness, which reports it; nothing in the workspace reads it.
     pub threads: u64,
-    /// Bulk-synchronous parallel rounds executed (0 on the sequential
-    /// path).
-    pub parallel_rounds: u64,
-    /// Wall-clock seconds spent inside parallel phases (workers running,
-    /// coordinator waiting at the round barrier). Always 0 on the
-    /// sequential engine.
+    /// Always 0.0: there are no parallel phases. Kept for the benchmark
+    /// harness, which reports it; nothing in the workspace reads it.
     pub parallel_secs: f64,
-    /// Wall-clock seconds spent outside parallel phases: packet commits,
-    /// plugin events, call-graph growth, condensation epochs, inline small
-    /// rounds. On the sequential engine this is the whole solve, so
-    /// `parallel_secs / (parallel_secs + coordinator_secs)` is the
-    /// measured Amdahl split of a run.
+    /// Wall-clock seconds of the solve (of the last incremental re-solve,
+    /// after a resolve), plus the pre-analysis solve's for two-phase
+    /// analyses. Kept for the benchmark harness, which reports it.
     pub coordinator_secs: f64,
-    /// Wall-clock seconds of `coordinator_secs` spent in the per-round
-    /// commit section (packet replay, commit-plane reconciliation, flush
-    /// and event delivery) — the slice of the coordinator the sharded
-    /// commit plane exists to shrink. Always 0 on the sequential engine.
-    pub commit_secs: f64,
-    /// Async engine: work-stealing propagation phases dispatched — each is
-    /// one coordinated pause (quiescence wait + commit), the async
-    /// engine's analogue of a round barrier. Always 0 on the sequential
-    /// and BSP engines; compare against `parallel_rounds` on the same
-    /// workload to see the barrier eliminations.
-    pub pause_count: u64,
-    /// Async engine: successful steal batches (a worker drained part of a
-    /// loaded peer shard's worklist). Schedule-dependent by nature.
-    pub steal_count: u64,
     /// Incremental re-solves performed on this state (via
     /// [`Solver::resolve`] or `resolve_analysis`), including fallbacks.
     pub incr_resolves: u64,
@@ -543,24 +380,6 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// Which multi-threaded propagation engine a solve runs
-/// ([`SolverOptions::engine`]); irrelevant when `threads == 1`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// The async work-stealing loop (the default): workers own their
-    /// shards' worklists, exchange deltas without round boundaries, steal
-    /// from loaded peers when dry, and pause only for coordinator-side
-    /// structural work (quiescence-detected). Deterministic in *results*
-    /// (projections and precision metrics bit-identical to the sequential
-    /// engine), not in schedule (per-run propagation counts vary as
-    /// deltas coalesce differently).
-    Async,
-    /// The bulk-synchronous engine: barriered rounds with a deterministic
-    /// coordinator pass between them; propagation counts are reproducible
-    /// per thread count.
-    Bsp,
-}
-
 /// Engine tuning knobs, independent of the analysis policy (context
 /// selector / plugin). The default enables SCC-collapsed propagation with
 /// an adaptive epoch length.
@@ -575,57 +394,6 @@ pub struct SolverOptions {
     /// picks an adaptive threshold from the current pointer count; tests
     /// use small values to stress merge paths on tiny programs.
     pub collapse_epoch: Option<u32>,
-    /// Propagation worker threads. `1` (the default) runs the sequential
-    /// engine unchanged; `0` resolves to the machine's available
-    /// parallelism; `>= 2` runs the sharded bulk-synchronous engine, whose
-    /// projected results are bit-identical to the sequential engine's for
-    /// any thread count (enforced by `tests/differential.rs`) while its
-    /// propagation counts are deterministic per thread count.
-    pub threads: usize,
-    /// Sharded commit plane (parallel engine only): workers intern fresh
-    /// pointers from pre-reserved id strides and commit `[Load]`/`[Store]`
-    /// PFG edges shard-locally, leaving the coordinator only call-graph
-    /// merges, reconciliation, and condensation epochs. `None` (the
-    /// default) reads the `CSC_PAR_COMMIT` environment variable at solve
-    /// start (unset or non-`0` = on); tests pass explicit values so runs
-    /// never race on the environment. Ignored when `threads == 1`.
-    pub par_commit: Option<bool>,
-    /// Topology-aware shard routing (parallel engine only): at each
-    /// condensation epoch, re-home slots across shards by a greedy
-    /// longest-processing-time pass seeded by observed per-representative
-    /// union cost, replacing the arithmetic `id % nshards` placement.
-    /// Precision- and determinism-neutral — routing only changes *where* a
-    /// slot's row physically lives. `None` (the default) reads the
-    /// `CSC_SHARD_ROUTE` environment variable at solve start (`balanced` =
-    /// on, anything else — including unset, the `mod` default — = off);
-    /// tests pass explicit values. Ignored when `threads == 1`.
-    pub balanced_route: Option<bool>,
-    /// Multi-threaded propagation engine. `None` (the default) reads the
-    /// `CSC_ENGINE` environment variable at solve start (`bsp` = the
-    /// bulk-synchronous engine, anything else — including unset — = the
-    /// async work-stealing engine); tests pass explicit values. Ignored
-    /// when `threads == 1`.
-    pub engine: Option<Engine>,
-    /// BSP engine only: adaptive round fusion. When on, the inline-round
-    /// threshold (below which a drained batch is processed sequentially
-    /// instead of dispatched to the pool) grows with the observed round
-    /// size — streaks of tiny event-driven rounds fuse into the
-    /// coordinator instead of paying pool dispatch, and a large wave
-    /// front snaps the threshold back. Deterministic (driven purely by
-    /// batch sizes, which are deterministic per thread count on the BSP
-    /// engine). `None` (the default) reads the `CSC_ROUND_FUSION`
-    /// environment variable (`1`/`on` = on; unset = off, preserving the
-    /// fixed `32 × threads` heuristic byte-for-byte).
-    pub round_fusion: Option<bool>,
-    /// Large points-to-set representation: chunked hybrid with CoW dense
-    /// blocks (the default) or the PR 1 whole-id-range bitmap, kept
-    /// selectable for A/B comparison. Representation never changes element
-    /// sequences, so projections and propagation counts are identical
-    /// either way (enforced by `differential_pts_repr`). `None` (the
-    /// default) reads the `CSC_PTS_REPR` environment variable at solve
-    /// start (`legacy` = the bitmap, anything else — including unset — =
-    /// chunked); tests pass explicit values.
-    pub pts_repr: Option<crate::pts::PtsRepr>,
 }
 
 impl Default for SolverOptions {
@@ -633,12 +401,6 @@ impl Default for SolverOptions {
         SolverOptions {
             collapse_sccs: true,
             collapse_epoch: None,
-            threads: 1,
-            par_commit: None,
-            balanced_route: None,
-            engine: None,
-            round_fusion: None,
-            pts_repr: None,
         }
     }
 }
@@ -657,115 +419,20 @@ impl SolverOptions {
         SolverOptions {
             collapse_sccs: true,
             collapse_epoch: Some(epoch),
-            ..SolverOptions::default()
         }
     }
 
-    /// The same options with an explicit propagation thread count
-    /// (`0` = available parallelism).
-    pub fn with_threads(self, threads: usize) -> Self {
-        SolverOptions { threads, ..self }
+    /// The same options, unchanged: the solver is sequential, so there is
+    /// no thread count to set. Kept for the benchmark harness, which calls
+    /// it; nothing in the workspace does.
+    pub fn with_threads(self, _threads: usize) -> Self {
+        self
     }
 
-    /// The same options with the commit plane explicitly on or off
-    /// (bypasses the `CSC_PAR_COMMIT` environment fallback).
-    pub fn with_par_commit(self, on: bool) -> Self {
-        SolverOptions {
-            par_commit: Some(on),
-            ..self
-        }
-    }
-
-    /// Whether the sharded commit plane is enabled for these options
-    /// (environment fallback resolved).
-    pub fn resolved_par_commit(&self) -> bool {
-        self.par_commit
-            .unwrap_or_else(|| std::env::var("CSC_PAR_COMMIT").map_or(true, |v| v != "0"))
-    }
-
-    /// The same options with topology-aware shard routing explicitly on or
-    /// off (bypasses the `CSC_SHARD_ROUTE` environment fallback).
-    pub fn with_balanced_route(self, on: bool) -> Self {
-        SolverOptions {
-            balanced_route: Some(on),
-            ..self
-        }
-    }
-
-    /// Whether topology-aware shard routing is enabled for these options
-    /// (environment fallback resolved; `mod` is the default).
-    pub fn resolved_balanced_route(&self) -> bool {
-        self.balanced_route
-            .unwrap_or_else(|| std::env::var("CSC_SHARD_ROUTE").is_ok_and(|v| v == "balanced"))
-    }
-
-    /// The same options with an explicit propagation engine (bypasses the
-    /// `CSC_ENGINE` environment fallback).
-    pub fn with_engine(self, engine: Engine) -> Self {
-        SolverOptions {
-            engine: Some(engine),
-            ..self
-        }
-    }
-
-    /// The multi-threaded engine these options resolve to (environment
-    /// fallback resolved; async is the default).
-    pub fn resolved_engine(&self) -> Engine {
-        self.engine.unwrap_or_else(|| {
-            if std::env::var("CSC_ENGINE").is_ok_and(|v| v == "bsp") {
-                Engine::Bsp
-            } else {
-                Engine::Async
-            }
-        })
-    }
-
-    /// The same options with BSP round fusion explicitly on or off
-    /// (bypasses the `CSC_ROUND_FUSION` environment fallback).
-    pub fn with_round_fusion(self, on: bool) -> Self {
-        SolverOptions {
-            round_fusion: Some(on),
-            ..self
-        }
-    }
-
-    /// Whether adaptive BSP round fusion is enabled for these options
-    /// (environment fallback resolved; off is the default).
-    pub fn resolved_round_fusion(&self) -> bool {
-        self.round_fusion.unwrap_or_else(|| {
-            std::env::var("CSC_ROUND_FUSION").is_ok_and(|v| v == "1" || v == "on")
-        })
-    }
-
-    /// The same options with an explicit large-set representation
-    /// (bypasses the `CSC_PTS_REPR` environment fallback).
-    pub fn with_pts_repr(self, repr: crate::pts::PtsRepr) -> Self {
-        SolverOptions {
-            pts_repr: Some(repr),
-            ..self
-        }
-    }
-
-    /// The large-set representation these options resolve to (environment
-    /// fallback resolved; chunked is the default).
-    pub fn resolved_pts_repr(&self) -> crate::pts::PtsRepr {
-        self.pts_repr.unwrap_or_else(|| {
-            if std::env::var("CSC_PTS_REPR").is_ok_and(|v| v == "legacy") {
-                crate::pts::PtsRepr::Legacy
-            } else {
-                crate::pts::PtsRepr::Chunked
-            }
-        })
-    }
-
-    /// The worker-thread count these options resolve to on this machine.
+    /// Always 1: the solver is sequential. Kept for the benchmark
+    /// harness, which reports it; nothing in the workspace calls it.
     pub fn resolved_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
+        1
     }
 }
 
@@ -793,10 +460,8 @@ pub struct SolverState<'p> {
     obj_keys: Vec<(CtxId, ObjId)>,
 
     /// Points-to sets, pending-delta accumulators, successor lists, and
-    /// PFG edge-dedup sets, stored at SCC representatives and sharded
-    /// round-robin by slot id for the parallel engine (one shard when
-    /// sequential); merged members keep an empty slot and read through
-    /// [`SolverState::repr`].
+    /// PFG edge-dedup sets, stored at SCC representatives; merged members
+    /// keep an empty slot and read through [`SolverState::repr`].
     ///
     /// Successor entries carry an optional cast filter: only objects whose
     /// class is a subtype of the filter class propagate along the edge
@@ -804,9 +469,8 @@ pub struct SolverState<'p> {
     /// representatives; stored targets may be stale (merged away) and are
     /// re-canonicalized at enqueue time and at each condensation epoch.
     /// Edge dedup is on *original* `(src, dst)` endpoints, grouped under
-    /// the source's representative so the owning shard can commit edges
-    /// worker-side (see `crate::shard::Shard`).
-    slots: crate::shard::ShardedSlots,
+    /// the source's representative (see `crate::shard::Shard`).
+    slots: crate::shard::Shard,
 
     /// Representative index for SCC-collapsed propagation.
     reps: crate::scc::UnionFind,
@@ -816,32 +480,6 @@ pub struct SolverState<'p> {
     /// Unfiltered copy edges inserted since the last condensation epoch.
     copy_edges_since_collapse: u32,
     opts: SolverOptions,
-    /// Resolved propagation worker count (>= 1).
-    nthreads: usize,
-    /// Resolved commit-plane switch (parallel engine only; see
-    /// [`SolverOptions::par_commit`]).
-    par_commit: bool,
-    /// Resolved topology-aware routing switch (parallel engine only; see
-    /// [`SolverOptions::balanced_route`]).
-    balanced_route: bool,
-    /// Resolved engine switch: `true` runs the async work-stealing loop
-    /// for multi-threaded phases (see [`SolverOptions::engine`]).
-    async_engine: bool,
-    /// Resolved adaptive round-fusion switch (BSP engine only; see
-    /// [`SolverOptions::round_fusion`]).
-    round_fusion: bool,
-    /// Adaptive inline-round threshold: batches smaller than this are
-    /// processed sequentially by the coordinator. Fixed at
-    /// `32 × nthreads` unless `round_fusion` is on.
-    inline_cap: usize,
-    /// Consecutive inline rounds under round fusion (the growth
-    /// hysteresis counter).
-    fused_streak: u32,
-    /// Observed union cost per slot id (elements committed into the slot's
-    /// set), tracked only under `balanced_route`: the seed for the greedy
-    /// shard-rebalance pass at condensation epochs. Grown lazily; merged
-    /// onto the surviving representative when SCCs collapse.
-    route_cost: Vec<u64>,
 
     /// Batched worklist: the FIFO of pointers with a non-empty pending
     /// accumulator (the accumulators themselves live in `slots`).
@@ -861,27 +499,20 @@ pub struct SolverState<'p> {
     call_edges: Vec<(CtxId, CallSiteId, CtxId, MethodId)>,
     call_edges_by_callee: FxHashMap<MethodId, Vec<(CtxId, CallSiteId, CtxId)>>,
 
-    /// Per-variable statement usage index (see [`crate::shard::StmtIndex`]):
-    /// read by the sequential engine's statement processing and, frozen per
-    /// round, by the parallel workers' fan-out discovery.
+    /// Per-variable statement usage index (see [`crate::shard::StmtIndex`]),
+    /// read by statement processing.
     stmts: crate::shard::StmtIndex,
 
     /// Counters.
     pub stats: SolverStats,
     budget: Budget,
     started: Instant,
-    /// Set when a propagation worker panicked and the solve was unwound:
-    /// the state is safe to drop and to read (partial projections) but
-    /// must never be continued or rebased.
-    poisoned: bool,
 }
 
 impl<'p> SolverState<'p> {
     fn new(program: &'p Program, budget: Budget, opts: SolverOptions) -> Self {
-        let nthreads = opts.resolved_threads().max(1);
-        crate::pts::set_default_repr(opts.resolved_pts_repr());
         let stats = SolverStats {
-            threads: nthreads as u64,
+            threads: 1,
             ..SolverStats::default()
         };
         SolverState {
@@ -894,19 +525,11 @@ impl<'p> SolverState<'p> {
             ci_objs: vec![ABSENT; program.objs().len()],
             obj_table: FxHashMap::default(),
             obj_keys: Vec::new(),
-            slots: crate::shard::ShardedSlots::new(nthreads),
+            slots: crate::shard::Shard::default(),
             reps: crate::scc::UnionFind::new(),
             members: FxHashMap::default(),
             copy_edges_since_collapse: 0,
-            par_commit: nthreads > 1 && opts.resolved_par_commit(),
-            balanced_route: nthreads > 1 && opts.resolved_balanced_route(),
-            async_engine: nthreads > 1 && opts.resolved_engine() == Engine::Async,
-            round_fusion: nthreads > 1 && opts.resolved_round_fusion(),
-            inline_cap: 32 * nthreads,
-            fused_streak: 0,
-            route_cost: Vec::new(),
             opts,
-            nthreads,
             queue: VecDeque::new(),
             events: VecDeque::new(),
             emit_events: false,
@@ -920,14 +543,7 @@ impl<'p> SolverState<'p> {
             stats,
             budget,
             started: Instant::now(),
-            poisoned: false,
         }
-    }
-
-    /// Whether a worker panic poisoned this state (see
-    /// [`SolveStatus::Poisoned`]).
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     // ---- interning -------------------------------------------------------
@@ -1012,23 +628,6 @@ impl<'p> SolverState<'p> {
         self.obj_keys.len()
     }
 
-    /// The resolved propagation worker count (≥ 1) this solve runs with —
-    /// also the shard count plugins should size their
-    /// [`crate::ShardedTable`]s to (in [`Plugin::init`]).
-    pub fn threads(&self) -> usize {
-        self.nthreads
-    }
-
-    /// The read-only facts [`Plugin::discover`] sees — also usable on the
-    /// coordinator, so the event path and the worker path share one
-    /// discovery implementation.
-    pub fn discover_ctx(&self) -> DiscoverCtx<'_> {
-        DiscoverCtx {
-            obj_keys: &self.obj_keys,
-            program: self.program,
-        }
-    }
-
     /// Canonical representative of a pointer: identity unless the pointer
     /// was merged into an assign-SCC, in which case the SCC's elected
     /// representative is returned.
@@ -1051,7 +650,6 @@ impl<'p> SolverState<'p> {
             }
             PtrKey::Var(ctx, v) => self.var_ptr_table.get(&(ctx, v)).copied(),
             PtrKey::Field(obj, f) => self.field_ptr_table.get(&(obj, f)).copied(),
-            PtrKey::Dead => None,
         }
     }
 
@@ -1330,9 +928,6 @@ impl<'p> SolverState<'p> {
             return true;
         };
         self.stats.propagations += 1;
-        if self.balanced_route {
-            self.bump_route_cost(ptr.0, delta.len() as u64);
-        }
         if let Some(max) = self.budget.max_propagations {
             if self.stats.propagations > max {
                 return false;
@@ -1354,7 +949,7 @@ impl<'p> SolverState<'p> {
         // (the old take/put split borrow asserted the same invariant).
         let mut seg_idx = self.slots.succ_head(ptr.0);
         while seg_idx != crate::arena::NONE {
-            let seg = self.slots.succ_seg(ptr.0, seg_idx);
+            let seg = self.slots.succ_seg(seg_idx);
             for &(t, code) in &seg.entries[..seg.len as usize] {
                 match crate::arena::decode_filter(code) {
                     None => self.enqueue(PtrId(t), &delta),
@@ -1377,8 +972,7 @@ impl<'p> SolverState<'p> {
     /// would uncollapsed. The member list is taken out and restored around
     /// the loop (nothing inside statement processing can reach `members`;
     /// merges only happen between worklist steps), avoiding an O(|SCC|)
-    /// clone per delta. Shared by the sequential `step` and the parallel
-    /// coordinator phase.
+    /// clone per delta.
     fn fan_out<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
@@ -1579,19 +1173,6 @@ impl<'p> SolverState<'p> {
             for &m in &group[1..] {
                 self.reps.set_parent(m, rep);
             }
-            if self.balanced_route {
-                // Merged members' accumulated union cost follows the
-                // surviving representative, like their sets do.
-                for &m in &group[1..] {
-                    let c = self
-                        .route_cost
-                        .get_mut(m as usize)
-                        .map_or(0, std::mem::take);
-                    if c != 0 {
-                        self.bump_route_cost(rep, c);
-                    }
-                }
-            }
             // Rebuild the representative's successor list: canonical
             // targets, intra-SCC edges dropped (the shared set makes them
             // no-ops), physical duplicates that earlier merges created
@@ -1610,8 +1191,7 @@ impl<'p> SolverState<'p> {
             self.slots.put_succ(rep, new_succ);
             // Migrate the merged members' edge-dedup groups onto the
             // surviving representative (pairs keep their original
-            // endpoints — only the grouping key, and with it the owning
-            // shard, changes).
+            // endpoints — only the grouping key changes).
             let mut pairs = self.slots.take_edge_pairs(rep).unwrap_or_default();
             for &m in &group[1..] {
                 if let Some(p) = self.slots.take_edge_pairs(m) {
@@ -1655,7 +1235,7 @@ impl<'p> SolverState<'p> {
             let pts = self.slots.take_pts(rep);
             let mut seg_idx = self.slots.succ_head(rep);
             while seg_idx != crate::arena::NONE {
-                let seg = self.slots.succ_seg(rep, seg_idx);
+                let seg = self.slots.succ_seg(seg_idx);
                 for &(t, code) in &seg.entries[..seg.len as usize] {
                     match crate::arena::decode_filter(code) {
                         None => self.enqueue(PtrId(t), &pts),
@@ -1679,773 +1259,6 @@ impl<'p> SolverState<'p> {
                 self.events.push_back(Event::NewPointsTo {
                     ptr: PtrId(m),
                     delta,
-                });
-            }
-        }
-
-        // Topology-aware routing: re-home slots by observed union cost now
-        // that representatives are canonical for the epoch.
-        if self.balanced_route {
-            self.rebalance_shards();
-        }
-    }
-
-    /// Accumulates observed union cost against slot `rep` (the seed for
-    /// [`SolverState::rebalance_shards`]). Only called under
-    /// `balanced_route`, so the `mod` default pays nothing.
-    fn bump_route_cost(&mut self, rep: u32, amount: u64) {
-        if self.route_cost.len() <= rep as usize {
-            self.route_cost.resize(rep as usize + 1, 0);
-        }
-        self.route_cost[rep as usize] += amount;
-    }
-
-    /// The topology-aware routing pass (`CSC_SHARD_ROUTE=balanced`), run
-    /// at condensation epochs: assigns live representatives to shards by a
-    /// greedy longest-processing-time bin-pack over accumulated union cost
-    /// — heaviest first (ties to the lower id), each onto the currently
-    /// least-loaded shard (ties to the lower shard index) — leaves
-    /// non-representative slots on the round-robin layout, and physically
-    /// migrates the rows ([`crate::shard::ShardedSlots::apply_route`]).
-    /// Purely a placement change: slot ids, and with them every projection
-    /// and propagation count, are untouched, so runs stay deterministic
-    /// per (thread count, commit mode, route mode).
-    fn rebalance_shards(&mut self) {
-        let n = self.nthreads;
-        let len = self.slots.len();
-        let mut target: Vec<u32> = (0..len).map(|i| i % n as u32).collect();
-        let mut ranked: Vec<(u64, u32)> = (0..len)
-            .filter(|&u| self.reps.is_rep(u))
-            .map(|u| (self.route_cost.get(u as usize).copied().unwrap_or(0), u))
-            .collect();
-        ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let mut load = vec![0u64; n];
-        for (cost, u) in ranked {
-            let s = (0..n).min_by_key(|&s| load[s]).expect("at least one shard");
-            // Even a zero-cost representative counts one unit, so
-            // never-propagated slots still spread across shards instead of
-            // piling onto shard 0.
-            load[s] += cost.max(1);
-            target[u as usize] = u32::try_from(s).expect("shard index fits u32");
-        }
-        self.slots.apply_route(target);
-    }
-
-    // ---- sharded parallel propagation -------------------------------------
-
-    /// One bulk-synchronous parallel propagation round, dispatched onto
-    /// the persistent worker pool.
-    ///
-    /// The coordinator drains the whole worklist into per-shard batches
-    /// (slot id modulo shard count — representatives only, so a collapsed
-    /// SCC never straddles shards), freezes the round-shared state (succ /
-    /// reps / members / keys / statement index / plugin) into one
-    /// [`crate::shard::RoundShared`], and hands each pooled worker its
-    /// shard plus its batch. The workers run the three sub-phases of
-    /// [`crate::shard::run_worker`]: union the batched deltas into their
-    /// owned points-to sets and route the new elements through per-shard
-    /// outboxes, replay statement fan-out and plugin discovery for the
-    /// committed deltas as [`crate::shard::Derived`] packets, and merge
-    /// the inboxes into the owners' pending accumulators. Back on the
-    /// coordinator, [`SolverState::commit_derived`] commits the packets in
-    /// deterministic (shard, batch, packet) order — interning, PFG and
-    /// call-graph growth, context selection, plugin-table updates, and SCC
-    /// epochs stay single-threaded between rounds, which is what keeps
-    /// runs deterministic for a fixed thread count.
-    ///
-    /// Whether a drained batch of `len` representatives should be
-    /// processed inline on the coordinator instead of dispatched to the
-    /// worker pool.
-    ///
-    /// Without round fusion this is the fixed `32 × threads` heuristic of
-    /// the PR-4 engine, byte-for-byte. With `CSC_ROUND_FUSION=1` the
-    /// threshold adapts to the observed round-size regime: a streak of
-    /// eight consecutive inline rounds doubles it (event-driven solves
-    /// drip-feed thousands of tiny rounds — fusing them amortizes pool
-    /// dispatch), a dispatched round re-anchors it at twice that round's
-    /// size (capped at `2048 × threads`), and a wave-front round at least
-    /// four times over the threshold snaps it back to the base so the
-    /// heavy phase parallelizes immediately. Driven purely by batch
-    /// lengths, which are deterministic per thread count on the BSP
-    /// engine, so fusion never costs reproducibility.
-    fn inline_round(&mut self, len: usize) -> bool {
-        let base = 32 * self.nthreads;
-        if !self.round_fusion {
-            return len < base;
-        }
-        let cap_max = 2048 * self.nthreads;
-        if len < self.inline_cap {
-            self.fused_streak += 1;
-            if self.fused_streak >= 8 {
-                self.fused_streak = 0;
-                self.inline_cap = (self.inline_cap * 2).min(cap_max);
-            }
-            true
-        } else {
-            self.fused_streak = 0;
-            self.inline_cap = if len >= self.inline_cap * 4 {
-                base
-            } else {
-                (len * 2).min(cap_max)
-            };
-            false
-        }
-    }
-
-    /// Returns `false` when the budget was exhausted.
-    fn parallel_round<'scope, S, P>(
-        &mut self,
-        selector: &S,
-        plugin: &mut Option<P>,
-        pool: &crate::pool::WorkerPool<'scope, 'p, P>,
-    ) -> Phase
-    where
-        S: ContextSelector,
-        P: Plugin + Send + Sync + 'scope,
-        'p: 'scope,
-    {
-        let n = self.nthreads;
-        // Drain the queue in order, canonicalizing stale entries exactly
-        // like the sequential pop does.
-        let mut batch: Vec<(u32, PointsToSet)> = Vec::with_capacity(self.queue.len());
-        while let Some(ptr) = self.queue.pop_front() {
-            let rep = self.reps.find(ptr.0);
-            let incoming = self.slots.take_pending(rep);
-            if incoming.is_empty() {
-                continue; // duplicate queue entry; already drained
-            }
-            batch.push((rep, incoming));
-        }
-
-        // Small rounds run inline on the coordinator: plugin-driven
-        // solves drip-feed the worklist one event at a time (thousands of
-        // rounds of a handful of pointers), where even pool dispatch
-        // overhead would dominate wall-clock. The threshold is
-        // deterministic, so runs stay reproducible; the wave-front rounds
-        // that carry the real union work exceed it by orders of magnitude.
-        if self.inline_round(batch.len()) {
-            let p = plugin.as_ref().expect("plugin present between rounds");
-            for (rep, incoming) in batch {
-                if !self.step(selector, p, PtrId(rep), incoming) {
-                    return Phase::Budget;
-                }
-            }
-            return Phase::Done;
-        }
-
-        self.stats.parallel_rounds += 1;
-        // Partition into per-shard batches (queue order within a shard).
-        let mut work: Vec<Vec<(u32, PointsToSet)>> = vec![Vec::new(); n];
-        for (rep, incoming) in batch {
-            work[self.slots.shard_of(rep)].push((rep, incoming));
-        }
-
-        // Freeze the round-shared state. Everything is *moved* (Vec
-        // headers and the plugin — no elements are copied) into one Arc
-        // the workers share and the coordinator reclaims at the barrier;
-        // see `crate::pool` for the ownership protocol.
-        let discovery = plugin
-            .as_ref()
-            .expect("plugin present between rounds")
-            .parallel_discovery();
-        // The commit plane additionally freezes the intern tables: workers
-        // read them to resolve `[Load]`/`[Store]` targets, allocating
-        // misses from their pre-reserved id strides.
-        let commit = self.par_commit.then(|| crate::shard::CommitShared {
-            ci_var_ptrs: std::mem::take(&mut self.ci_var_ptrs),
-            var_ptr_table: std::mem::take(&mut self.var_ptr_table),
-            field_ptr_table: std::mem::take(&mut self.field_ptr_table),
-        });
-        let shared = std::sync::Arc::new(crate::shard::RoundShared {
-            reps: std::mem::take(&mut self.reps),
-            members: std::mem::take(&mut self.members),
-            ptr_keys: std::mem::take(&mut self.ptr_keys),
-            obj_keys: std::mem::take(&mut self.obj_keys),
-            stmts: std::mem::take(&mut self.stmts),
-            program: self.program,
-            plugin: plugin.take().expect("plugin present between rounds"),
-            discovery,
-            nshards: n as u32,
-            deadline: self.budget.time.map(|limit| self.started + limit),
-            commit,
-            route: self.slots.route.take(),
-        });
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n)
-            .map(|_| std::sync::mpsc::channel::<crate::shard::Packet>())
-            .unzip();
-        let (etxs, erxs): (Vec<_>, Vec<_>) = (0..n)
-            .map(|_| std::sync::mpsc::channel::<crate::shard::EdgePacket>())
-            .unzip();
-        let mut jobs = Vec::with_capacity(n);
-        for (i, ((batch, rx), erx)) in work.into_iter().zip(rxs).zip(erxs).enumerate() {
-            jobs.push(crate::shard::RoundJob {
-                shared: std::sync::Arc::clone(&shared),
-                shard: std::mem::take(&mut self.slots.shards[i]),
-                batch,
-                txs: txs.clone(),
-                rx,
-                etxs: etxs.clone(),
-                erx,
-                bufs: pool.bufs(),
-            });
-        }
-        drop(txs);
-        drop(etxs);
-
-        // Parallel phase: the pooled workers run; the coordinator only
-        // waits at the barrier. This span is what `parallel_secs` counts.
-        let par_start = Instant::now();
-        let report = pool.round(jobs);
-        self.stats.parallel_secs += par_start.elapsed().as_secs_f64();
-
-        // Reclaim the frozen state: every worker dropped its Arc clone
-        // before reporting, so the Arc is unique again.
-        let Ok(shared) = std::sync::Arc::try_unwrap(shared) else {
-            unreachable!("round state still shared after the barrier")
-        };
-        self.reps = shared.reps;
-        self.members = shared.members;
-        self.ptr_keys = shared.ptr_keys;
-        self.obj_keys = shared.obj_keys;
-        self.stmts = shared.stmts;
-        if let Some(c) = shared.commit {
-            self.ci_var_ptrs = c.ci_var_ptrs;
-            self.var_ptr_table = c.var_ptr_table;
-            self.field_ptr_table = c.field_ptr_table;
-        }
-        self.slots.route = shared.route;
-        *plugin = Some(shared.plugin);
-
-        // Coordinator phase: restore the shards, requeue newly pending
-        // representatives, and commit the derived packets, all in shard
-        // order (deterministic).
-        let mut stmt_groups: Vec<(Vec<crate::shard::DeltaCommit>, Vec<crate::shard::Derived>)> =
-            Vec::with_capacity(n);
-        let mut fresh_logs = Vec::with_capacity(n);
-        let mut edge_logs = Vec::with_capacity(n);
-        let mut flush_logs = Vec::with_capacity(n);
-        let mut timed_out = false;
-        let poison = report.poison;
-        for (i, (shard, r)) in report.results.into_iter().enumerate() {
-            self.slots.shards[i] = shard;
-            let Some(r) = r else { continue };
-            self.stats.propagations += r.propagations;
-            self.queue.extend(r.newly_queued);
-            stmt_groups.push((r.stmt, r.derived));
-            fresh_logs.push(r.fresh);
-            edge_logs.push(r.edges);
-            flush_logs.push(r.flushes);
-            timed_out |= r.timed_out;
-        }
-
-        // A poisoned round unwinds like a budget abort, but *harder*: the
-        // panicked worker's fresh-id and edge logs are gone, so running
-        // reconciliation on the surviving logs could leave peers' packets
-        // referencing ids the slot plane never registered. Every round log
-        // is dropped wholesale, the worklist is cleared, and the state is
-        // marked poisoned — safe to drop and to read, never continued.
-        if let Some(err) = poison {
-            self.poisoned = true;
-            self.queue.clear();
-            return Phase::Poisoned(err);
-        }
-
-        // Commit section (what `commit_secs` measures): reconcile the
-        // workers' id-stride allocations and edge commits, then replay the
-        // derived packets. Reconciliation runs even on an aborting round
-        // so the id space and the already-mutated shards stay consistent;
-        // only the derived packets are dropped, like the replay path.
-        let commit_start = Instant::now();
-        if self.par_commit {
-            self.reconcile_round(fresh_logs, edge_logs, flush_logs);
-        }
-        let ok = 'commit: {
-            if timed_out {
-                break 'commit false;
-            }
-            if let Some(max) = self.budget.max_propagations {
-                if self.stats.propagations > max {
-                    break 'commit false;
-                }
-            }
-            if let Some(limit) = self.budget.time {
-                if self.started.elapsed() > limit {
-                    break 'commit false;
-                }
-            }
-            let p = plugin.as_mut().expect("plugin restored after the round");
-            for (stmts, derived) in stmt_groups {
-                let mut packets = derived.into_iter();
-                let mut start = 0u32;
-                for (ptr, delta, end) in stmts {
-                    // The outbox clones were merged and dropped in the
-                    // workers' merge sub-phase, so this unwraps copy-free.
-                    let delta = std::sync::Arc::unwrap_or_clone(delta);
-                    if self.balanced_route {
-                        self.bump_route_cost(ptr.0, delta.len() as u64);
-                    }
-                    let count = (end - start) as usize;
-                    start = end;
-                    self.commit_derived(
-                        selector,
-                        p,
-                        ptr,
-                        &delta,
-                        packets.by_ref().take(count),
-                        discovery,
-                    );
-                }
-            }
-            true
-        };
-        self.stats.commit_secs += commit_start.elapsed().as_secs_f64();
-        if ok {
-            Phase::Done
-        } else {
-            Phase::Budget
-        }
-    }
-
-    /// One async work-stealing propagation phase (`CSC_ENGINE=async`, the
-    /// default multi-threaded engine; see `crate::steal`).
-    ///
-    /// Where [`SolverState::parallel_round`] pays a barrier plus a
-    /// sequential coordinator pass per round, this drains the *entire*
-    /// reachable worklist in one continuously-running phase: the
-    /// coordinator seeds each shard's worklist, dispatches the pool into
-    /// the steal plane, and waits on the quiescence detector — one
-    /// coordinated *pause* (counted in `pause_count`) per structural
-    /// phase, however many propagation "rounds" the fixpoint would have
-    /// taken. The phase logs (committed deltas, derived packets) are then
-    /// committed exactly like a round's, so call-graph growth, context
-    /// selection, plugin `apply`, and SCC epochs stay coordinator-side.
-    ///
-    /// The phase runs with the commit plane off (`commit: None`): edge
-    /// growth happens at the pause point, where the statement fan-out of
-    /// the *whole* phase commits in one pass — the async engine removes
-    /// round barriers, not the discover/commit split.
-    ///
-    /// Returns [`Phase::Budget`] when the budget was exhausted and
-    /// [`Phase::Poisoned`] when a worker died (or an injected fault
-    /// fired); either way the phase teardown has already completed.
-    fn async_phase<'scope, S, P>(
-        &mut self,
-        selector: &S,
-        plugin: &mut Option<P>,
-        pool: &crate::pool::WorkerPool<'scope, 'p, P>,
-    ) -> Phase
-    where
-        S: ContextSelector,
-        P: Plugin + Send + Sync + 'scope,
-        'p: 'scope,
-    {
-        let n = self.nthreads;
-        // Drain the queue in order, canonicalizing stale entries exactly
-        // like the sequential pop does.
-        let mut batch: Vec<(u32, PointsToSet)> = Vec::with_capacity(self.queue.len());
-        while let Some(ptr) = self.queue.pop_front() {
-            let rep = self.reps.find(ptr.0);
-            let incoming = self.slots.take_pending(rep);
-            if incoming.is_empty() {
-                continue; // duplicate queue entry; already drained
-            }
-            batch.push((rep, incoming));
-        }
-
-        // Small batches run inline on the coordinator, exactly like the
-        // BSP engine's small rounds: event-driven solves drip-feed a
-        // handful of pointers per event, where a pool dispatch (let alone
-        // a quiescence-detected phase) would dominate.
-        if batch.len() < 32 * n {
-            let p = plugin.as_ref().expect("plugin present between rounds");
-            for (rep, incoming) in batch {
-                if !self.step(selector, p, PtrId(rep), incoming) {
-                    return Phase::Budget;
-                }
-            }
-            return Phase::Done;
-        }
-
-        self.stats.pause_count += 1;
-        // Seed the shard worklists: restore each drained delta into its
-        // pending accumulator (batch representatives are distinct, so
-        // each seed carries exactly one unit of outstanding work).
-        let mut seeds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut seeded = 0u64;
-        for (rep, incoming) in batch {
-            let s = self.slots.shard_of(rep);
-            self.slots.put_pending(rep, incoming);
-            seeds[s].push(rep);
-            seeded += 1;
-        }
-
-        // Freeze the phase-shared state (same ownership protocol as the
-        // BSP round; see `crate::pool`).
-        let discovery = plugin
-            .as_ref()
-            .expect("plugin present between rounds")
-            .parallel_discovery();
-        let shared = std::sync::Arc::new(crate::shard::RoundShared {
-            reps: std::mem::take(&mut self.reps),
-            members: std::mem::take(&mut self.members),
-            ptr_keys: std::mem::take(&mut self.ptr_keys),
-            obj_keys: std::mem::take(&mut self.obj_keys),
-            stmts: std::mem::take(&mut self.stmts),
-            program: self.program,
-            plugin: plugin.take().expect("plugin present between rounds"),
-            discovery,
-            nshards: n as u32,
-            deadline: self.budget.time.map(|limit| self.started + limit),
-            commit: None,
-            route: self.slots.route.take(),
-        });
-        let prop_limit = self
-            .budget
-            .max_propagations
-            .map(|m| m.saturating_sub(self.stats.propagations));
-        let ctrl = std::sync::Arc::new(crate::steal::AsyncCtrl::new(n, prop_limit, pool.bufs()));
-        ctrl.seed_work(seeded);
-        let cells: Vec<crate::steal::ShardCell> = seeds
-            .into_iter()
-            .enumerate()
-            .map(|(i, seed)| {
-                crate::steal::ShardCell::new(std::mem::take(&mut self.slots.shards[i]), seed)
-            })
-            .collect();
-        let cells = std::sync::Arc::new(cells);
-        let jobs: Vec<crate::pool::StealJob<'p, P>> = (0..n)
-            .map(|_| crate::pool::StealJob {
-                shared: std::sync::Arc::clone(&shared),
-                ctrl: std::sync::Arc::clone(&ctrl),
-                cells: std::sync::Arc::clone(&cells),
-            })
-            .collect();
-
-        // Parallel phase: the workers propagate to quiescence (or abort);
-        // the coordinator only waits on the detector.
-        let par_start = Instant::now();
-        let phase_err = pool.steal_phase(jobs, &ctrl).err();
-        self.stats.parallel_secs += par_start.elapsed().as_secs_f64();
-
-        // Reclaim the frozen state: every worker dropped its Arcs before
-        // reporting, so both are unique again.
-        let Ok(shared) = std::sync::Arc::try_unwrap(shared) else {
-            unreachable!("phase state still shared after quiescence")
-        };
-        self.reps = shared.reps;
-        self.members = shared.members;
-        self.ptr_keys = shared.ptr_keys;
-        self.obj_keys = shared.obj_keys;
-        self.stmts = shared.stmts;
-        self.slots.route = shared.route;
-        *plugin = Some(shared.plugin);
-        let Ok(cells) = std::sync::Arc::try_unwrap(cells) else {
-            unreachable!("shard cells still shared after quiescence")
-        };
-
-        // Coordinator pause: restore the shards, collect the phase logs,
-        // and (on abort) requeue whatever the workers left behind so the
-        // partial state stays consistent.
-        let aborted = ctrl.was_aborted();
-        self.stats.steal_count += ctrl.steal_count();
-        let mut stmt_groups: Vec<(Vec<crate::shard::DeltaCommit>, Vec<crate::shard::Derived>)> =
-            Vec::with_capacity(n);
-        for (i, cell) in cells.into_iter().enumerate() {
-            let sh = cell.into_inner();
-            self.slots.shards[i] = sh.shard;
-            self.stats.propagations += sh.propagations;
-            // Leftover worklist entries exist only on abort; their pending
-            // accumulators are still populated, so requeueing the ids
-            // restores the sequential worklist invariant.
-            self.queue.extend(sh.queue.into_iter().map(PtrId));
-            stmt_groups.push((sh.stmt, sh.derived));
-        }
-        // Undelivered inbox messages (abort only) re-enter through the
-        // normal enqueue path.
-        for (trep, payload) in ctrl.drain_leftovers() {
-            self.enqueue(PtrId(trep), &payload);
-        }
-
-        // A poisoned phase (worker panic or injected fault) unwinds like a
-        // budget abort — derived packets dropped, shards already restored
-        // above — but the state is marked dead: safe to drop and to read,
-        // never continued.
-        if let Some(err) = phase_err {
-            self.poisoned = true;
-            self.queue.clear();
-            return Phase::Poisoned(err);
-        }
-
-        // Commit section: replay the phase's derived packets in (shard,
-        // processing order) — dropped wholesale on abort, like a round's.
-        let commit_start = Instant::now();
-        let ok = 'commit: {
-            if aborted {
-                break 'commit false;
-            }
-            if let Some(max) = self.budget.max_propagations {
-                if self.stats.propagations > max {
-                    break 'commit false;
-                }
-            }
-            if let Some(limit) = self.budget.time {
-                if self.started.elapsed() > limit {
-                    break 'commit false;
-                }
-            }
-            let p = plugin.as_mut().expect("plugin restored after the phase");
-            for (stmts, derived) in stmt_groups {
-                let mut packets = derived.into_iter();
-                let mut start = 0u32;
-                for (ptr, delta, end) in stmts {
-                    // Every inbox clone of the delta was merged and
-                    // dropped during the phase, so this unwraps copy-free.
-                    let delta = std::sync::Arc::unwrap_or_clone(delta);
-                    if self.balanced_route {
-                        self.bump_route_cost(ptr.0, delta.len() as u64);
-                    }
-                    let count = (end - start) as usize;
-                    start = end;
-                    self.commit_derived(
-                        selector,
-                        p,
-                        ptr,
-                        &delta,
-                        packets.by_ref().take(count),
-                        discovery,
-                    );
-                }
-            }
-            true
-        };
-        self.stats.commit_secs += commit_start.elapsed().as_secs_f64();
-        if ok {
-            Phase::Done
-        } else {
-            Phase::Budget
-        }
-    }
-
-    /// The commit plane's coordinator-side reconciliation, run once per
-    /// parallel round after the shards are restored.
-    ///
-    /// Workers interned fresh pointers from disjoint id strides, so ids
-    /// never collide — but two workers may have interned the *same key*
-    /// under different ids. This pass canonicalizes, in deterministic
-    /// shard-major allocation order:
-    ///
-    /// * **Pass A** — register each fresh key: the first occurrence keeps
-    ///   its id (written into `ptr_keys` and the intern tables); later
-    ///   duplicates are *aliased* — their key slot stays [`PtrKey::Dead`],
-    ///   their union-find entry is parented onto the canonical id (so any
-    ///   stored reference canonicalizes through `repr`), and they never
-    ///   join a `members` group (merge election only considers live
-    ///   representatives).
-    /// * **Pass B** — migrate the duplicates' worker-committed growth
-    ///   (successor rows, edge-pair groups) onto their canonicals,
-    ///   *verbatim*: pass C rewrites endpoints through the alias map, and
-    ///   rewriting them here too would make its canonical-pair inserts
-    ///   collide with themselves.
-    /// * **Pass C** — re-check the workers' edge logs against the
-    ///   canonical id space: rewritten pairs replace their raw entries in
-    ///   the dedup groups; a pair another worker already committed under a
-    ///   different fresh id is dropped (its leftover successor entry is
-    ///   idempotent and deduplicated at the next condensation epoch).
-    ///   Survivors are counted and, when events are on, announced — the
-    ///   workers never touch `SolverStats`.
-    ///
-    /// Finally the workers' flush payloads (source sets cloned shard-side
-    /// at edge-commit time) are enqueued; `enqueue` routes them through
-    /// `repr`, so flushes to an aliased duplicate land on its canonical.
-    fn reconcile_round(
-        &mut self,
-        fresh: Vec<Vec<(PtrKey, u32)>>,
-        edges: Vec<Vec<crate::shard::EdgeReq>>,
-        flushes: Vec<Vec<(u32, std::sync::Arc<PointsToSet>)>>,
-    ) {
-        // Pad the slot plane to the post-round layout (each worker
-        // appended rows for its own stride only, leaving shards ragged).
-        let mut new_len = self.slots.len();
-        for log in &fresh {
-            // Stride ids are allocated in increasing order per worker.
-            if let Some(&(_, id)) = log.last() {
-                new_len = new_len.max(id + 1);
-            }
-        }
-        if new_len > self.slots.len() {
-            let appended: Vec<usize> = fresh.iter().map(Vec::len).collect();
-            self.slots.pad_to(new_len, &appended);
-            let old_len = u32::try_from(self.ptr_keys.len()).expect("too many pointers");
-            self.ptr_keys.resize(new_len as usize, PtrKey::Dead);
-            for _ in old_len..new_len {
-                self.reps.push();
-            }
-        }
-
-        // Pass A.
-        let mut alias: FxHashMap<u32, u32> = FxHashMap::default();
-        for log in &fresh {
-            for &(key, id) in log {
-                debug_assert!(matches!(self.ptr_keys[id as usize], PtrKey::Dead));
-                if let Some(canon) = self.find_ptr(key) {
-                    alias.insert(id, canon.0);
-                    self.reps.set_parent(id, canon.0);
-                    continue;
-                }
-                self.ptr_keys[id as usize] = key;
-                match key {
-                    PtrKey::Var(ctx, v) if ctx == CtxId::EMPTY => {
-                        self.ci_var_ptrs[v.index()] = id;
-                    }
-                    PtrKey::Var(ctx, v) => {
-                        self.var_ptr_table.insert((ctx, v), PtrId(id));
-                    }
-                    PtrKey::Field(obj, f) => {
-                        self.field_ptr_table.insert((obj, f), PtrId(id));
-                    }
-                    PtrKey::Dead => unreachable!("workers never intern dead keys"),
-                }
-                self.stats.pointers += 1;
-            }
-        }
-
-        // Pass B (skipped entirely in the common no-duplicates case).
-        if !alias.is_empty() {
-            for log in &fresh {
-                for &(_, id) in log {
-                    let Some(&canon) = alias.get(&id) else {
-                        continue;
-                    };
-                    let succ = self.slots.take_succ(id);
-                    if !succ.is_empty() {
-                        self.slots.extend_succ(canon, succ);
-                    }
-                    if let Some(pairs) = self.slots.take_edge_pairs(id) {
-                        let group = self.slots.edge_pairs_mut(canon);
-                        if group.is_empty() {
-                            *group = pairs;
-                        } else {
-                            group.merge(&pairs);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pass C.
-        for log in &edges {
-            for &(src, dst, kind) in log {
-                let asrc = alias.get(&src).copied().unwrap_or(src);
-                let adst = alias.get(&dst).copied().unwrap_or(dst);
-                if (asrc, adst) != (src, dst) {
-                    let csrc = self.reps.find(asrc);
-                    let group = self.slots.edge_pairs_mut(csrc);
-                    group.remove(src, dst);
-                    if asrc == adst || !group.insert(asrc, adst) {
-                        continue;
-                    }
-                }
-                self.stats.edges += 1;
-                if self.reps.find(asrc) != self.reps.find(adst) {
-                    // Worker-committed edges are unfiltered copies.
-                    self.copy_edges_since_collapse += 1;
-                }
-                if self.emit_events {
-                    self.events.push_back(Event::NewEdge {
-                        src: PtrId(asrc),
-                        dst: PtrId(adst),
-                        kind,
-                    });
-                }
-            }
-        }
-
-        // Flushes, in (shard, commit) order.
-        for log in flushes {
-            for (dst, payload) in log {
-                self.enqueue(PtrId(dst), &payload);
-            }
-        }
-    }
-
-    /// Commits one committed delta's worker-derived packets: interning,
-    /// edge/call-graph mutation, context selection, and plugin reactions,
-    /// in the deterministic order the worker emitted them. For plugins
-    /// without worker-side discovery, also queues the per-member
-    /// `NewPointsTo` events the sequential `fan_out` would have queued.
-    fn commit_derived<S: ContextSelector, P: Plugin>(
-        &mut self,
-        selector: &S,
-        plugin: &mut P,
-        ptr: PtrId,
-        delta: &PointsToSet,
-        derived: impl Iterator<Item = crate::shard::Derived>,
-        discovery: bool,
-    ) {
-        use crate::shard::Derived;
-        for d in derived {
-            match d {
-                Derived::LoadFan { site, ctx } => {
-                    // Same shape as the sequential `[Load]` loop: intern
-                    // the target once, then one field pointer per object.
-                    let l = self.program.load(site);
-                    let (lhs, field) = (l.lhs(), l.field());
-                    let t = self.var_ptr(ctx, lhs);
-                    for o in delta.iter() {
-                        let s = self.field_ptr(CsObjId(o), field);
-                        self.add_edge(s, t, EdgeKind::Load(site));
-                    }
-                }
-                Derived::StoreFan { site, ctx } => {
-                    let st = self.program.store(site);
-                    let (rhs, field) = (st.rhs(), st.field());
-                    let s = self.var_ptr(ctx, rhs);
-                    for o in delta.iter() {
-                        let t = self.field_ptr(CsObjId(o), field);
-                        self.add_edge(s, t, EdgeKind::Store(site));
-                    }
-                }
-                Derived::Call {
-                    caller_ctx,
-                    site,
-                    recv,
-                    callee,
-                } => {
-                    // The worker resolved dispatch; context selection and
-                    // the `[Call]` receiver flow stay coordinator-side.
-                    let (heap_ctx, obj) = self.obj_key(CsObjId(recv));
-                    let callee_ctx = selector.select_call(
-                        self.program,
-                        &mut self.interner,
-                        CallInfo {
-                            caller_ctx,
-                            site,
-                            callee,
-                            recv: Some((heap_ctx, obj)),
-                        },
-                    );
-                    self.add_call_edge(selector, &*plugin, caller_ctx, site, callee_ctx, callee);
-                    if let Some(this) = self.program.method(callee).this_var() {
-                        let t = self.var_ptr(callee_ctx, this);
-                        self.enqueue_one(t, recv);
-                    }
-                }
-                Derived::React(r) => plugin.apply(self, delta, *r),
-            }
-        }
-        if self.emit_events && !discovery {
-            if let Some(group) = self.members.remove(&ptr.0) {
-                for &m in &group {
-                    self.events.push_back(Event::NewPointsTo {
-                        ptr: PtrId(m),
-                        delta: delta.clone(),
-                    });
-                }
-                self.members.insert(ptr.0, group);
-            } else {
-                self.events.push_back(Event::NewPointsTo {
-                    ptr,
-                    delta: delta.clone(),
                 });
             }
         }
@@ -2512,18 +1325,6 @@ impl<'p> SolverState<'p> {
     }
 }
 
-/// The outcome of one parallel phase (a BSP round or an async
-/// work-stealing phase), as seen by the engine loop.
-enum Phase {
-    /// Committed; keep draining.
-    Done,
-    /// Budget exhausted; the solve ends with [`SolveStatus::Timeout`].
-    Budget,
-    /// A worker panicked or an injected fault fired; the solve ends with
-    /// [`SolveStatus::Poisoned`] and this typed cause.
-    Poisoned(SolveError),
-}
-
 /// A configured pointer-analysis run.
 pub struct Solver<'p, S, P> {
     state: SolverState<'p>,
@@ -2541,8 +1342,6 @@ pub struct PtaResult<'p> {
     pub elapsed: Duration,
     /// The selector name (e.g. `"ci"`, `"2obj"`).
     pub analysis: String,
-    /// The typed cause when `status` is [`SolveStatus::Poisoned`].
-    pub error: Option<SolveError>,
 }
 
 impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
@@ -2571,14 +1370,7 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
     /// Runs to fixpoint (or budget exhaustion) and returns the result
     /// together with the plugin (which may carry analysis-specific data,
     /// e.g. Cut-Shortcut's involved-method set).
-    ///
-    /// The `Send + Sync` bound on the plugin exists for the parallel
-    /// engine, which shares the (round-frozen) plugin with its worker
-    /// threads; the sequential engine never crosses a thread boundary.
-    pub fn solve(mut self) -> (PtaResult<'p>, P)
-    where
-        P: Send + Sync,
-    {
+    pub fn solve(mut self) -> (PtaResult<'p>, P) {
         let start = Instant::now();
         self.state.started = start;
         self.state.emit_events = self.plugin.wants_events();
@@ -2589,98 +1381,47 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
         self.drain(start)
     }
 
-    /// Runs the engine loop (sequential, BSP, or async work-stealing per
-    /// the resolved options) on the already-seeded state until fixpoint or
-    /// budget exhaustion, then finalizes the result. Shared by [`solve`]
-    /// (seeded from the entry method) and the incremental re-solve path
-    /// (seeded from a delta's re-propagation frontier).
+    /// Runs the worklist loop on the already-seeded state until fixpoint
+    /// or budget exhaustion, then finalizes the result. Shared by
+    /// [`solve`] (seeded from the entry method) and the incremental
+    /// re-solve path (seeded from a delta's re-propagation frontier).
     ///
     /// [`solve`]: Solver::solve
-    fn drain(self, start: Instant) -> (PtaResult<'p>, P)
-    where
-        P: Send + Sync,
-    {
+    fn drain(self, start: Instant) -> (PtaResult<'p>, P) {
         let Solver {
             mut state,
             selector,
             mut plugin,
         } = self;
         crate::fault::init();
-        let (status, error) = if state.nthreads > 1 {
-            // Sharded parallel engine: rounds of parallel propagation with
-            // sequential coordinator phases in between, the workers parked
-            // in a pool that lives for the whole solve. Plugin events are
-            // processed only at quiescent points (empty worklist), exactly
-            // like the sequential loop; the loop terminates on the first
-            // fully quiescent round (no worklist entries, no events).
-            let nthreads = state.nthreads;
-            let mut slot = Some(plugin);
-            let outcome = std::thread::scope(|scope| {
-                let pool = crate::pool::WorkerPool::start(scope, nthreads);
-                loop {
-                    if state.should_collapse() {
-                        let p = slot.as_ref().expect("plugin present between rounds");
-                        state.collapse_cycles(&selector, p);
-                    }
-                    if !state.queue.is_empty() {
-                        let phase = if state.async_engine {
-                            state.async_phase(&selector, &mut slot, &pool)
-                        } else {
-                            state.parallel_round(&selector, &mut slot, &pool)
-                        };
-                        match phase {
-                            Phase::Done => {}
-                            Phase::Budget => break (SolveStatus::Timeout, None),
-                            Phase::Poisoned(err) => {
-                                break (SolveStatus::Poisoned, Some(err));
-                            }
-                        }
-                    } else if let Some(ev) = state.events.pop_front() {
-                        slot.as_mut()
-                            .expect("plugin present between rounds")
-                            .handle(&mut state, ev);
-                    } else {
-                        break (SolveStatus::Completed, None);
-                    }
-                }
-            });
-            plugin = slot.expect("plugin restored after the solve");
-            outcome
-        } else {
-            // The sequential engine (threads = 1), byte-for-byte the
-            // pre-parallel behavior: per-pointer steps, events at
-            // quiescence.
-            let mut status = SolveStatus::Completed;
-            loop {
-                if state.should_collapse() {
-                    state.collapse_cycles(&selector, &plugin);
-                }
-                if let Some(ptr) = state.queue.pop_front() {
-                    // The sequential engine's unit of round work. A panic
-                    // here (injected or organic) unwinds to the caller;
-                    // the guarded entry points translate it into a typed
-                    // `SolveError`.
-                    crate::fault::hit(crate::fault::FaultPoint::WorkerRound);
-                    // Canonicalize: the pointer may have been merged into an
-                    // SCC after it was queued.
-                    let ptr = state.repr(ptr);
-                    let incoming = state.slots.take_pending(ptr.0);
-                    if !state.step(&selector, &plugin, ptr, incoming) {
-                        status = SolveStatus::Timeout;
-                        break;
-                    }
-                } else if let Some(ev) = state.events.pop_front() {
-                    plugin.handle(&mut state, ev);
-                } else {
+        // Per-pointer steps, plugin events at quiescence (empty worklist).
+        let mut status = SolveStatus::Completed;
+        loop {
+            if state.should_collapse() {
+                state.collapse_cycles(&selector, &plugin);
+            }
+            if let Some(ptr) = state.queue.pop_front() {
+                // One step is the `worker-round` fault point's unit. A
+                // panic here (injected or organic) unwinds to the caller;
+                // the guarded entry points translate it into a typed
+                // `SolveError`.
+                crate::fault::hit(crate::fault::FaultPoint::WorkerRound);
+                // Canonicalize: the pointer may have been merged into an
+                // SCC after it was queued.
+                let ptr = state.repr(ptr);
+                let incoming = state.slots.take_pending(ptr.0);
+                if !state.step(&selector, &plugin, ptr, incoming) {
+                    status = SolveStatus::Timeout;
                     break;
                 }
+            } else if let Some(ev) = state.events.pop_front() {
+                plugin.handle(&mut state, ev);
+            } else {
+                break;
             }
-            (status, None)
-        };
+        }
         let elapsed = start.elapsed();
-        // The Amdahl split: everything that is not a parallel phase is
-        // coordinator time (on the sequential engine, the whole solve).
-        state.stats.coordinator_secs = (elapsed.as_secs_f64() - state.stats.parallel_secs).max(0.0);
+        state.stats.coordinator_secs = elapsed.as_secs_f64();
         state.record_mem_stats();
         (
             PtaResult {
@@ -2688,7 +1429,6 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
                 status,
                 elapsed,
                 analysis: selector.name().to_owned(),
-                error,
             },
             plugin,
         )

@@ -7,7 +7,7 @@
 //! program from scratch — whether the resolve took the localized
 //! re-propagation path or fell back to a full solve. This harness crosses
 //! suite programs × the four pipeline configurations (`ci`, `csc`,
-//! `zipper`, `csc-hybrid`) × engines × thread counts {1, 4} and compares:
+//! `zipper`, `csc-hybrid`) and compares:
 //!
 //! * the projected points-to set of **every** variable (base and
 //!   delta-added),
@@ -23,8 +23,8 @@
 use std::collections::BTreeSet;
 
 use csc_core::{
-    resolve_analysis_opts, run_analysis_opts, Analysis, AnalysisOutcome, Budget, Engine,
-    PrecisionMetrics, PtaResult, SolverOptions,
+    resolve_analysis_opts, run_analysis_opts, Analysis, AnalysisOutcome, Budget, PrecisionMetrics,
+    PtaResult, SolverOptions,
 };
 use csc_ir::{CallSiteId, MethodId, ObjId, Program, VarId};
 use csc_workloads::{generate_delta, DeltaGenConfig};
@@ -210,23 +210,6 @@ fn incremental_removals_small_suite() {
     }
 }
 
-/// Incremental resolve on the multi-threaded engines: the rebased state
-/// carries the engine configuration, and re-propagation must stay
-/// projection-identical to a from-scratch parallel solve.
-#[test]
-fn incremental_parallel_small_suite() {
-    let program = csc_workloads::compiled("hsqldb").unwrap();
-    for (label, analysis) in configurations() {
-        for engine in [Engine::Bsp, Engine::Async] {
-            let opts = SolverOptions::with_epoch(32)
-                .with_threads(4)
-                .with_engine(engine);
-            let what = format!("hsqldb/{label} (threads=4, {engine:?}, epoch=32)");
-            differential_chain(program, analysis.clone(), opts, 0x9a7, 2, true, &what);
-        }
-    }
-}
-
 /// Context-sensitive baselines ride the same incremental machinery
 /// (context-qualified cones).
 #[test]
@@ -270,26 +253,26 @@ fn incremental_no_collapse() {
     }
 }
 
-/// The full-matrix leg: every suite program × four configurations ×
-/// both engines × threads {1, 4}, chained monotone and mixed deltas.
-/// Ignored by default (run in release mode; CI has a dedicated job).
+/// The full-matrix leg: every suite program × four configurations,
+/// chained monotone and mixed deltas. Ignored by default (run in release
+/// mode; CI has a dedicated job).
 #[test]
-#[ignore = "full suite x 4 configs x engines x threads; run in release mode (see doc comment)"]
+#[ignore = "full suite x 4 configs x monotone/mixed; run in release mode (see doc comment)"]
 fn incremental_full_suite() {
     for bench in csc_workloads::suite() {
         let program = csc_workloads::compiled(bench.name).unwrap();
         for (label, analysis) in configurations() {
-            for (threads, engine) in [(1, Engine::Bsp), (4, Engine::Bsp), (4, Engine::Async)] {
-                let opts = SolverOptions::default()
-                    .with_threads(threads)
-                    .with_engine(engine);
-                for removals in [false, true] {
-                    let what = format!(
-                        "{}/{label} (threads={threads}, {engine:?}, removals={removals})",
-                        bench.name
-                    );
-                    differential_chain(program, analysis.clone(), opts, 0xf511, 2, removals, &what);
-                }
+            for removals in [false, true] {
+                let what = format!("{}/{label} (removals={removals})", bench.name);
+                differential_chain(
+                    program,
+                    analysis.clone(),
+                    SolverOptions::default(),
+                    0xf511,
+                    2,
+                    removals,
+                    &what,
+                );
             }
         }
     }

@@ -16,52 +16,22 @@
 //! The fault registry is process-global, so each matrix lives in a
 //! single `#[test]` body and the two bodies serialize on a shared lock
 //! (`cargo test -- --include-ignored` would otherwise interleave them).
-//! A leg whose point never executes under its engine config (e.g.
-//! `outbox-send` at `threads = 1`) is still asserted: the solve must
-//! complete and `fired()` must be false — pinning *where* each point is
-//! (and is not) reachable.
 //!
-//! `chaos_smoke` is tier-1; `chaos_matrix` (every point x mode x engine
-//! config) is `#[ignore]`d and run in release by the CI `chaos` leg.
+//! `chaos_smoke` is tier-1; `chaos_matrix` (every point x mode, plus a
+//! deeper strike) is `#[ignore]`d and run in release by the CI `chaos`
+//! leg.
 
 use std::sync::Mutex;
 
 use csc_core::fault::{self, FaultMode, FaultPoint};
 use csc_core::{
-    decode_delta_guarded, run_analysis_guarded, Analysis, Budget, Engine, SolveError,
-    SolvedSummary, SolverOptions,
+    decode_delta_guarded, run_analysis_guarded, Analysis, Budget, SolveError, SolvedSummary,
+    SolverOptions,
 };
 use csc_ir::Program;
 
 /// Serializes the two test bodies: the fault registry is process-global.
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-/// One engine configuration of the matrix.
-#[derive(Copy, Clone, Debug)]
-struct Config {
-    engine: Engine,
-    threads: usize,
-}
-
-impl Config {
-    fn opts(self) -> SolverOptions {
-        SolverOptions::default()
-            .with_threads(self.threads)
-            .with_engine(self.engine)
-    }
-}
-
-/// Solve-path points, with the engine configs they are reachable under.
-/// `worker-round` also guards the sequential drain loop; the other two
-/// exist only inside the parallel engines (`quiescence` async-only).
-fn reachable(point: FaultPoint, cfg: Config) -> bool {
-    match point {
-        FaultPoint::WorkerRound => true,
-        FaultPoint::OutboxSend => cfg.threads > 1,
-        FaultPoint::Quiescence => cfg.threads > 1 && matches!(cfg.engine, Engine::Async),
-        _ => false,
-    }
-}
 
 /// Checks that a typed error matches the armed (point, mode).
 fn check_typed(err: &SolveError, point: FaultPoint, mode: FaultMode) {
@@ -69,7 +39,7 @@ fn check_typed(err: &SolveError, point: FaultPoint, mode: FaultMode) {
         (FaultMode::Err, SolveError::Fault { point: p }) => {
             assert_eq!(*p, point, "err-mode fault must name its point");
         }
-        (FaultMode::Panic, SolveError::Poisoned { payload, .. }) => {
+        (FaultMode::Panic, SolveError::Poisoned { payload }) => {
             assert!(
                 payload.contains("injected fault"),
                 "panic-mode payload should carry the injected message, got: {payload}"
@@ -79,52 +49,37 @@ fn check_typed(err: &SolveError, point: FaultPoint, mode: FaultMode) {
     }
 }
 
-/// Runs one solve-path leg: arm, solve, classify, clean-retry, compare.
-fn solve_leg(
-    program: &Program,
-    cfg: Config,
-    point: FaultPoint,
-    nth: u64,
-    mode: FaultMode,
-    baseline: &SolvedSummary,
-) {
+/// Runs one `worker-round` leg: arm, solve, classify, clean-retry,
+/// compare. The fault unwinds out of the solve, so the guarded entry
+/// point must return it as a typed error.
+fn solve_leg(program: &Program, nth: u64, mode: FaultMode, baseline: &SolvedSummary) {
+    let point = FaultPoint::WorkerRound;
     fault::clear_all();
     fault::arm(point, nth, mode);
-    let res = run_analysis_guarded(program, Analysis::Ci, Budget::unlimited(), cfg.opts());
+    let res = run_analysis_guarded(
+        program,
+        Analysis::Ci,
+        Budget::unlimited(),
+        SolverOptions::default(),
+    );
     let fired = fault::fired(point);
     fault::clear_all();
-    let leg = format!("{point:?}/{mode:?}/nth={nth}/{cfg:?}");
-    assert_eq!(
-        fired,
-        reachable(point, cfg),
-        "{leg}: fault firing disagrees with the point's documented reach"
-    );
+    let leg = format!("{point:?}/{mode:?}/nth={nth}");
+    assert!(fired, "{leg}: the solve must reach the fault point");
     match res {
-        // A panic that crossed the coordinator thread (sequential drain
-        // loop, quiescence teardown) surfaces from the outer guard.
-        Err(e) => {
-            assert!(fired, "{leg}: typed error without the fault firing: {e}");
-            check_typed(&e, point, mode);
-        }
-        // A worker-side fault is absorbed by the pool: the solve returns
-        // a poisoned (partial, never-continued) result carrying the cause.
-        Ok(out) => {
-            if fired {
-                assert!(!out.completed(), "{leg}: fired fault cannot complete");
-                let err = out
-                    .solve_error()
-                    .unwrap_or_else(|| panic!("{leg}: poisoned outcome must carry a typed error"));
-                check_typed(err, point, mode);
-            } else {
-                assert!(out.completed(), "{leg}: unfired leg must complete");
-            }
-        }
+        Err(e) => check_typed(&e, point, mode),
+        Ok(_) => panic!("{leg}: a fired fault must surface as a typed error"),
     }
-    // Clean retry: same program, same config, nothing armed. The solve
-    // must complete and project bit-identically to the baseline — a
-    // poisoned round leaks nothing into the next solve.
-    let retry = run_analysis_guarded(program, Analysis::Ci, Budget::unlimited(), cfg.opts())
-        .unwrap_or_else(|e| panic!("{leg}: clean retry errored: {e}"));
+    // Clean retry: same program, nothing armed. The solve must complete
+    // and project bit-identically to the baseline — an unwound solve
+    // leaks nothing into the next one.
+    let retry = run_analysis_guarded(
+        program,
+        Analysis::Ci,
+        Budget::unlimited(),
+        SolverOptions::default(),
+    )
+    .unwrap_or_else(|e| panic!("{leg}: clean retry errored: {e}"));
     assert!(retry.completed(), "{leg}: clean retry must complete");
     let sum = SolvedSummary::capture(program, &retry.result);
     assert_eq!(sum.pts, baseline.pts, "{leg}: retry points-to differs");
@@ -203,10 +158,8 @@ impl QuietPanics {
                 .copied()
                 .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
                 .unwrap_or("");
-            // Injected panics and the peer-hangup cascade they set off in
-            // the BSP round are the expected noise of this matrix.
+            // Injected panics are the expected noise of this matrix.
             let injected = msg.contains("injected fault")
-                || msg.contains("peer worker hung up")
                 || payload.downcast_ref::<fault::InjectedFault>().is_some();
             if !injected {
                 prev(info);
@@ -237,128 +190,51 @@ fn fixture() -> (&'static Program, Vec<u8>) {
     (program, delta.to_bytes())
 }
 
-fn baseline(program: &Program, cfg: Config) -> SolvedSummary {
-    let out = run_analysis_guarded(program, Analysis::Ci, Budget::unlimited(), cfg.opts())
-        .expect("baseline solve");
-    assert!(out.completed(), "baseline must complete under {cfg:?}");
+fn baseline(program: &Program) -> SolvedSummary {
+    let out = run_analysis_guarded(
+        program,
+        Analysis::Ci,
+        Budget::unlimited(),
+        SolverOptions::default(),
+    )
+    .expect("baseline solve");
+    assert!(out.completed(), "baseline must complete");
     SolvedSummary::capture(program, &out.result)
 }
 
-/// Tier-1 smoke: one leg per fault point, covering both modes and all
-/// three engines at least once. Fast enough for every `cargo test`.
+/// Tier-1 smoke: one leg per fault point, covering both modes on the
+/// solve path. Fast enough for every `cargo test`.
 #[test]
 fn chaos_smoke() {
     let _guard = CHAOS_LOCK.lock().unwrap();
     let _quiet = QuietPanics::install();
     let (program, delta_bytes) = fixture();
-    let seq = Config {
-        engine: Engine::Bsp,
-        threads: 1,
-    };
-    let bsp = Config {
-        engine: Engine::Bsp,
-        threads: 4,
-    };
-    let async_cfg = Config {
-        engine: Engine::Async,
-        threads: 4,
-    };
-    let base_seq = baseline(program, seq);
-    let base_bsp = baseline(program, bsp);
-    let base_async = baseline(program, async_cfg);
-    assert_eq!(
-        base_seq.pts, base_bsp.pts,
-        "engines must agree before chaos"
-    );
-    assert_eq!(
-        base_seq.pts, base_async.pts,
-        "engines must agree before chaos"
-    );
-
-    solve_leg(
-        program,
-        seq,
-        FaultPoint::WorkerRound,
-        1,
-        FaultMode::Panic,
-        &base_seq,
-    );
-    solve_leg(
-        program,
-        bsp,
-        FaultPoint::WorkerRound,
-        1,
-        FaultMode::Err,
-        &base_bsp,
-    );
-    solve_leg(
-        program,
-        async_cfg,
-        FaultPoint::OutboxSend,
-        1,
-        FaultMode::Panic,
-        &base_async,
-    );
-    solve_leg(
-        program,
-        async_cfg,
-        FaultPoint::Quiescence,
-        1,
-        FaultMode::Err,
-        &base_async,
-    );
-
+    let base = baseline(program);
+    solve_leg(program, 1, FaultMode::Panic, &base);
+    solve_leg(program, 1, FaultMode::Err, &base);
     let dir = csc_core::result_cache_dir().join("chaos-smoke");
-    cache_leg(&dir, &base_seq, FaultMode::Err);
+    cache_leg(&dir, &base, FaultMode::Err);
     delta_leg(&delta_bytes, FaultMode::Err);
     fault::clear_all();
 }
 
-/// The full matrix: every fault point x {panic, err} x engine configs
-/// (both parallel engines at 1 and 4 threads), plus a deeper `nth` for
-/// the hot worker-round point. Release-only via the CI `chaos` leg.
+/// The full matrix: every fault point x {panic, err}, plus a deeper `nth`
+/// for the hot worker-round point. Release-only via the CI `chaos` leg.
 #[test]
 #[ignore = "full chaos matrix is slow unoptimized; CI runs it in release"]
 fn chaos_matrix() {
     let _guard = CHAOS_LOCK.lock().unwrap();
     let _quiet = QuietPanics::install();
     let (program, delta_bytes) = fixture();
-    let configs = [
-        Config {
-            engine: Engine::Bsp,
-            threads: 1,
-        },
-        Config {
-            engine: Engine::Async,
-            threads: 1,
-        },
-        Config {
-            engine: Engine::Bsp,
-            threads: 4,
-        },
-        Config {
-            engine: Engine::Async,
-            threads: 4,
-        },
-    ];
+    let base = baseline(program);
     let modes = [FaultMode::Panic, FaultMode::Err];
-    for cfg in configs {
-        let base = baseline(program, cfg);
-        for mode in modes {
-            for point in [
-                FaultPoint::WorkerRound,
-                FaultPoint::OutboxSend,
-                FaultPoint::Quiescence,
-            ] {
-                solve_leg(program, cfg, point, 1, mode, &base);
-            }
-            // Deeper strike: let a few rounds of work land first, so the
-            // unwound state is non-trivial when the fault hits.
-            solve_leg(program, cfg, FaultPoint::WorkerRound, 4, mode, &base);
-        }
+    for mode in modes {
+        solve_leg(program, 1, mode, &base);
+        // Deeper strike: let a few steps of work land first, so the
+        // unwound state is non-trivial when the fault hits.
+        solve_leg(program, 4, mode, &base);
     }
     let dir = csc_core::result_cache_dir().join("chaos-matrix");
-    let base = baseline(program, configs[0]);
     for mode in modes {
         cache_leg(&dir, &base, mode);
         delta_leg(&delta_bytes, mode);

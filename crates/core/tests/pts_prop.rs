@@ -1,33 +1,26 @@
-//! Property tests for the points-to set representations.
+//! Property tests for the points-to set representation.
 //!
-//! The chunked hybrid set (PR 9) replaces the whole-range bitmap behind
-//! the same [`csc_core::PointsToSet`] API, and the solver flips between
-//! the two via a process-global mode knob — so every observable must be
-//! representation-independent:
+//! [`csc_core::PointsToSet`] is a hybrid — a sorted vector while small, a
+//! chunked set with copy-on-write dense blocks once promoted — so every
+//! observable must be representation-independent:
 //!
 //! * arbitrary interleavings of `insert` / `union_with` / `union_delta` /
 //!   `is_subset` / `intersects` must agree with a `BTreeSet` reference,
-//!   under both representations, including the `union_delta` contract
-//!   (the returned delta is *exactly* the genuinely-new elements, and
-//!   `None` means no growth);
+//!   including the `union_delta` contract (the returned delta is
+//!   *exactly* the genuinely-new elements, and `None` means no growth);
 //! * iteration is ascending and duplicate-free regardless of which
 //!   chunks are sparse, dense, or CoW-shared;
 //! * copy-on-write chunk sharing is invisible: after a clone or an
 //!   absorbing union aliases dense blocks between two sets, mutating
-//!   either set never perturbs the other.
-//!
-//! The representation mode is a process-global (the solver sets it once
-//! per solve), so tests that pin a representation serialize on a lock —
-//! integration-test functions in one binary run on concurrent threads.
+//!   either set never perturbs the other;
+//! * batching is invisible: the solver's worklist coalesces the deltas
+//!   queued for a pointer in a pending accumulator and commits them with
+//!   one `union_delta`, which must observe exactly the growth of
+//!   committing them one at a time.
 
-use csc_core::pts::set_default_repr;
-use csc_core::{PointsToSet, PtsRepr};
+use csc_core::PointsToSet;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// Serializes tests that pin the process-global representation mode.
-static REPR_LOCK: Mutex<()> = Mutex::new(());
 
 /// Element domain: mostly ids inside one or two chunks (the hot case),
 /// with a scattered tail across a 2²⁰ universe so multi-chunk paths,
@@ -123,23 +116,11 @@ fn check_against_reference(ops: &[Op]) {
 }
 
 proptest! {
-    /// Differential: the full op algebra agrees with `BTreeSet` under the
-    /// chunked representation.
+    /// Differential: the full op algebra agrees with `BTreeSet` across
+    /// promotion into the chunked representation.
     #[test]
     fn chunked_matches_btreeset(ops in proptest::collection::vec(op(), 0..30)) {
-        let _g = REPR_LOCK.lock().unwrap();
-        set_default_repr(PtsRepr::Chunked);
         check_against_reference(&ops);
-    }
-
-    /// Differential: the same algebra agrees under the legacy whole-range
-    /// bitmap, so the `CSC_PTS_REPR=legacy` escape hatch is a real A/B.
-    #[test]
-    fn legacy_matches_btreeset(ops in proptest::collection::vec(op(), 0..30)) {
-        let _g = REPR_LOCK.lock().unwrap();
-        set_default_repr(PtsRepr::Legacy);
-        check_against_reference(&ops);
-        set_default_repr(PtsRepr::Chunked);
     }
 
     /// CoW aliasing safety: clone a set (sharing every dense chunk block),
@@ -151,8 +132,6 @@ proptest! {
         left in proptest::collection::vec(elem(), 0..200),
         right in proptest::collection::vec(elem(), 0..200),
     ) {
-        let _g = REPR_LOCK.lock().unwrap();
-        set_default_repr(PtsRepr::Chunked);
         let a = set_of(&base);
         let mut b = a.clone();
         let mut a = a;
@@ -178,8 +157,6 @@ proptest! {
         grow_dst in proptest::collection::vec(elem(), 0..200),
         grow_src in proptest::collection::vec(elem(), 0..200),
     ) {
-        let _g = REPR_LOCK.lock().unwrap();
-        set_default_repr(PtsRepr::Chunked);
         let mut source = set_of(&src);
         let mut dst = PointsToSet::new();
         dst.union_with(&source);
@@ -197,31 +174,36 @@ proptest! {
         prop_assert_eq!(source.iter().collect::<Vec<_>>(), rs.into_iter().collect::<Vec<_>>());
     }
 
-    /// Mode flips only steer *new* promotions: sets built under one
-    /// representation keep working (and agreeing with the reference) when
-    /// unioned with sets built under the other — exactly what happens when
-    /// a process solves twice with different `CSC_PTS_REPR` settings.
+    /// Batched delta commit: coalescing several payloads in a pending
+    /// accumulator and committing them with one `union_delta` produces the
+    /// same final set, and the same union of new elements, as committing
+    /// the payloads one at a time.
     #[test]
-    fn mixed_representation_unions_agree(
-        a in proptest::collection::vec(elem(), 0..400),
-        b in proptest::collection::vec(elem(), 0..400),
+    fn batched_delta_equals_stepwise_deltas(
+        initial in proptest::collection::vec(0u32..300, 0..40),
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(0u32..300, 0..20),
+            0..8,
+        ),
     ) {
-        let _g = REPR_LOCK.lock().unwrap();
-        set_default_repr(PtsRepr::Legacy);
-        let legacy = set_of(&a);
-        set_default_repr(PtsRepr::Chunked);
-        let chunked = set_of(&b);
+        // Stepwise: one union_delta per payload, deltas unioned.
+        let mut step_pts = set_of(&initial);
+        let mut step_deltas = PointsToSet::new();
+        for p in &payloads {
+            if let Some(d) = step_pts.union_delta(&set_of(p)) {
+                step_deltas.union_with(&d);
+            }
+        }
 
-        let mut union_lc = legacy.clone();
-        union_lc.union_with(&chunked);
-        let mut union_cl = chunked.clone();
-        union_cl.union_with(&legacy);
+        // Batched: coalesce in a pending accumulator, commit once.
+        let mut batch_pts = set_of(&initial);
+        let mut pending = PointsToSet::new();
+        for p in &payloads {
+            pending.union_with(&set_of(p));
+        }
+        let batch_delta = batch_pts.union_delta(&pending).unwrap_or_default();
 
-        let expect: BTreeSet<u32> = a.iter().chain(b.iter()).copied().collect();
-        let want: Vec<u32> = expect.into_iter().collect();
-        prop_assert_eq!(union_lc.iter().collect::<Vec<_>>(), want.clone());
-        prop_assert_eq!(union_cl.iter().collect::<Vec<_>>(), want);
-        prop_assert!(legacy.is_subset(&union_cl));
-        prop_assert!(chunked.is_subset(&union_lc));
+        prop_assert_eq!(&batch_pts, &step_pts);
+        prop_assert_eq!(&batch_delta, &step_deltas);
     }
 }

@@ -6,8 +6,8 @@ use std::collections::HashSet;
 
 use csc_core::{
     resolve_analysis_opts, run_analysis, run_analysis_opts, Analysis, Budget, CallSiteSelector,
-    CiSelector, Engine, NoPlugin, ObjSelector, PtrId, PtrKey, SelectiveSelector, SolveStatus,
-    Solver, SolverOptions, SolverState,
+    CiSelector, NoPlugin, ObjSelector, SelectiveSelector, SolveStatus, Solver, SolverOptions,
+    SolverState,
 };
 use csc_ir::{Program, VarId};
 use csc_workloads::{generate_delta, DeltaGenConfig};
@@ -370,9 +370,8 @@ fn assert_one_pass_projection(program: &Program, state: &SolverState<'_>, what: 
 
 /// The one-pass projection must equal `pt_var_projected` on suite
 /// programs with SCC collapse on (collapsed members fan out from their
-/// representative's set) and after an incremental resolve with removals
-/// on the parallel engine (dead commit-plane slots and appended
-/// variables present).
+/// representative's set) and after incremental resolves with removals
+/// (reset removal cones and appended variables present).
 #[test]
 fn one_pass_projection_equals_per_variable_projection() {
     for name in ["hsqldb", "findbugs"] {
@@ -398,12 +397,10 @@ fn one_pass_projection_equals_per_variable_projection() {
     }
 
     let base = csc_workloads::compiled("hsqldb").unwrap();
-    let opts = SolverOptions::default()
-        .with_threads(2)
-        .with_engine(Engine::Bsp);
+    let opts = SolverOptions::default();
     let mut outcome = run_analysis_opts(base, Analysis::Ci, Budget::unlimited(), opts);
     let mut current = base;
-    let mut incremental_with_dead_slots = false;
+    let mut incremental_removals = false;
     for step in 0..3u64 {
         let cfg = DeltaGenConfig {
             seed: 0xd1ed + step,
@@ -428,14 +425,13 @@ fn one_pass_projection_equals_per_variable_projection() {
         );
         assert!(outcome.completed(), "resolve step {step}: hit budget");
         let state = &outcome.result.state;
-        let dead = (0..state.ptr_count()).any(|p| state.ptr_key(PtrId(p as u32)) == PtrKey::Dead);
-        incremental_with_dead_slots |=
-            dead && !fx.removed_stmts.is_empty() && state.stats.incr_fallback_reason.is_none();
+        incremental_removals |=
+            !fx.removed_stmts.is_empty() && state.stats.incr_fallback_reason.is_none();
         assert_one_pass_projection(patched, state, &format!("hsqldb/ci resolve step {step}"));
         current = patched;
     }
     assert!(
-        incremental_with_dead_slots,
-        "no step resolved removals incrementally over dead pointer slots"
+        incremental_removals,
+        "no step resolved removals incrementally"
     );
 }

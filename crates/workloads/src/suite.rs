@@ -118,8 +118,7 @@ pub fn suite() -> Vec<Benchmark> {
 /// paper's `>2h` rows live at), with the registry/factory and cyclic-flow
 /// knobs turned up so both object-sensitive context explosion and
 /// assign-SCC collapsing have something to chew on. Not part of
-/// [`suite`] — the bench harness appends it only under `CSC_XL=1`, and
-/// it is the row thread-scaling is meant to be measured on.
+/// [`suite`] — the bench harness appends it only under `CSC_XL=1`.
 pub fn xl() -> Benchmark {
     Benchmark {
         name: "xl",
@@ -140,8 +139,8 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
 /// at most once per process and hands out a `'static` borrow (the ROADMAP
 /// "persistent workloads" item's in-memory step). The bench tables run
 /// five analyses per program and the differential harness runs every
-/// (engine, thread-count) configuration per program — none of them should
-/// re-lower the MiniJava source per row. The leak is deliberate: one
+/// engine configuration per program — none of them should re-lower the
+/// MiniJava source per row. The leak is deliberate: one
 /// `Program` per benchmark for the life of the process.
 ///
 /// Backing the in-memory map is the **on-disk half** (the rest of the
