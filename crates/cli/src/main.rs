@@ -17,8 +17,9 @@
 //! `resolve` applies a sequence of program deltas (binary
 //! [`csc_ir::ProgramDelta`] files via repeated `--delta`, or `--gen-deltas
 //! <n>` seeded synthetic edits) and re-solves incrementally after each,
-//! falling back to a full solve — with the reason printed — when a delta
-//! breaks the incremental preconditions. Completed answers are memoized in
+//! printing each localized step's removal cone (pointers and call edges),
+//! or falling back to a full solve — with the reason printed — when a
+//! delta breaks the incremental preconditions. Completed answers are memoized in
 //! the on-disk solved-result cache (`target/csc-results`, keyed by program
 //! content + analysis + options); a warm re-run answers from the cache
 //! without running propagation at all. `CSC_RESULT_CACHE=0` opts out,
@@ -272,8 +273,8 @@ fn resolve_cmd(
         let stats = &outcome.result.state.stats;
         match stats.incr_fallback_reason {
             None => println!(
-                "  delta {i}: incremental re-solve in {:.3}s",
-                stats.resolve_secs
+                "  delta {i}: incremental re-solve in {:.3}s (cone: {} pointers, {} call edges)",
+                stats.resolve_secs, stats.incr_cone_ptrs, stats.incr_cone_call_edges
             ),
             Some(r) => println!(
                 "  delta {i}: full-solve fallback ({r}) in {:.3}s",

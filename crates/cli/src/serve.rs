@@ -34,7 +34,14 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! Every reply carries `"ok"` and, once a session exists, `"degraded"`.
+//! Every reply carries `"ok"` and, once a session exists, `"degraded"`. A
+//! successful `resolve` also reports its mode (`incremental`, `full`, or
+//! `fallback:<reason>`), `resolve_ms` (wall time of the re-solve),
+//! `propagations` (this resolve's own), and `cone_ptrs` (pointers its
+//! removal cone reset; 0 without removals or on a full solve). Request
+//! lines are capped at [`MAX_REQUEST_BYTES`]; a longer or non-UTF-8 line
+//! gets a `bad-request` reply and the daemon reads on.
+//!
 //! Programs are interned with `Box::leak`, because the resident session
 //! needs `'static` borrows. Every `load` leaks its program, and every
 //! `resolve` whose delta applies leaks the patched program, whether or
@@ -45,9 +52,9 @@
 //! memory" (`SolverState` holding an `Arc<Program>`) removes these leaks.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csc_core::{
     decode_delta_guarded, resolve_analysis_guarded, run_analysis_guarded, Analysis,
@@ -340,6 +347,49 @@ pub struct Server {
     default_budget_ms: Option<u64>,
 }
 
+/// The longest request line the daemon reads, in bytes without the
+/// newline. A request is one flat JSON object; an inline `source` load
+/// larger than this should name a `path` instead.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Reads one request line into `buf`, holding at most
+/// [`MAX_REQUEST_BYTES`] of it in memory. `None` at end of input; an
+/// `Err` reason for a line that is too long (the rest of it is skipped)
+/// or not UTF-8.
+fn read_request<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if input.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        // Skip the rest of the line without holding it.
+        loop {
+            let chunk = input.fill_buf()?;
+            if chunk.is_empty() {
+                break;
+            }
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let n = newline.map_or(chunk.len(), |i| i + 1);
+            input.consume(n);
+            if newline.is_some() {
+                break;
+            }
+        }
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_REQUEST_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|_| "request line is not valid UTF-8".to_owned()),
+    ))
+}
+
 /// Classifies a [`SolveError`] into the protocol's error kind.
 fn error_kind(e: &SolveError) -> &'static str {
     match e {
@@ -359,17 +409,26 @@ impl Server {
         }
     }
 
-    /// Runs the request loop until `shutdown` or EOF.
+    /// Runs the request loop until `shutdown`, EOF, or a read error. A
+    /// request line that is not UTF-8 or is longer than
+    /// [`MAX_REQUEST_BYTES`] is answered with `bad-request` and skipped.
     pub fn run(mut self) -> ExitCode {
-        let stdin = std::io::stdin();
+        let mut stdin = std::io::stdin().lock();
         let mut stdout = std::io::stdout().lock();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            self.counters.requests += 1;
-            let (reply, shutdown) = self.dispatch_guarded(&line);
+        let mut buf = Vec::new();
+        loop {
+            let (reply, shutdown) = match read_request(&mut stdin, &mut buf) {
+                Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+                Ok(Some(Ok(line))) => {
+                    self.counters.requests += 1;
+                    self.dispatch_guarded(line)
+                }
+                Ok(Some(Err(why))) => {
+                    self.counters.requests += 1;
+                    (Reply::err("bad-request", &why), false)
+                }
+                Ok(None) | Err(_) => break,
+            };
             let _ = writeln!(stdout, "{}", reply.render());
             let _ = stdout.flush();
             if shutdown {
@@ -534,6 +593,11 @@ impl Server {
         let patched: &'static Program = Box::leak(Box::new(patched));
         // The attempt consumes the resident outcome; a previous failure
         // left `None`, in which case the candidate is solved from scratch.
+        let before = sess
+            .outcome
+            .as_ref()
+            .map(|o| o.result.state.stats.propagations);
+        let t0 = Instant::now();
         let attempt = match sess.outcome.take() {
             Some(prev) => resolve_analysis_guarded(
                 prev,
@@ -552,6 +616,7 @@ impl Server {
         };
         match attempt {
             Ok(out) if out.completed() => {
+                let resolve_ms = t0.elapsed().as_secs_f64() * 1e3;
                 sess.program = patched;
                 sess.snapshot = SolvedSummary::capture(patched, &out.result);
                 sess.degraded = false;
@@ -559,13 +624,27 @@ impl Server {
                 sess.outcome = Some(out);
                 let mut r = Reply::ok(true);
                 r.push_bool("degraded", false);
-                match stats.incr_fallback_reason {
-                    None if stats.incr_resolves > 0 => r.push_str("resolve", "incremental"),
-                    None => r.push_str("resolve", "full"),
-                    Some(reason) => r.push_str("resolve", &format!("fallback:{reason}")),
+                // An incremental resolve's counter continues the base's;
+                // a full solve's counts from zero.
+                let propagations = match (stats.incr_fallback_reason, before) {
+                    (None, Some(b)) if stats.incr_resolves > 0 => {
+                        r.push_str("resolve", "incremental");
+                        stats.propagations - b
+                    }
+                    (None, _) => {
+                        r.push_str("resolve", "full");
+                        stats.propagations
+                    }
+                    (Some(reason), _) => {
+                        r.push_str("resolve", &format!("fallback:{reason}"));
+                        stats.propagations
+                    }
                 };
                 r.push_num("reachable", sess.snapshot.reachable.len() as u64);
                 r.push_num("call_edges", sess.snapshot.call_edges.len() as u64);
+                r.push_raw("resolve_ms", format!("{resolve_ms:.3}"));
+                r.push_num("propagations", propagations);
+                r.push_num("cone_ptrs", stats.incr_cone_ptrs);
                 self.counters.resolves_ok += 1;
                 r
             }

@@ -47,6 +47,15 @@ impl Daemon {
     }
 }
 
+/// The raw value text of `"key":` in a flat reply.
+fn field<'r>(reply: &'r str, key: &str) -> &'r str {
+    let tail = reply
+        .split(&format!("\"{key}\":"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("no `{key}` in reply: {reply}"));
+    tail.split([',', '}']).next().unwrap_or_default()
+}
+
 /// Asserts `reply` contains the literal `"key":value` fragment.
 fn has(reply: &str, fragment: &str) {
     assert!(
@@ -68,10 +77,18 @@ fn serve_survives_worker_panic_and_recovers() {
     has(&r, r#""ok":true"#);
     has(&r, r#""degraded":false"#);
 
-    // Fold in one synthetic delta; the session advances.
+    // Fold in one synthetic delta; the session advances, and the reply
+    // says how the re-solve went.
     let r = d.roundtrip(r#"{"cmd":"resolve","seed":42}"#);
     has(&r, r#""ok":true"#);
     has(&r, r#""degraded":false"#);
+    for key in ["resolve_ms", "propagations", "cone_ptrs"] {
+        let value = field(&r, key);
+        assert!(
+            value.parse::<f64>().is_ok_and(|v| v >= 0.0),
+            "`{key}` must be a non-negative number in: {r}"
+        );
+    }
     let healthy = d.roundtrip(r#"{"cmd":"query","kind":"call-graph"}"#);
     has(&healthy, r#""ok":true"#);
     has(&healthy, r#""degraded":false"#);
@@ -120,4 +137,35 @@ fn serve_survives_worker_panic_and_recovers() {
     has(&r, r#""shutdown":true"#);
     let status = d.child.wait().expect("daemon exits");
     assert!(status.success(), "daemon must exit cleanly after shutdown");
+}
+
+/// Bad request lines are answered, not fatal: a line that is not UTF-8
+/// and one longer than the daemon's cap each get a `bad-request` reply,
+/// and the daemon keeps serving the lines after them.
+#[test]
+fn serve_answers_bad_lines_and_keeps_serving() {
+    let mut d = Daemon::spawn();
+    d.stdin
+        .write_all(b"\xff\xfe{\"cmd\":\"stats\"}\n")
+        .expect("daemon accepts bytes");
+    d.stdin.flush().expect("flush");
+    let mut line = String::new();
+    d.stdout.read_line(&mut line).expect("daemon replies");
+    has(&line, r#""ok":false"#);
+    has(&line, r#""kind":"bad-request""#);
+    has(&line, "UTF-8");
+
+    let long = format!(r#"{{"cmd":"stats","pad":"{}"}}"#, "x".repeat(2 << 20));
+    let r = d.roundtrip(&long);
+    has(&r, r#""ok":false"#);
+    has(&r, r#""kind":"bad-request""#);
+    has(&r, "longer than");
+
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""ok":true"#);
+    has(&r, r#""requests":3"#);
+
+    drop(d.stdin);
+    let status = d.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon must exit cleanly at end of input");
 }

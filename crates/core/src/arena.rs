@@ -399,31 +399,31 @@ impl PairSet {
         }
     }
 
-    /// Removes a pair; returns whether it was present.
-    pub(crate) fn remove(&mut self, src: u32, dst: u32) -> bool {
-        let p = pack(src, dst);
+    /// Keeps only the pairs `keep` accepts, in place (tabled sets leave
+    /// tombstones); returns how many were removed.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u32, u32) -> bool) -> usize {
         match self {
-            PairSet::Small(v) => match v.binary_search(&p) {
-                Ok(i) => {
-                    v.remove(i);
-                    true
-                }
-                Err(_) => false,
-            },
+            PairSet::Small(v) => {
+                let before = v.len();
+                v.retain(|&p| {
+                    let (s, d) = unpack(p);
+                    keep(s, d)
+                });
+                before - v.len()
+            }
             PairSet::Table { slots, len, .. } => {
-                let mask = slots.len() - 1;
-                let mut i = pair_hash(p) & mask;
-                loop {
-                    match slots[i] {
-                        EMPTY => return false,
-                        x if x == p => {
-                            slots[i] = TOMB;
-                            *len -= 1;
-                            return true;
+                let mut removed = 0;
+                for x in slots.iter_mut() {
+                    if *x != EMPTY && *x != TOMB {
+                        let (s, d) = unpack(*x);
+                        if !keep(s, d) {
+                            *x = TOMB;
+                            removed += 1;
                         }
-                        _ => i = (i + 1) & mask,
                     }
                 }
+                *len -= removed as u32;
+                removed
             }
         }
     }
@@ -557,8 +557,8 @@ mod tests {
             assert!(s.contains(i * 7, i * 13 + 1));
         }
         assert!(!s.contains(3, 3));
-        assert!(s.remove(7, 14));
-        assert!(!s.remove(7, 14));
+        assert_eq!(s.retain(|a, b| (a, b) != (7, 14)), 1);
+        assert_eq!(s.retain(|a, b| (a, b) != (7, 14)), 0);
         assert!(!s.contains(7, 14));
         assert_eq!(s.len(), 199);
         // Reinsert over the tombstone.
@@ -578,9 +578,7 @@ mod tests {
             for i in 0..40u32 {
                 s.insert(round, i);
             }
-            for i in 0..40u32 {
-                assert!(s.remove(round, i));
-            }
+            assert_eq!(s.retain(|src, _| src != round), 40);
         }
         assert!(s.is_empty());
         assert!(s.insert(1, 1));
@@ -599,5 +597,23 @@ mod tests {
         assert_eq!(a.len(), 31);
         assert!(a.contains(1, 2));
         assert!(a.contains(29, 29));
+    }
+
+    #[test]
+    fn pair_set_retain_in_both_tiers() {
+        for n in [10u32, 100] {
+            let mut s = PairSet::default();
+            for i in 0..n {
+                s.insert(i, i % 3);
+            }
+            assert_eq!(s.retain(|_, d| d != 0), n.div_ceil(3) as usize);
+            assert_eq!(s.len(), (n - n.div_ceil(3)) as usize);
+            assert!(s.iter().all(|(_, d)| d != 0));
+            assert!(!s.contains(0, 0));
+            assert!(s.contains(1, 1));
+            // Reinsert over the tombstones.
+            assert!(s.insert(0, 0));
+            assert!(s.contains(0, 0));
+        }
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * extends the fixpoint **in place** — additions are replayed against the
 //!   already-reachable units and removals reset exactly the *taint cone*
-//!   (every fact transitively derivable from the removed statements) before
-//!   a localized re-propagation — or
+//!   (every fact transitively derivable from the removed statements) and
+//!   re-derive only what the reset removed — or
 //! * reports a [`FallbackReason`] telling the caller to run a fresh full
 //!   solve of the patched program (always sound; the reasons exist so the
 //!   differential harness can assert they fire exactly when their
@@ -32,28 +32,52 @@
 //! backwards-as-overapproximation: tainted pointers taint their PFG
 //! successors and their statement fan-out (load targets, store field
 //! pointers, receiver-derived call edges); tainted call edges taint the
-//! callee-side parameter/`this`/return-value pointers and the callee unit;
-//! tainted units taint all their context-qualified variables and outgoing
-//! call edges. Everything tainted is reset, surviving facts are swept back
-//! over the statements once, and the ordinary worklist drain re-derives the
-//! rest. Over-tainting is sound (it only grows the reset-and-replay
-//! region); the closure never under-taints because each rule covers the
-//! full derivation footprint of the corresponding solver rule.
+//! callee-side parameter/`this` pointers and the caller-side return
+//! target; and a unit (a method under a context) that the tainted call
+//! edges cut off from the entry taints all its context-qualified
+//! variables and outgoing call edges. "Cut off" is decided by a search
+//! from the entry over the surviving call edges, so a recursive cycle
+//! cannot keep itself alive; a unit that stays reachable keeps the
+//! premise of all its statements, and its facts are covered by the
+//! pointer and edge rules. Over-tainting is sound (it only grows the
+//! reset-and-replay region); the closure never under-taints because each
+//! rule covers the full derivation footprint of the corresponding solver
+//! rule.
 //!
-//! The cone cannot be localized through an SCC-collapsed representative
-//! (members share one physical set, so a per-member reset is meaningless);
-//! tainting a collapsed pointer aborts with
-//! [`FallbackReason::SccStructure`]. Stateful plugins veto removals (and
+//! ## Replaying only the cone
+//!
+//! This is delete-and-rederive (DRed; Gupta, Mumick & Subrahmanian, SIGMOD
+//! 1993): everything in the cone is reset, then exactly the rule instances
+//! whose conclusion the reset removed and whose premises survived are
+//! fired again — the statements of the units the cone touches, the flows
+//! of surviving call edges into cone pointers, and the stores into cone
+//! field pointers — and the ordinary worklist drain re-derives the rest.
+//! The passes that still span the whole state are linear scans that test
+//! dense cone flags (the PFG edge groups, filtered in place, and the call
+//! edges); no per-object work happens outside the cone. The statement
+//! index is patched from the delta, not rebuilt, and the removed edges are
+//! credited against the next condensation epoch, so re-deriving them does
+//! not trigger one.
+//!
+//! ## Collapsed SCCs split
+//!
+//! The members of an SCC-collapsed cycle share one points-to set, so the
+//! cone cannot reset one member alone. It does not need to: the members
+//! are strongly connected by copy edges, so a cone that reaches one
+//! reaches all of them, and the closure takes the whole SCC in at once.
+//! After the reset the members hold no facts and no edges, and the SCC is
+//! split back into singletons; a later condensation epoch may merge the
+//! re-derived cycle again. Stateful plugins veto removals (and
 //! incompatible additions) through [`Plugin::rebase`]
 //! ([`FallbackReason::CscObligations`]).
 
 use std::time::Instant;
 
-use csc_ir::{CallKind, CallSiteId, DeltaEffects, MethodId, Program, Stmt};
+use csc_ir::{CallKind, CallSiteId, DeltaEffects, MethodId, Program, Stmt, VarId};
 
 use super::{
-    Budget, CsObjId, EdgeKind, FallbackReason, Plugin, PtaResult, PtrKey, SolveStatus, Solver,
-    SolverState, ABSENT,
+    Budget, CsObjId, EdgeKind, FallbackReason, Plugin, PtaResult, PtrId, PtrKey, SolveStatus,
+    Solver, SolverState, ABSENT,
 };
 use crate::context::{CallInfo, ContextSelector, CtxId};
 use crate::fx::{FxHashMap, FxHashSet};
@@ -76,39 +100,63 @@ pub enum Resolved<'p, P> {
 }
 
 /// The removal cone: everything the taint closure decided must be reset
-/// before re-propagation.
+/// before re-propagation. Membership is kept as dense flags over the base
+/// state's pointer ids and call-edge indices (a linear scan over the whole
+/// state tests a flag, never a hash), next to the lists of what is flagged
+/// so cone-sized passes never scan.
 #[derive(Default)]
-struct TaintSet {
-    /// Tainted pointer ids (all SCC representatives of singleton classes —
-    /// a collapsed pointer aborts the closure instead).
-    ptrs: FxHashSet<u32>,
-    /// Tainted call-graph edges.
-    call_edges: FxHashSet<(CtxId, CallSiteId, CtxId, MethodId)>,
+struct Cone {
+    /// `ptr[p]`: pointer `p` is reset. Sized to the base's pointer count.
+    ptr: Vec<bool>,
+    /// The flagged pointers, in discovery order. A collapsed SCC enters
+    /// whole: every member, representative included.
+    ptrs: Vec<u32>,
+    /// `edge[i]`: the base's call edge `i` is removed.
+    edge: Vec<bool>,
+    /// The flagged call-edge indices, in discovery order.
+    edges: Vec<usize>,
+    /// Units the removed call edges cut off from the entry: they lose
+    /// reachability, and all their variables and outgoing call edges are
+    /// in the cone.
+    units: Vec<(CtxId, MethodId)>,
+    unit_set: FxHashSet<(CtxId, MethodId)>,
 }
 
-/// Worklists and visited sets for the taint closure.
-#[derive(Default)]
-struct TaintWork {
-    ptr_q: Vec<u32>,
-    edge_q: Vec<usize>,
-    unit_q: Vec<(CtxId, MethodId)>,
-    ptrs: FxHashSet<u32>,
-    edges: FxHashSet<usize>,
-    units: FxHashSet<(CtxId, MethodId)>,
-    /// Set when a tainted pointer turned out to be SCC-collapsed.
-    collapsed: bool,
-}
+impl Cone {
+    fn new(st: &SolverState<'_>) -> Self {
+        Cone {
+            ptr: vec![false; st.ptr_keys.len()],
+            edge: vec![false; st.call_edges.len()],
+            ..Cone::default()
+        }
+    }
 
-impl TaintWork {
+    /// Whether pointer `p` was reset.
+    fn has(&self, p: u32) -> bool {
+        self.ptr.get(p as usize).copied().unwrap_or(false)
+    }
+
+    /// Whether a fact concluding into `p` may be missing after the reset:
+    /// `p` was reset, or is interned after it (ids past the base's count).
+    fn needs(&self, p: u32) -> bool {
+        self.ptr.get(p as usize).copied().unwrap_or(true)
+    }
+
+    fn mark(&mut self, p: u32) {
+        if !self.ptr[p as usize] {
+            self.ptr[p as usize] = true;
+            self.ptrs.push(p);
+        }
+    }
+
+    /// Adds a pointer, taking in its whole SCC when it is collapsed (the
+    /// members are strongly connected by copy edges, so the closure would
+    /// reach every one of them anyway).
     fn push_ptr(&mut self, st: &SolverState<'_>, p: u32) {
-        if !self.ptrs.insert(p) {
-            return;
+        match st.members.get(&st.reps.find(p)) {
+            Some(group) => group.iter().for_each(|&m| self.mark(m)),
+            None => self.mark(p),
         }
-        if st.reps.find(p) != p || st.members.contains_key(&p) {
-            self.collapsed = true;
-            return;
-        }
-        self.ptr_q.push(p);
     }
 
     fn push_key(&mut self, st: &SolverState<'_>, key: PtrKey) {
@@ -118,46 +166,138 @@ impl TaintWork {
     }
 
     fn push_edge(&mut self, i: usize) {
-        if self.edges.insert(i) {
-            self.edge_q.push(i);
+        if !self.edge[i] {
+            self.edge[i] = true;
+            self.edges.push(i);
         }
     }
 
     fn push_unit(&mut self, u: (CtxId, MethodId)) {
-        if self.units.insert(u) {
-            self.unit_q.push(u);
+        if self.unit_set.insert(u) {
+            self.units.push(u);
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ptrs.is_empty() && self.edges.is_empty()
     }
 }
 
-/// Computes the removal cone on the *base* solver state (before rebasing),
-/// seeded from the delta's removed statements. `Err(())` means the cone
-/// touched SCC-collapsed structure and cannot be localized.
-fn compute_taint(st: &SolverState<'_>, fx: &DeltaEffects) -> Result<TaintSet, ()> {
-    let program = st.program;
+/// What [`SolverState::reset_cone`] hands the replay.
+struct Removed {
+    /// Units whose `[Store]` statements lost an edge into a cone field
+    /// pointer from outside the cone.
+    store_units: Vec<(CtxId, MethodId)>,
+    /// The old points-to sets of the reset `this` pointers, as the
+    /// objects not yet re-derived (the replay drains them).
+    old_this: FxHashMap<u32, Vec<u32>>,
+}
 
-    // Call-graph indexes for the closure's edge rules.
-    let mut by_caller_site: FxHashMap<(CtxId, CallSiteId), Vec<usize>> = FxHashMap::default();
-    let mut by_caller_unit: FxHashMap<(CtxId, MethodId), Vec<usize>> = FxHashMap::default();
-    for (i, &(cctx, site, _, _)) in st.call_edges.iter().enumerate() {
-        by_caller_site.entry((cctx, site)).or_default().push(i);
-        by_caller_unit
-            .entry((cctx, program.call_site(site).method()))
-            .or_default()
-            .push(i);
-    }
-    let mut ctxs_of: FxHashMap<MethodId, Vec<CtxId>> = FxHashMap::default();
+/// The contexts each of `methods` is reachable under, from one pass over
+/// the reachable log.
+fn contexts_of<'a>(
+    st: &SolverState<'_>,
+    methods: impl Iterator<Item = &'a MethodId>,
+) -> FxHashMap<MethodId, Vec<CtxId>> {
+    let mut ctxs: FxHashMap<MethodId, Vec<CtxId>> = methods.map(|&m| (m, Vec::new())).collect();
     for &(ctx, m) in &st.reachable_log {
-        ctxs_of.entry(m).or_default().push(ctx);
+        if let Some(v) = ctxs.get_mut(&m) {
+            v.push(ctx);
+        }
+    }
+    ctxs
+}
+
+/// The base call graph's edges grouped by caller: edge indices sorted by
+/// (caller method, caller context, call site), so the edges leaving a unit
+/// and those leaving a context-qualified call site are contiguous runs,
+/// found by binary search. Built by one counting pass plus per-method
+/// sorts.
+struct CallIndex {
+    /// `order[start[m]..start[m + 1]]`: the edges leaving method `m`.
+    start: Vec<usize>,
+    order: Vec<usize>,
+}
+
+impl CallIndex {
+    fn build(st: &SolverState<'_>) -> Self {
+        let program = st.program;
+        let method_of = |site: CallSiteId| program.call_site(site).method().index();
+        let mut start = vec![0; program.methods().len() + 1];
+        for &(_, site, _, _) in &st.call_edges {
+            start[method_of(site) + 1] += 1;
+        }
+        for m in 1..start.len() {
+            start[m] += start[m - 1];
+        }
+        let mut fill = start.clone();
+        let mut order = vec![0; st.call_edges.len()];
+        for (i, &(_, site, _, _)) in st.call_edges.iter().enumerate() {
+            let m = method_of(site);
+            order[fill[m]] = i;
+            fill[m] += 1;
+        }
+        for w in start.windows(2) {
+            order[w[0]..w[1]].sort_unstable_by_key(|&i| (st.call_edges[i].0, st.call_edges[i].1));
+        }
+        CallIndex { start, order }
     }
 
-    let mut w = TaintWork::default();
+    /// The edges leaving unit `(ctx, m)`.
+    fn of_unit(&self, st: &SolverState<'_>, ctx: CtxId, m: MethodId) -> &[usize] {
+        let run = &self.order[self.start[m.index()]..self.start[m.index() + 1]];
+        let lo = run.partition_point(|&i| st.call_edges[i].0 < ctx);
+        let hi = run.partition_point(|&i| st.call_edges[i].0 <= ctx);
+        &run[lo..hi]
+    }
+
+    /// The edges leaving call site `site` under caller context `ctx`.
+    fn of_site(&self, st: &SolverState<'_>, ctx: CtxId, site: CallSiteId) -> &[usize] {
+        let run = self.of_unit(st, ctx, st.program.call_site(site).method());
+        let lo = run.partition_point(|&i| st.call_edges[i].1 < site);
+        let hi = run.partition_point(|&i| st.call_edges[i].1 <= site);
+        &run[lo..hi]
+    }
+}
+
+/// The callees of cone call edges that no longer have a path of surviving
+/// call edges from the entry — the units that lose reachability once the
+/// cone's edges are removed. A search rather than an in-edge count, so a
+/// recursive cycle cannot keep itself alive.
+fn cut_off_units(st: &SolverState<'_>, calls: &CallIndex, cone: &Cone) -> Vec<(CtxId, MethodId)> {
+    let mut live: FxHashSet<(CtxId, MethodId)> = FxHashSet::default();
+    let mut stack = vec![(CtxId::EMPTY, st.program.entry())];
+    while let Some((ctx, m)) = stack.pop() {
+        if live.insert((ctx, m)) {
+            for &e in calls.of_unit(st, ctx, m) {
+                let (_, _, ectx, callee) = st.call_edges[e];
+                if !cone.edge[e] && !live.contains(&(ectx, callee)) {
+                    stack.push((ectx, callee));
+                }
+            }
+        }
+    }
+    cone.edges
+        .iter()
+        .map(|&e| (st.call_edges[e].2, st.call_edges[e].3))
+        .filter(|u| !live.contains(u))
+        .collect()
+}
+
+/// Computes the removal cone on the *base* solver state (before
+/// rebasing), seeded from the delta's removed statements.
+fn compute_cone(st: &SolverState<'_>, fx: &DeltaEffects) -> Cone {
+    let program = st.program;
+    let calls = CallIndex::build(st);
+    let ctxs_of = contexts_of(st, fx.removed_stmts.iter().map(|(m, _)| m));
+
+    let mut cone = Cone::new(st);
 
     // Seeds: per removed statement (nested statements included — a removed
     // `If`/`While` removes its whole subtree), per context the enclosing
     // method was reachable under, taint exactly what the statement seeded.
     for (m, removed) in &fx.removed_stmts {
-        let Some(ctxs) = ctxs_of.get(m) else { continue };
+        let ctxs = &ctxs_of[m];
         removed.visit(&mut |s| {
             // A statement added and removed by the *same* delta never
             // existed in the base program: its site/var ids point past the
@@ -176,13 +316,13 @@ fn compute_taint(st: &SolverState<'_>, fx: &DeltaEffects) -> Result<TaintSet, ()
             for &ctx in ctxs {
                 match s {
                     Stmt::New { lhs, .. } | Stmt::Assign { lhs, .. } => {
-                        w.push_key(st, PtrKey::Var(ctx, *lhs));
+                        cone.push_key(st, PtrKey::Var(ctx, *lhs));
                     }
                     Stmt::Cast(id) => {
-                        w.push_key(st, PtrKey::Var(ctx, program.cast(*id).lhs()));
+                        cone.push_key(st, PtrKey::Var(ctx, program.cast(*id).lhs()));
                     }
                     Stmt::Load(id) => {
-                        w.push_key(st, PtrKey::Var(ctx, program.load(*id).lhs()));
+                        cone.push_key(st, PtrKey::Var(ctx, program.load(*id).lhs()));
                     }
                     Stmt::Store(id) => {
                         // The store's field-pointer targets over the base's
@@ -190,16 +330,14 @@ fn compute_taint(st: &SolverState<'_>, fx: &DeltaEffects) -> Result<TaintSet, ()
                         // store ever fired against).
                         let site = program.store(*id);
                         if let Some(b) = st.find_ptr(PtrKey::Var(ctx, site.base())) {
-                            for o in st.slots.pts(st.reps.find(b.0)).iter() {
-                                w.push_key(st, PtrKey::Field(CsObjId(o), site.field()));
+                            for o in st.pt(b).iter() {
+                                cone.push_key(st, PtrKey::Field(CsObjId(o), site.field()));
                             }
                         }
                     }
                     Stmt::Call(id) => {
-                        if let Some(edges) = by_caller_site.get(&(ctx, *id)) {
-                            for &i in edges {
-                                w.push_edge(i);
-                            }
+                        for &e in calls.of_site(st, ctx, *id) {
+                            cone.push_edge(e);
                         }
                     }
                     _ => {}
@@ -208,94 +346,88 @@ fn compute_taint(st: &SolverState<'_>, fx: &DeltaEffects) -> Result<TaintSet, ()
         });
     }
 
-    // Closure.
-    let (mut pi, mut ei, mut ui) = (0, 0, 0);
-    while !w.collapsed && (pi < w.ptr_q.len() || ei < w.edge_q.len() || ui < w.unit_q.len()) {
-        while pi < w.ptr_q.len() && !w.collapsed {
-            let p = w.ptr_q[pi];
+    // Closure: the pointer, edge and unit rules run to quiescence, then
+    // the units the removed edges cut off from the entry join the cone,
+    // until neither adds anything.
+    let (mut pi, mut ei, mut ui, mut searched) = (0, 0, 0, 0);
+    loop {
+        if pi < cone.ptrs.len() {
+            let p = cone.ptrs[pi];
             pi += 1;
-            // PFG successors (the group at an uncollapsed representative
-            // holds exactly its own outgoing original-endpoint pairs).
-            if let Some(pairs) = st.slots.edge_pairs(p) {
-                let dsts: Vec<u32> = pairs.iter().map(|(_, d)| d).collect();
-                for d in dsts {
-                    w.push_ptr(st, d);
+            // PFG successors. A representative's group holds the outgoing
+            // original-endpoint pairs of its whole SCC, whose members are
+            // all in the cone with it.
+            if st.reps.is_rep(p) {
+                for (_, d) in st.slots.edge_pairs(p).into_iter().flat_map(|g| g.iter()) {
+                    cone.push_ptr(st, d);
                 }
             }
             // Statement fan-out.
             if let PtrKey::Var(ctx, v) = st.ptr_keys[p as usize] {
-                for i in 0..st.stmts.loads_with_base[v.index()].len() {
-                    let l = st.stmts.loads_with_base[v.index()][i];
-                    w.push_key(st, PtrKey::Var(ctx, program.load(l).lhs()));
+                for &l in &st.stmts.loads_with_base[v.index()] {
+                    cone.push_key(st, PtrKey::Var(ctx, program.load(l).lhs()));
                 }
-                for i in 0..st.stmts.stores_with_base[v.index()].len() {
-                    let s = st.stmts.stores_with_base[v.index()][i];
+                for &s in &st.stmts.stores_with_base[v.index()] {
                     let field = program.store(s).field();
-                    for o in st.slots.pts(p).iter() {
-                        w.push_key(st, PtrKey::Field(CsObjId(o), field));
+                    for o in st.pt(PtrId(p)).iter() {
+                        cone.push_key(st, PtrKey::Field(CsObjId(o), field));
                     }
                 }
-                for i in 0..st.stmts.calls_with_recv[v.index()].len() {
-                    let site = st.stmts.calls_with_recv[v.index()][i];
-                    if let Some(edges) = by_caller_site.get(&(ctx, site)) {
-                        for &e in edges {
-                            w.push_edge(e);
-                        }
+                for &site in &st.stmts.calls_with_recv[v.index()] {
+                    for &e in calls.of_site(st, ctx, site) {
+                        cone.push_edge(e);
                     }
                 }
             }
-        }
-        while ei < w.edge_q.len() {
-            let (cctx, site, ectx, callee) = st.call_edges[w.edge_q[ei]];
+        } else if ei < cone.edges.len() {
+            // A removed call edge takes its flows: the callee-side
+            // `this`/parameters and the caller-side return target.
+            let (cctx, site, ectx, callee) = st.call_edges[cone.edges[ei]];
             ei += 1;
-            let cs = program.call_site(site);
             let m = program.method(callee);
             if let Some(this) = m.this_var() {
-                w.push_key(st, PtrKey::Var(ectx, this));
+                cone.push_key(st, PtrKey::Var(ectx, this));
             }
             for &param in m.params() {
-                w.push_key(st, PtrKey::Var(ectx, param));
+                cone.push_key(st, PtrKey::Var(ectx, param));
             }
-            if let (Some(lhs), Some(_ret)) = (cs.lhs(), m.ret_var()) {
-                w.push_key(st, PtrKey::Var(cctx, lhs));
+            if let (Some(lhs), Some(_ret)) = (program.call_site(site).lhs(), m.ret_var()) {
+                cone.push_key(st, PtrKey::Var(cctx, lhs));
             }
-            // Any tainted support taints the callee unit (over-approximate
-            // but cycle-safe: a unit kept alive by untainted edges stays in
-            // the rebuilt reachable set and is re-swept).
-            w.push_unit((ectx, callee));
-        }
-        while ui < w.unit_q.len() {
-            let (ctx, m) = w.unit_q[ui];
+        } else if ui < cone.units.len() {
+            // A unit that loses reachability takes all its variables and
+            // outgoing call edges.
+            let (ctx, m) = cone.units[ui];
             ui += 1;
             for &v in program.method(m).vars() {
-                w.push_key(st, PtrKey::Var(ctx, v));
+                cone.push_key(st, PtrKey::Var(ctx, v));
             }
-            if let Some(edges) = by_caller_unit.get(&(ctx, m)) {
-                for &e in edges.clone().iter() {
-                    w.push_edge(e);
-                }
+            for &e in calls.of_unit(st, ctx, m) {
+                cone.push_edge(e);
             }
+        } else if searched < cone.edges.len() {
+            searched = cone.edges.len();
+            for u in cut_off_units(st, &calls, &cone) {
+                cone.push_unit(u);
+            }
+        } else {
+            break;
         }
     }
-    if w.collapsed {
-        return Err(());
-    }
-    Ok(TaintSet {
-        ptrs: w.ptrs,
-        call_edges: w.edges.into_iter().map(|i| st.call_edges[i]).collect(),
-    })
+    cone
 }
 
 /// Rebases a base solver state onto the patched program: dense tables are
-/// extended over the appended entity ids, the statement index is rebuilt
-/// from the patched bodies, and the per-run budget and clock are reset
-/// (the drain re-stamps the timing stats). Everything else — interned
-/// pointers and objects, points-to sets, PFG, call graph, reachability,
-/// SCC structure, slot plane — carries over verbatim (entity ids are
-/// append-only across a delta).
+/// extended over the appended entity ids, the statement index is patched
+/// with the delta's removed and added statements, and the per-run budget
+/// and clock are reset (the drain re-stamps the timing stats). Everything
+/// else — interned pointers and objects, points-to sets, PFG, call graph,
+/// reachability, SCC structure, slot plane — carries over verbatim (entity
+/// ids are append-only across a delta).
 fn rebase_state<'p>(
     old: SolverState<'_>,
     patched: &'p Program,
+    fx: &DeltaEffects,
     budget: Budget,
     start: Instant,
 ) -> SolverState<'p> {
@@ -323,7 +455,7 @@ fn rebase_state<'p>(
         call_edge_set,
         call_edges,
         call_edges_by_callee,
-        stmts: _,
+        mut stmts,
         stats,
         budget: _,
         started: _,
@@ -331,6 +463,7 @@ fn rebase_state<'p>(
     ci_var_ptrs.resize(patched.vars().len(), ABSENT);
     ci_objs.resize(patched.objs().len(), ABSENT);
     reachable_ci.resize(patched.methods().len(), false);
+    stmts.patch(patched, fx);
     SolverState {
         program: patched,
         interner,
@@ -355,7 +488,7 @@ fn rebase_state<'p>(
         call_edge_set,
         call_edges,
         call_edges_by_callee,
-        stmts: crate::shard::StmtIndex::build(patched),
+        stmts,
         stats,
         budget,
         started: start,
@@ -363,14 +496,42 @@ fn rebase_state<'p>(
 }
 
 impl<'p> SolverState<'p> {
-    /// Resets everything in the taint cone: tainted pointers lose their
-    /// points-to facts, PFG edges *into* tainted pointers are removed (the
-    /// closure guarantees a tainted source implies a tainted destination,
-    /// so this removes every edge incident to the cone), tainted call
-    /// edges leave the call graph, and reachability is rebuilt as
-    /// `{entry} ∪ {targets of surviving call edges}` (order-preserving).
-    fn reset_cone(&mut self, taint: &TaintSet) {
-        for &p in &taint.ptrs {
+    /// Whether `(ctx, method)` is currently reachable.
+    fn is_reachable(&self, ctx: CtxId, method: MethodId) -> bool {
+        if ctx == CtxId::EMPTY {
+            self.reachable_ci[method.index()]
+        } else {
+            self.reachable_cs.contains(&(ctx, method))
+        }
+    }
+
+    /// Resets everything in the cone and returns what the replay needs
+    /// to know about what it removed.
+    ///
+    /// Cone pointers lose their points-to facts; PFG edges *into* the cone
+    /// are removed (the closure guarantees a cone source implies a cone
+    /// destination, so this removes every edge incident to the cone), with
+    /// the removed count credited against the next condensation epoch so
+    /// that merely re-derived edges do not trigger one; every collapsed SCC
+    /// in the cone, now without facts or edges, splits back into
+    /// singletons; cone call edges leave the call graph; and the cone's
+    /// units, cut off from the entry, lose their reachability.
+    fn reset_cone(&mut self, cone: &Cone) -> Removed {
+        let program = self.program;
+        let old_this = cone
+            .ptrs
+            .iter()
+            .filter_map(|&p| match self.ptr_keys[p as usize] {
+                PtrKey::Var(_, v)
+                    if program.method(program.var(v).method()).this_var() == Some(v)
+                        && !self.pt(PtrId(p)).is_empty() =>
+                {
+                    Some((p, self.pt(PtrId(p)).iter().collect()))
+                }
+                _ => None,
+            })
+            .collect();
+        for &p in &cone.ptrs {
             *self.slots.pts_mut(p) = PointsToSet::new();
             let pending = self.slots.pending_mut(p);
             if !pending.is_empty() {
@@ -378,188 +539,278 @@ impl<'p> SolverState<'p> {
             }
         }
 
-        let mut removed_edges = 0u64;
-        for r in 0..self.slots.len() {
-            let Some(mut pairs) = self.slots.take_edge_pairs(r) else {
-                continue;
-            };
-            let dead: Vec<(u32, u32)> = pairs
-                .iter()
-                .filter(|&(_, d)| taint.ptrs.contains(&d))
-                .collect();
-            if !dead.is_empty() {
-                for &(s, d) in &dead {
-                    pairs.remove(s, d);
+        // A removed edge from outside the cone into a field pointer is a
+        // `[Store]` conclusion whose premises may survive; its unit is
+        // replayed.
+        let mut store_units = Vec::new();
+        let keys = &self.ptr_keys;
+        let removed = self.slots.remove_edges_into(
+            |d| cone.has(d),
+            |s, d| {
+                if let (false, PtrKey::Var(ctx, v), PtrKey::Field(..)) =
+                    (cone.has(s), keys[s as usize], keys[d as usize])
+                {
+                    store_units.push((ctx, program.var(v).method()));
                 }
-                removed_edges += dead.len() as u64;
-                let kept: Vec<_> = self
-                    .slots
-                    .take_succ(r)
-                    .into_iter()
-                    .filter(|&(t, _)| !taint.ptrs.contains(&t.0))
-                    .collect();
-                self.slots.put_succ(r, kept);
-            }
-            self.slots.put_edge_pairs(r, pairs);
-        }
-        self.stats.edges -= removed_edges;
-
-        for e in &taint.call_edges {
-            self.call_edge_set.remove(e);
-        }
-        self.call_edges.retain(|e| !taint.call_edges.contains(e));
-        let callees: FxHashSet<MethodId> = taint.call_edges.iter().map(|e| e.3).collect();
-        for c in callees {
-            if let Some(v) = self.call_edges_by_callee.get_mut(&c) {
-                v.retain(|&(a, s, b)| !taint.call_edges.contains(&(a, s, b, c)));
-            }
-        }
-        self.stats.call_edges = self.call_edges.len() as u64;
-
-        let mut keep: FxHashSet<(CtxId, MethodId)> = FxHashSet::default();
-        keep.insert((CtxId::EMPTY, self.program.entry()));
-        keep.extend(
-            self.call_edges
-                .iter()
-                .map(|&(_, _, ectx, callee)| (ectx, callee)),
+            },
         );
-        self.reachable_log.retain(|u| keep.contains(u));
-        for b in self.reachable_ci.iter_mut() {
-            *b = false;
-        }
-        self.reachable_cs.clear();
-        for i in 0..self.reachable_log.len() {
-            let (ctx, m) = self.reachable_log[i];
-            if ctx == CtxId::EMPTY {
-                self.reachable_ci[m.index()] = true;
-            } else {
-                self.reachable_cs.insert((ctx, m));
+        self.stats.edges -= removed;
+        self.copy_edges_since_collapse -= removed as i64;
+
+        for &p in &cone.ptrs {
+            if let Some(group) = self.members.remove(&p) {
+                self.reps.split(&group);
             }
         }
-        self.stats.reachable = self.reachable_log.len() as u64;
-    }
 
-    /// Post-reset sweep: re-derives, idempotently, every fact the reset
-    /// could have removed whose premises survive. Three parts:
-    ///
-    /// 1. every reachable unit's allocation/copy/cast/static-call
-    ///    statements are replayed ([`SolverState::add_reachable`]'s body
-    ///    without the reachability insert — `add_edge` and `add_call_edge`
-    ///    deduplicate, `enqueue_one` re-seeds reset allocation targets);
-    /// 2. every surviving call edge's `[Param]`/`[Return]` edges are
-    ///    replayed explicitly (`add_call_edge`'s dedup early-returns for
-    ///    surviving edges, so it would never re-derive them itself);
-    /// 3. every pointer with a surviving non-empty points-to set is swept
-    ///    through statement processing with its *full* set as the delta —
-    ///    re-deriving load/store edges into reset field pointers, receiver
-    ///    `this`-flows, and call edges, all against the patched program's
-    ///    statement index.
-    ///
-    /// The ordinary drain then runs the re-seeded worklist to fixpoint.
-    fn replay_after_reset<S: ContextSelector, P: Plugin>(&mut self, selector: &S, plugin: &P) {
-        // Part 1.
-        let units = self.reachable_log.clone();
-        for &(ctx, method) in &units {
-            self.replay_unit_stmts(selector, plugin, ctx, method);
-        }
-        // Part 2.
-        let edges = self.call_edges.clone();
-        for (cctx, site, ectx, callee) in edges {
-            self.replay_call_flows(plugin, cctx, site, ectx, callee);
-        }
-        // Part 3.
-        for i in 0..self.ptr_keys.len() as u32 {
-            if let PtrKey::Var(ctx, v) = self.ptr_keys[i as usize] {
-                let rep = self.reps.find(i);
-                if self.slots.pts(rep).is_empty() {
-                    continue;
+        if !cone.edges.is_empty() {
+            let dead: FxHashSet<_> = cone.edges.iter().map(|&i| self.call_edges[i]).collect();
+            for e in &dead {
+                self.call_edge_set.remove(e);
+            }
+            let mut i = 0;
+            self.call_edges.retain(|_| {
+                i += 1;
+                !cone.edge[i - 1]
+            });
+            let callees: FxHashSet<MethodId> = dead.iter().map(|e| e.3).collect();
+            for c in callees {
+                if let Some(v) = self.call_edges_by_callee.get_mut(&c) {
+                    v.retain(|&(a, s, b)| !dead.contains(&(a, s, b, c)));
                 }
-                let set = self.slots.pts(rep).clone();
-                self.process_var_stmts(selector, plugin, ctx, v, &set);
             }
+            self.stats.call_edges = self.call_edges.len() as u64;
+        }
+
+        if !cone.units.is_empty() {
+            for &(ctx, m) in &cone.units {
+                if ctx == CtxId::EMPTY {
+                    self.reachable_ci[m.index()] = false;
+                } else {
+                    self.reachable_cs.remove(&(ctx, m));
+                }
+            }
+            self.reachable_log.retain(|u| !cone.unit_set.contains(u));
+            self.stats.reachable = self.reachable_log.len() as u64;
+        }
+        Removed {
+            store_units,
+            old_this,
         }
     }
 
-    /// Replays a reachable unit's context-free statements (part 1 of the
-    /// post-reset sweep): `[New]` seeds, `[Assign]`/`[Cast]` edges, and
-    /// static `[Call]` edges, exactly as `add_reachable` derives them on
-    /// first discovery.
-    fn replay_unit_stmts<S: ContextSelector, P: Plugin>(
+    /// Post-reset replay: re-derives every rule instance whose conclusion
+    /// the reset removed and whose premises survived, and nothing else.
+    /// The conclusions the reset can remove are facts and edges into cone
+    /// pointers, cone call edges, and cone units' reachability, so the
+    /// instances to revisit are:
+    ///
+    /// 1. the statements of the reachable units that hold a cone variable
+    ///    or whose `[Store]` lost an edge into a cone field pointer
+    ///    (`store_units`) — each statement fires only where its conclusion
+    ///    lies in the cone;
+    /// 2. the `[Param]`/`[Return]`/`this` flows of surviving call edges
+    ///    into cone pointers (a surviving edge is never re-added, so
+    ///    `add_call_edge` would not re-derive them itself). A `this` fact
+    ///    can hold only an object the reset removed from that pointer, and
+    ///    one surviving derivation suffices, so each surviving call edge
+    ///    tests just the objects no earlier edge re-derived.
+    ///
+    /// Cone call edges and units need no replay of their own. A call edge
+    /// is removed with its statement, with its cut-off caller, or (an
+    /// instance call) with its receiver, whose set the drain rebuilds,
+    /// re-firing `[Call]`; a cut-off unit comes back only through a
+    /// re-derived call edge, whose `add_reachable` replays its body. The
+    /// ordinary drain then runs the re-seeded worklist to fixpoint.
+    fn replay_cone<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
         plugin: &P,
-        ctx: CtxId,
-        method: MethodId,
+        cone: &Cone,
+        mut removed: Removed,
     ) {
-        let m = self.program.method(method);
-        let mut news = Vec::new();
-        let mut assigns = Vec::new();
-        let mut static_calls = Vec::new();
-        m.visit_stmts(|s| match s {
-            Stmt::New { lhs, obj } => news.push((*lhs, *obj)),
-            Stmt::Assign { lhs, rhs } => assigns.push((*rhs, *lhs, EdgeKind::Assign)),
-            Stmt::Cast(id) => {
-                let c = self.program.cast(*id);
-                assigns.push((c.rhs(), c.lhs(), EdgeKind::Cast(*id)));
+        // Part 1.
+        let program = self.program;
+        let var_units = cone
+            .ptrs
+            .iter()
+            .filter_map(|&p| match self.ptr_keys[p as usize] {
+                PtrKey::Var(ctx, v) => Some((ctx, program.var(v).method())),
+                PtrKey::Field(..) => None,
+            });
+        let mut seen: FxHashSet<(CtxId, MethodId)> = FxHashSet::default();
+        let units: Vec<_> = var_units
+            .chain(removed.store_units)
+            .filter(|&u| seen.insert(u))
+            .collect();
+        for (ctx, method) in units {
+            if self.is_reachable(ctx, method) {
+                self.replay_unit(selector, plugin, cone, ctx, method);
             }
-            Stmt::Call(id) if self.program.call_site(*id).kind() == CallKind::Static => {
-                static_calls.push(*id);
+        }
+        // Part 2.
+        for i in 0..self.call_edges.len() {
+            let (cctx, site, ectx, callee) = self.call_edges[i];
+            let cs = program.call_site(site);
+            let m = program.method(callee);
+            for (k, &param) in m.params().iter().enumerate() {
+                if self.needs_var(cone, ectx, param) {
+                    let s = self.var_ptr(cctx, cs.args()[k]);
+                    let t = self.var_ptr(ectx, param);
+                    self.add_edge(s, t, EdgeKind::Param);
+                }
             }
-            _ => {}
-        });
-        for (lhs, obj) in news {
-            let hctx = selector.select_heap(self.program, &mut self.interner, ctx, obj);
-            let cs = self.cs_obj(hctx, obj);
-            let ptr = self.var_ptr(ctx, lhs);
-            self.enqueue_one(ptr, cs.0);
-        }
-        for (rhs, lhs, kind) in assigns {
-            let s = self.var_ptr(ctx, rhs);
-            let t = self.var_ptr(ctx, lhs);
-            self.add_edge(s, t, kind);
-        }
-        for site in static_calls {
-            let callee = self.program.call_site(site).target();
-            let callee_ctx = selector.select_call(
-                self.program,
-                &mut self.interner,
-                CallInfo {
-                    caller_ctx: ctx,
-                    site,
-                    callee,
-                    recv: None,
-                },
-            );
-            self.add_call_edge(selector, plugin, ctx, site, callee_ctx, callee);
+            if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
+                if !plugin.is_return_cut(callee) && self.needs_var(cone, cctx, lhs) {
+                    let s = self.var_ptr(ectx, ret);
+                    let t = self.var_ptr(cctx, lhs);
+                    self.add_edge(s, t, EdgeKind::Return(callee));
+                }
+            }
+            let (Some(recv), Some(this)) = (cs.recv(), m.this_var()) else {
+                continue;
+            };
+            let Some(t) = self
+                .find_ptr(PtrKey::Var(ectx, this))
+                .filter(|t| cone.has(t.0))
+            else {
+                continue;
+            };
+            let Some(left) = removed.old_this.get_mut(&t.0).filter(|l| !l.is_empty()) else {
+                continue;
+            };
+            let Some(r) = self.find_ptr(PtrKey::Var(cctx, recv)) else {
+                continue;
+            };
+            let recv_set = self.slots.pts(self.reps.find(r.0));
+            if recv_set.is_empty() {
+                continue;
+            }
+            let (obj_keys, interner) = (&self.obj_keys, &mut self.interner);
+            let mut derives = |o: u32| {
+                let (heap_ctx, obj) = obj_keys[o as usize];
+                (cs.kind() != CallKind::Virtual
+                    || program.dispatch(program.obj(obj).class(), cs.target()) == Some(callee))
+                    && selector.select_call(
+                        program,
+                        interner,
+                        CallInfo {
+                            caller_ctx: cctx,
+                            site,
+                            callee,
+                            recv: Some((heap_ctx, obj)),
+                        },
+                    ) == ectx
+            };
+            // The join, iterated from its smaller side (sets and `left`
+            // are ascending).
+            let found: Vec<u32> = if recv_set.len() < left.len() {
+                let found: Vec<u32> = recv_set
+                    .iter()
+                    .filter(|o| left.binary_search(o).is_ok() && derives(*o))
+                    .collect();
+                left.retain(|o| found.binary_search(o).is_err());
+                found
+            } else {
+                let mut found = Vec::new();
+                left.retain(|&o| {
+                    let hit = recv_set.contains(o) && derives(o);
+                    if hit {
+                        found.push(o);
+                    }
+                    !hit
+                });
+                found
+            };
+            for o in found {
+                self.enqueue_one(t, o);
+            }
         }
     }
 
-    /// Replays the `[Param]`/`[Return]` PFG edges of one surviving call
-    /// edge (part 2 of the post-reset sweep) — the body `add_call_edge`
-    /// runs after its dedup check.
-    fn replay_call_flows<P: Plugin>(
+    /// Whether a fact concluding into `ctx:v` may be missing after the
+    /// reset (see [`Cone::needs`]).
+    fn needs_var(&self, cone: &Cone, ctx: CtxId, v: VarId) -> bool {
+        self.find_ptr(PtrKey::Var(ctx, v))
+            .is_none_or(|p| cone.needs(p.0))
+    }
+
+    /// Replays one reachable unit's statements (part 1 of the post-reset
+    /// replay), each only where its conclusion lies in the cone: `[New]`,
+    /// `[Assign]`/`[Cast]` and `[Load]` into a cone variable, and
+    /// `[Store]` into a cone field pointer.
+    fn replay_unit<S: ContextSelector, P: Plugin>(
         &mut self,
+        selector: &S,
         plugin: &P,
-        caller_ctx: CtxId,
-        site: CallSiteId,
-        callee_ctx: CtxId,
-        callee: MethodId,
+        cone: &Cone,
+        ctx: CtxId,
+        method: MethodId,
     ) {
-        let cs = self.program.call_site(site);
-        let m = self.program.method(callee);
-        for (k, &param) in m.params().iter().enumerate() {
-            let arg = cs.args()[k];
-            let s = self.var_ptr(caller_ctx, arg);
-            let t = self.var_ptr(callee_ctx, param);
-            self.add_edge(s, t, EdgeKind::Param);
-        }
-        if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
-            if !plugin.is_return_cut(callee) {
-                let s = self.var_ptr(callee_ctx, ret);
-                let t = self.var_ptr(caller_ctx, lhs);
-                self.add_edge(s, t, EdgeKind::Return(callee));
+        let program = self.program;
+        program.method(method).visit_stmts(|s| match *s {
+            Stmt::New { lhs, obj } if self.needs_var(cone, ctx, lhs) => {
+                let hctx = selector.select_heap(program, &mut self.interner, ctx, obj);
+                let cs = self.cs_obj(hctx, obj);
+                let ptr = self.var_ptr(ctx, lhs);
+                self.enqueue_one(ptr, cs.0);
             }
-        }
+            Stmt::Assign { lhs, rhs } if self.needs_var(cone, ctx, lhs) => {
+                let s = self.var_ptr(ctx, rhs);
+                let t = self.var_ptr(ctx, lhs);
+                self.add_edge(s, t, EdgeKind::Assign);
+            }
+            Stmt::Cast(id) => {
+                let c = program.cast(id);
+                if self.needs_var(cone, ctx, c.lhs()) {
+                    let s = self.var_ptr(ctx, c.rhs());
+                    let t = self.var_ptr(ctx, c.lhs());
+                    self.add_edge(s, t, EdgeKind::Cast(id));
+                }
+            }
+            Stmt::Load(id) => {
+                let site = program.load(id);
+                if !self.needs_var(cone, ctx, site.lhs()) {
+                    return;
+                }
+                let Some(b) = self.find_ptr(PtrKey::Var(ctx, site.base())) else {
+                    return;
+                };
+                let objs: Vec<u32> = self.pt(b).iter().collect();
+                let t = self.var_ptr(ctx, site.lhs());
+                for o in objs {
+                    let s = self.field_ptr(CsObjId(o), site.field());
+                    self.add_edge(s, t, EdgeKind::Load(id));
+                }
+            }
+            Stmt::Store(id) => {
+                if plugin.is_store_cut(id) {
+                    return;
+                }
+                let site = program.store(id);
+                let Some(b) = self.find_ptr(PtrKey::Var(ctx, site.base())) else {
+                    return;
+                };
+                let field = site.field();
+                let objs: Vec<u32> = self
+                    .pt(b)
+                    .iter()
+                    .filter(|&o| {
+                        self.find_ptr(PtrKey::Field(CsObjId(o), field))
+                            .is_none_or(|p| cone.needs(p.0))
+                    })
+                    .collect();
+                if objs.is_empty() {
+                    return;
+                }
+                let s = self.var_ptr(ctx, site.rhs());
+                for o in objs {
+                    let t = self.field_ptr(CsObjId(o), field);
+                    self.add_edge(s, t, EdgeKind::Store(id));
+                }
+            }
+            _ => {}
+        });
     }
 
     /// Replays the delta's added statements against every context their
@@ -576,13 +827,9 @@ impl<'p> SolverState<'p> {
         if fx.added_stmts.is_empty() {
             return;
         }
-        let mut ctxs_of: FxHashMap<MethodId, Vec<CtxId>> = FxHashMap::default();
-        for &(ctx, m) in &self.reachable_log {
-            ctxs_of.entry(m).or_default().push(ctx);
-        }
+        let ctxs_of = contexts_of(self, fx.added_stmts.iter().map(|(m, _)| m));
         for (m, stmt) in &fx.added_stmts {
-            let Some(ctxs) = ctxs_of.get(m) else { continue };
-            for &ctx in &ctxs.clone() {
+            for &ctx in &ctxs_of[m] {
                 self.replay_one_stmt(selector, plugin, ctx, stmt);
             }
         }
@@ -713,20 +960,15 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
         if !plugin.rebase(base, patched, fx) {
             return Resolved::Fallback(FallbackReason::CscObligations, plugin);
         }
-        let taint = if fx.additions_only() {
-            TaintSet::default()
-        } else {
-            match compute_taint(&prev.state, fx) {
-                Ok(t) => t,
-                Err(()) => return Resolved::Fallback(FallbackReason::SccStructure, plugin),
-            }
-        };
+        let cone = (!fx.additions_only()).then(|| compute_cone(&prev.state, fx));
 
-        let mut state = rebase_state(prev.state, patched, budget, start);
+        let mut state = rebase_state(prev.state, patched, fx, budget, start);
         state.emit_events = plugin.wants_events();
-        if !taint.ptrs.is_empty() || !taint.call_edges.is_empty() {
-            state.reset_cone(&taint);
-            state.replay_after_reset(&selector, &plugin);
+        let (mut cone_ptrs, mut cone_call_edges) = (0, 0);
+        if let Some(cone) = cone.filter(|c| !c.is_empty()) {
+            let removed = state.reset_cone(&cone);
+            state.replay_cone(&selector, &plugin, &cone, removed);
+            (cone_ptrs, cone_call_edges) = (cone.ptrs.len(), cone.edges.len());
         }
         state.replay_additions(&selector, &plugin, fx);
 
@@ -736,9 +978,14 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
             plugin,
         }
         .drain(start);
-        res.state.stats.incr_resolves += 1;
-        res.state.stats.incr_fallback_reason = None;
-        res.state.stats.resolve_secs = start.elapsed().as_secs_f64();
+        // The reset's credit covers only this resolve's re-derivations.
+        let st = &mut res.state;
+        st.copy_edges_since_collapse = st.copy_edges_since_collapse.max(0);
+        st.stats.incr_resolves += 1;
+        st.stats.incr_fallback_reason = None;
+        st.stats.incr_cone_ptrs = cone_ptrs as u64;
+        st.stats.incr_cone_call_edges = cone_call_edges as u64;
+        st.stats.resolve_secs = start.elapsed().as_secs_f64();
         Resolved::Incremental(res, plugin)
     }
 }

@@ -226,6 +226,17 @@ impl UnionFind {
         self.parent[child as usize] = root;
     }
 
+    /// Splits a merged component back into singletons: every node of
+    /// `component` (its full member list, root included) becomes its own
+    /// representative again. Sound only once nothing reads the old shared
+    /// root on the members' behalf (the removal reset clears the whole
+    /// component first).
+    pub fn split(&mut self, component: &[u32]) {
+        for &u in component {
+            self.parent[u as usize] = u;
+        }
+    }
+
     /// Re-canonicalizes every chain so all nodes point directly at their
     /// root. Called once per merge batch.
     pub fn flatten(&mut self) {
@@ -384,6 +395,19 @@ mod tests {
         // Disconnected node stays alone.
         s.ensure(9);
         assert_eq!(s.repr(9), 9);
+    }
+
+    #[test]
+    fn split_restores_singletons() {
+        let mut uf = UnionFind::new();
+        for _ in 0..4 {
+            uf.push();
+        }
+        uf.set_parent(2, 0);
+        uf.set_parent(3, 0);
+        assert_eq!(uf.find(3), 0);
+        uf.split(&[0, 2, 3]);
+        assert!((0..4).all(|u| uf.is_rep(u)));
     }
 
     #[test]

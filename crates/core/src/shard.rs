@@ -7,10 +7,11 @@
 //! indexes its slot directly.
 //!
 //! [`StmtIndex`] maps each variable to the loads, stores, and instance
-//! calls that use it as base or receiver; it is built once per solve and
-//! read by the `[Load]`/`[Store]`/`[Call]` rules.
+//! calls that use it as base or receiver; it is built once per solve,
+//! patched by each incremental re-solve, and read by the
+//! `[Load]`/`[Store]`/`[Call]` rules.
 
-use csc_ir::{CallSiteId, ClassId, LoadId, ObjId, Program, StoreId};
+use csc_ir::{CallSiteId, ClassId, DeltaEffects, LoadId, ObjId, Program, StoreId};
 
 use crate::arena::{PairSet, SuccTable};
 use crate::context::CtxId;
@@ -47,12 +48,6 @@ impl Shard {
         self.pts.push(PointsToSet::new());
         self.pending.push(PointsToSet::new());
         self.succ.push_row();
-    }
-
-    /// Number of slots (the next dense id).
-    #[inline]
-    pub(crate) fn len(&self) -> u32 {
-        u32::try_from(self.pts.len()).expect("slot count fits u32")
     }
 
     /// Shared points-to set of slot `i`.
@@ -168,6 +163,39 @@ impl Shard {
         self.edge_pairs.insert(rep, pairs);
     }
 
+    /// Removes every PFG edge whose target `dead` accepts, filtering the
+    /// pair groups in place: one linear scan over the pairs, with the
+    /// successor rows rewritten only where a group lost pairs. `removed`
+    /// sees each dropped pair; the return value is how many there were.
+    pub(crate) fn remove_edges_into(
+        &mut self,
+        dead: impl Fn(u32) -> bool,
+        mut removed: impl FnMut(u32, u32),
+    ) -> u64 {
+        let mut total = 0u64;
+        let succ = &mut self.succ;
+        self.edge_pairs.retain(|&rep, pairs| {
+            let n = pairs.retain(|s, d| {
+                let keep = !dead(d);
+                if !keep {
+                    removed(s, d);
+                }
+                keep
+            });
+            if n > 0 {
+                total += n as u64;
+                let kept: Vec<_> = succ
+                    .take_row(rep as usize)
+                    .into_iter()
+                    .filter(|&(t, _)| !dead(t))
+                    .collect();
+                succ.extend_row(rep as usize, kept);
+            }
+            !pairs.is_empty()
+        });
+        total
+    }
+
     /// Heap bytes of the points-to plane (`pts` + `pending` sets), with
     /// CoW-shared dense chunks attributed once; also counts the shared
     /// references deduplicated (see [`crate::mem`]).
@@ -189,8 +217,8 @@ impl Shard {
 }
 
 /// Per-variable static usage index (which loads/stores/calls have the
-/// variable as base/receiver), built once per solve and read-only
-/// thereafter.
+/// variable as base/receiver), built once per solve and patched across
+/// each delta an incremental re-solve rebases onto.
 #[derive(Default)]
 pub(crate) struct StmtIndex {
     pub(crate) loads_with_base: Vec<Vec<LoadId>>,
@@ -229,6 +257,46 @@ impl StmtIndex {
         }
         idx
     }
+
+    /// Patches an index built for a delta's base program into the index of
+    /// the patched program: rows grow over the appended variables, removed
+    /// statements (nested ones included) leave their rows, and added
+    /// statements join them. Site ids are unique and append-only across a
+    /// delta, so the result holds the same ids as a fresh
+    /// [`build`](Self::build) of `patched`, at a cost in the delta's size.
+    pub(crate) fn patch(&mut self, patched: &Program, fx: &DeltaEffects) {
+        fn edit<T: Copy + PartialEq>(row: &mut Vec<T>, id: T, add: bool) {
+            if add {
+                row.push(id);
+            } else {
+                row.retain(|&x| x != id);
+            }
+        }
+        let n = patched.vars().len();
+        self.loads_with_base.resize(n, Vec::new());
+        self.stores_with_base.resize(n, Vec::new());
+        self.calls_with_recv.resize(n, Vec::new());
+        let removed = fx.removed_stmts.iter().map(|(_, s)| (s, false));
+        let added = fx.added_stmts.iter().map(|(_, s)| (s, true));
+        for (stmt, add) in removed.chain(added) {
+            stmt.visit(&mut |s| match s {
+                csc_ir::Stmt::Load(id) => {
+                    let base = patched.load(*id).base().index();
+                    edit(&mut self.loads_with_base[base], *id, add);
+                }
+                csc_ir::Stmt::Store(id) => {
+                    let base = patched.store(*id).base().index();
+                    edit(&mut self.stores_with_base[base], *id, add);
+                }
+                csc_ir::Stmt::Call(id) => {
+                    if let Some(r) = patched.call_site(*id).recv() {
+                        edit(&mut self.calls_with_recv[r.index()], *id, add);
+                    }
+                }
+                _ => {}
+            });
+        }
+    }
 }
 
 /// Restricts a delta to the objects assignable to `class` (`checkcast`
@@ -245,4 +313,96 @@ pub(crate) fn filter_pts(
             program.is_subclass(program.obj(obj).class(), class)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csc_ir::{DeltaOp, DeltaStmt, ProgramDelta, Stmt};
+
+    /// Index rows with each row sorted (patching appends where a rebuild
+    /// walks bodies in order; the rows hold the same ids).
+    fn sorted<T: Copy + Ord>(rows: &[Vec<T>]) -> Vec<Vec<T>> {
+        rows.iter()
+            .map(|r| {
+                let mut r = r.clone();
+                r.sort_unstable();
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn patched_index_equals_rebuilt_index() {
+        let base = csc_frontend::compile(
+            r#"
+            class A {
+                A f;
+                A get() { A r = this.f; return r; }
+            }
+            class Main {
+                static void main() {
+                    A a = new A();
+                    A b = new A();
+                    a.f = b;
+                    A c = a.get();
+                    A d = c.f;
+                }
+            }
+            "#,
+        )
+        .expect("program compiles");
+        let main = base.method_by_qualified_name("Main.main").expect("main");
+        let get = base.method_by_qualified_name("A.get").expect("get");
+        let var = |name: &str| {
+            base.method(main)
+                .vars()
+                .iter()
+                .copied()
+                .find(|&v| base.var(v).name() == name)
+                .expect("variable exists")
+        };
+        let field = base.class(base.class_by_name("A").expect("A")).fields()[0];
+        let store = base
+            .method(main)
+            .body()
+            .iter()
+            .position(|s| matches!(s, Stmt::Store(_)))
+            .expect("main has a store") as u32;
+        let delta = ProgramDelta {
+            ops: vec![
+                DeltaOp::RemoveStmt {
+                    method: main,
+                    index: store,
+                },
+                DeltaOp::AddStmt {
+                    method: main,
+                    stmt: DeltaStmt::Load {
+                        lhs: var("d"),
+                        base: var("b"),
+                        field,
+                    },
+                },
+                DeltaOp::AddStmt {
+                    method: main,
+                    stmt: DeltaStmt::Call {
+                        lhs: None,
+                        recv: Some(var("b")),
+                        target: get,
+                        args: Vec::new(),
+                    },
+                },
+            ],
+        };
+        let (patched, fx) = delta.apply(&base).expect("delta applies");
+        let mut idx = StmtIndex::build(&base);
+        idx.patch(&patched, &fx);
+        let fresh = StmtIndex::build(&patched);
+        assert_eq!(sorted(&idx.loads_with_base), sorted(&fresh.loads_with_base));
+        assert_eq!(
+            sorted(&idx.stores_with_base),
+            sorted(&fresh.stores_with_base)
+        );
+        assert_eq!(sorted(&idx.calls_with_recv), sorted(&fresh.calls_with_recv));
+    }
 }

@@ -328,6 +328,12 @@ pub struct SolverStats {
     /// Wall-clock seconds of the most recent incremental re-solve
     /// (localized or fallback), excluding delta application itself.
     pub resolve_secs: f64,
+    /// Pointers the most recent incremental re-solve reset and re-derived
+    /// (its removal cone; 0 after an additions-only resolve or a fallback).
+    pub incr_cone_ptrs: u64,
+    /// Call-graph edges in the most recent incremental re-solve's removal
+    /// cone (0 after an additions-only resolve or a fallback).
+    pub incr_cone_call_edges: u64,
     /// Heap bytes of the points-to plane (`pts` + pending accumulators) at
     /// solve end, with CoW-shared dense chunks attributed once (see
     /// [`crate::mem`]).
@@ -355,9 +361,6 @@ pub enum FallbackReason {
     /// mapping (e.g. an added override of an inherited method), so derived
     /// call edges could be invalidated non-monotonically.
     DispatchChanged,
-    /// The removal cone touched an SCC-collapsed pointer: per-member resets
-    /// cannot be localized through a merged representative's shared set.
-    SccStructure,
     /// The delta touched Cut-Shortcut obligations: statements were removed
     /// while the plugin holds derived cut/shortcut state, or the static
     /// pattern tables changed on base-program entities.
@@ -373,7 +376,6 @@ impl std::fmt::Display for FallbackReason {
         f.write_str(match self {
             FallbackReason::BaseIncomplete => "base-incomplete",
             FallbackReason::DispatchChanged => "dispatch-changed",
-            FallbackReason::SccStructure => "scc-structure",
             FallbackReason::CscObligations => "csc-obligations",
             FallbackReason::PreanalysisChanged => "preanalysis-changed",
         })
@@ -478,7 +480,9 @@ pub struct SolverState<'p> {
     /// representatives only; uncollapsed pointers have no entry.
     members: FxHashMap<u32, Vec<u32>>,
     /// Unfiltered copy edges inserted since the last condensation epoch.
-    copy_edges_since_collapse: u32,
+    /// An incremental re-solve's removal reset subtracts the edges it
+    /// removed, so the count can dip below zero while they are re-derived.
+    copy_edges_since_collapse: i64,
     opts: SolverOptions,
 
     /// Batched worklist: the FIFO of pointers with a non-empty pending
@@ -1096,14 +1100,14 @@ impl<'p> SolverState<'p> {
     /// the total condensation work stays `O((V + E) log E)` regardless of
     /// how large the graph gets.
     fn should_collapse(&self) -> bool {
-        if !self.opts.collapse_sccs || self.copy_edges_since_collapse == 0 {
+        if !self.opts.collapse_sccs || self.copy_edges_since_collapse <= 0 {
             return false;
         }
         let threshold = self
             .opts
             .collapse_epoch
             .unwrap_or_else(|| crate::scc::epoch_threshold(self.stats.edges));
-        self.copy_edges_since_collapse >= threshold
+        self.copy_edges_since_collapse >= i64::from(threshold)
     }
 
     /// One condensation epoch: finds SCCs of the unfiltered copy subgraph

@@ -13,7 +13,10 @@
 //!   delta-added),
 //! * the projected reachable-method set,
 //! * the projected call-graph edge set,
-//! * the four precision metrics.
+//! * the four precision metrics,
+//! * the context-qualified counts: PFG edges (`stats.edges`), call-graph
+//!   edges and reachable units — a replay that drops an edge without
+//!   changing any projection still shows here.
 //!
 //! Deltas come from the seeded generator (`csc_workloads::generate_delta`)
 //! in both monotone (additions-only) and mixed (add/remove) modes, and
@@ -47,6 +50,8 @@ struct Projections {
     reachable: BTreeSet<MethodId>,
     call_edges: BTreeSet<(CallSiteId, MethodId)>,
     metrics: PrecisionMetrics,
+    /// Context-qualified (PFG edges, call-graph edges, reachable units).
+    counts: (u64, usize, usize),
 }
 
 impl Projections {
@@ -63,6 +68,11 @@ impl Projections {
             reachable: result.state.reachable_methods_projected(),
             call_edges: result.state.call_edges_projected(),
             metrics: PrecisionMetrics::compute(result),
+            counts: (
+                result.state.stats.edges,
+                result.state.call_edges().len(),
+                result.state.reachable().len(),
+            ),
         }
     }
 
@@ -88,6 +98,10 @@ impl Projections {
         assert_eq!(
             self.metrics, other.metrics,
             "{what}: precision metrics differ"
+        );
+        assert_eq!(
+            self.counts, other.counts,
+            "{what}: (PFG edges, call edges, reachable units) differ"
         );
     }
 }
@@ -189,15 +203,17 @@ fn incremental_monotone_small_suite() {
     );
 }
 
-/// Mixed add/remove chains: removal cones, fallback gates, and the
-/// SCC-structure bail must all keep projections bit-identical.
+/// Mixed add/remove chains: removal cones (split SCCs included) and the
+/// fallback gates must all keep projections bit-identical, and the plain
+/// analysis must resolve removals in place.
 #[test]
 fn incremental_removals_small_suite() {
+    let mut ci_incremental = 0;
     for name in ["hsqldb", "findbugs"] {
         let program = csc_workloads::compiled(name).unwrap();
         for (label, analysis) in configurations() {
             let what = format!("{name}/{label} (removals, epoch=32)");
-            differential_chain(
+            let n = differential_chain(
                 program,
                 analysis,
                 SolverOptions::with_epoch(32),
@@ -206,8 +222,15 @@ fn incremental_removals_small_suite() {
                 true,
                 &what,
             );
+            if label == "ci" {
+                ci_incremental += n;
+            }
         }
     }
+    assert!(
+        ci_incremental > 0,
+        "no ci removal step took the incremental path"
+    );
 }
 
 /// Context-sensitive baselines ride the same incremental machinery
@@ -221,7 +244,7 @@ fn incremental_context_sensitive_baselines() {
         ("1cs", Analysis::KCallSite(1)),
     ] {
         let what = format!("findbugs/{label} (removals, epoch=8)");
-        differential_chain(
+        let incremental = differential_chain(
             program,
             analysis,
             SolverOptions::with_epoch(8),
@@ -230,12 +253,12 @@ fn incremental_context_sensitive_baselines() {
             true,
             &what,
         );
+        assert!(incremental > 0, "{what}: no step took the incremental path");
     }
 }
 
-/// Collapsing disabled end-to-end: with no SCC members the taint closure
-/// can never hit the SccStructure bail, so removals should still resolve
-/// incrementally (for plain analyses) whenever dispatch is stable.
+/// Collapsing disabled end-to-end: removal cones over a state with no SCC
+/// members, the reference for the split path above.
 #[test]
 fn incremental_no_collapse() {
     let program = csc_workloads::compiled("hsqldb").unwrap();

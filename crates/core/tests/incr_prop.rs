@@ -12,11 +12,12 @@
 //!    below, driven by a propagation budget);
 //! 2. `DispatchChanged` — `Program::dispatch_stable_under`;
 //! 3. `CscObligations` — [`csc_core::rebase_compatible`] (the exported
-//!    pure twin of `CutShortcut`'s `Plugin::rebase`);
-//! 4. `SccStructure` — only reachable on removal deltas when SCC
-//!    collapsing is enabled; with [`SolverOptions::no_collapse`] it must
-//!    never fire, making the predicted reason *exact* for the plain and
-//!    CSC pipelines.
+//!    pure twin of `CutShortcut`'s `Plugin::rebase`).
+//!
+//! A removal cone that reaches an SCC-collapsed pointer takes in the
+//! whole SCC and splits it, so collapsing never adds a fallback: the
+//! predicted reason is exact with collapsing on (at the smallest epoch,
+//! so SCCs form even on small programs) and off.
 //!
 //! The generated edits come from the seeded workload delta generator, so
 //! the sequences here are the same distribution the differential harness
@@ -29,7 +30,9 @@ use csc_core::{
     rebase_compatible, resolve_analysis_opts, run_analysis_opts, Analysis, Budget, CscConfig,
     FallbackReason, PrecisionMetrics, PtaResult, SolverOptions,
 };
-use csc_ir::{CallSiteId, DeltaEffects, DeltaOp, MethodId, ObjId, Program, ProgramDelta, VarId};
+use csc_ir::{
+    CallSiteId, DeltaEffects, DeltaOp, MethodId, ObjId, Program, ProgramDelta, Stmt, VarId,
+};
 use csc_workloads::{generate_delta, DeltaGenConfig};
 use proptest::prelude::*;
 
@@ -98,8 +101,8 @@ fn chain(base: &Program, steps: &[(u64, bool)]) -> (Vec<Program>, Vec<DeltaEffec
 }
 
 /// The pure oracle for the fallback reason, mirroring the gate order of
-/// `Solver::resolve` (`SccStructure` excluded — it is unreachable with
-/// collapsing disabled and bounded separately with it enabled).
+/// `Solver::resolve` (`BaseIncomplete` excluded — the chains below only
+/// resolve completed bases).
 fn predicted_reason(
     base: &Program,
     patched: &Program,
@@ -121,6 +124,8 @@ struct Projections {
     reachable: BTreeSet<MethodId>,
     call_edges: BTreeSet<(CallSiteId, MethodId)>,
     metrics: PrecisionMetrics,
+    /// Context-qualified (PFG edges, call-graph edges, reachable units).
+    counts: (u64, usize, usize),
 }
 
 impl Projections {
@@ -136,6 +141,11 @@ impl Projections {
             reachable: result.state.reachable_methods_projected(),
             call_edges: result.state.call_edges_projected(),
             metrics: PrecisionMetrics::compute(result),
+            counts: (
+                result.state.stats.edges,
+                result.state.call_edges().len(),
+                result.state.reachable().len(),
+            ),
         }
     }
 
@@ -149,12 +159,16 @@ impl Projections {
             assert_eq!(a, b, "{what}: pt({v:?}) differs");
         }
         assert_eq!(self.metrics, other.metrics, "{what}: metrics differ");
+        assert_eq!(
+            self.counts, other.counts,
+            "{what}: (PFG edges, call edges, reachable units) differ"
+        );
     }
 }
 
 /// Drives one sampled chain under one analysis/options cell, asserting at
-/// every step: result equivalence, exact (or bounded) fallback reason, and
-/// correct counter bookkeeping.
+/// every step: result equivalence, the exact fallback reason, and correct
+/// counter bookkeeping.
 fn check_chain(
     programs: &[Program],
     fxs: &[DeltaEffects],
@@ -181,24 +195,15 @@ fn check_chain(
         assert!(next.completed(), "{what} step {i}: resolve hit budget");
         let stats = next.result.state.stats;
         let reason = stats.incr_fallback_reason;
-        if opts.collapse_sccs {
-            // With collapsing, removal cones may additionally abort on a
-            // collapsed pointer — but only then, and only for removals.
-            if reason != predicted {
-                assert_eq!(
-                    reason,
-                    Some(FallbackReason::SccStructure),
-                    "{what} step {i}: reason {reason:?}, predicted {predicted:?}"
-                );
-                assert!(
-                    predicted.is_none() && !fx.additions_only(),
-                    "{what} step {i}: SccStructure on an additions-only or pre-gated delta"
-                );
-            }
-        } else {
+        assert_eq!(
+            reason, predicted,
+            "{what} step {i}: fallback reason disagrees with the oracle"
+        );
+        if reason.is_some() || fx.additions_only() {
             assert_eq!(
-                reason, predicted,
-                "{what} step {i}: fallback reason disagrees with the oracle"
+                (stats.incr_cone_ptrs, stats.incr_cone_call_edges),
+                (0, 0),
+                "{what} step {i}: a fallback or additions-only resolve has no cone"
             );
         }
         assert_eq!(
@@ -228,8 +233,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Plain (NoPlugin) pipeline, collapsing disabled: the predicted
-    /// reason is exact — `DispatchChanged` or nothing; in particular
-    /// removals must never surface `SccStructure`.
+    /// reason is exact — `DispatchChanged` or nothing.
     #[test]
     fn ci_no_collapse_fallbacks_match_oracle(
         steps in proptest::collection::vec((0u64..1 << 16, any::<bool>()), 1..4),
@@ -262,11 +266,11 @@ proptest! {
         );
     }
 
-    /// Default options (collapsing on): results stay bit-identical and the
-    /// only extra fallback collapsing may introduce is `SccStructure`, and
-    /// only on removal deltas.
+    /// Collapsing on, at the smallest epoch: results stay bit-identical
+    /// and the reason is exactly the oracle's — removal cones through
+    /// collapsed SCCs split them instead of falling back.
     #[test]
-    fn default_options_equivalence_with_bounded_reasons(
+    fn collapse_fallbacks_match_oracle(
         steps in proptest::collection::vec((0u64..1 << 16, any::<bool>()), 1..3),
     ) {
         let (programs, fxs) = chain(base_program(), &steps);
@@ -274,17 +278,17 @@ proptest! {
             &programs,
             &fxs,
             Analysis::Ci,
-            SolverOptions::default(),
+            SolverOptions::with_epoch(2),
             false,
-            &format!("ci/default {steps:?}"),
+            &format!("ci/epoch=2 {steps:?}"),
         );
         check_chain(
             &programs,
             &fxs,
             Analysis::CutShortcut,
-            SolverOptions::default(),
+            SolverOptions::with_epoch(2),
             true,
-            &format!("csc/default {steps:?}"),
+            &format!("csc/epoch=2 {steps:?}"),
         );
     }
 }
@@ -398,4 +402,218 @@ fn override_delta_reports_dispatch_changed() {
             "dispatch-changed fallback",
         );
     }
+}
+
+/// A removal whose cone reaches a collapsed SCC resolves in place: the
+/// cone takes in the whole cycle, the reset splits it back into
+/// singletons, and the re-derived state equals a from-scratch solve.
+#[test]
+fn removal_through_collapsed_scc_resolves_incrementally() {
+    let base = csc_frontend::compile(
+        r#"
+        class A { }
+        class Main {
+            static void main() {
+                A a = new A();
+                A b = a;
+                A c = b;
+                a = c;
+                A d = new A();
+                b = d;
+                A e = c;
+            }
+        }
+        "#,
+    )
+    .expect("cycle program compiles");
+    let main = base
+        .method_by_qualified_name("Main.main")
+        .expect("Main.main exists");
+    let named = |v: VarId| base.var(v).name().to_owned();
+    // Remove `b = d`: the cone starts at `b`, inside the `a -> b -> c`
+    // cycle.
+    let index = base
+        .method(main)
+        .body()
+        .iter()
+        .position(
+            |s| matches!(*s, Stmt::Assign { lhs, rhs } if named(lhs) == "b" && named(rhs) == "d"),
+        )
+        .expect("`b = d` is a top-level statement") as u32;
+    let delta = ProgramDelta {
+        ops: vec![DeltaOp::RemoveStmt {
+            method: main,
+            index,
+        }],
+    };
+    let (patched, fx) = delta.apply(&base).expect("removal applies");
+    let opts = SolverOptions::with_epoch(2);
+    let outcome = run_analysis_opts(&base, Analysis::Ci, Budget::unlimited(), opts);
+    assert!(outcome.completed());
+    assert!(
+        outcome.result.state.stats.ptrs_collapsed > 0,
+        "the assign cycle must be collapsed in the base"
+    );
+    let next = resolve_analysis_opts(
+        outcome,
+        &patched,
+        &fx,
+        Analysis::Ci,
+        Budget::unlimited(),
+        opts,
+    );
+    assert!(next.completed());
+    let stats = next.result.state.stats;
+    assert_eq!(stats.incr_fallback_reason, None);
+    assert!(
+        stats.incr_cone_ptrs >= 3,
+        "the cone holds the whole cycle, got {} pointers",
+        stats.incr_cone_ptrs
+    );
+    let scratch = run_analysis_opts(&patched, Analysis::Ci, Budget::unlimited(), opts);
+    Projections::capture(&patched, &next.result).assert_identical(
+        &Projections::capture(&patched, &scratch.result),
+        "removal through a collapsed SCC",
+    );
+}
+
+/// Removing the only call into a recursive method cuts the method off
+/// even though its own recursive call edge survives the removal: the
+/// cone's reachability search runs from the entry, so the cycle cannot
+/// keep itself alive.
+#[test]
+fn removal_cuts_off_a_recursive_method() {
+    let base = csc_frontend::compile(
+        r#"
+        class A {
+            A next;
+            A walk(A x) {
+                A n = new A();
+                this.next = n;
+                A y = n.walk(x);
+                return y;
+            }
+        }
+        class Main {
+            static void main() {
+                A a = new A();
+                A r = a.walk(a);
+            }
+        }
+        "#,
+    )
+    .expect("recursive program compiles");
+    let main = base
+        .method_by_qualified_name("Main.main")
+        .expect("Main.main exists");
+    let index = base
+        .method(main)
+        .body()
+        .iter()
+        .position(|s| matches!(s, Stmt::Call(_)))
+        .expect("`a.walk(a)` is a top-level statement") as u32;
+    let delta = ProgramDelta {
+        ops: vec![DeltaOp::RemoveStmt {
+            method: main,
+            index,
+        }],
+    };
+    let (patched, fx) = delta.apply(&base).expect("removal applies");
+    let walk = base
+        .method_by_qualified_name("A.walk")
+        .expect("A.walk exists");
+    for opts in [SolverOptions::with_epoch(2), SolverOptions::no_collapse()] {
+        let outcome = run_analysis_opts(&base, Analysis::Ci, Budget::unlimited(), opts);
+        assert!(outcome.completed());
+        let next = resolve_analysis_opts(
+            outcome,
+            &patched,
+            &fx,
+            Analysis::Ci,
+            Budget::unlimited(),
+            opts,
+        );
+        assert!(next.completed());
+        assert_eq!(next.result.state.stats.incr_fallback_reason, None);
+        assert!(
+            !next
+                .result
+                .state
+                .reachable_methods_projected()
+                .contains(&walk),
+            "A.walk must lose reachability"
+        );
+        let scratch = run_analysis_opts(&patched, Analysis::Ci, Budget::unlimited(), opts);
+        Projections::capture(&patched, &next.result).assert_identical(
+            &Projections::capture(&patched, &scratch.result),
+            "removal cutting off a recursive method",
+        );
+    }
+}
+
+/// A field pointer enters the cone through one store while another store,
+/// in a unit the cone does not otherwise touch, keeps feeding it: the
+/// reset drops that second store's edge too, and the replay must fire the
+/// store again from its unit, or the field loses the second store's
+/// objects.
+#[test]
+fn removal_replays_stores_from_untouched_units() {
+    let base = csc_frontend::compile(
+        r#"
+        class A { A f; }
+        class S {
+            static void put(A a, A z) {
+                a.f = z;
+            }
+        }
+        class Main {
+            static void main() {
+                A o = new A();
+                A z = new A();
+                S.put(o, z);
+                A z2 = new A();
+                o.f = z2;
+                A r = o.f;
+            }
+        }
+        "#,
+    )
+    .expect("two-store program compiles");
+    let main = base
+        .method_by_qualified_name("Main.main")
+        .expect("Main.main exists");
+    // Remove the copy into `z2` (`new` lowers to a temporary and a copy):
+    // the cone reaches `o.f` through `o.f = z2`, while `S.put`'s store
+    // into `o.f` survives outside the cone.
+    let index = base
+        .method(main)
+        .body()
+        .iter()
+        .position(|s| matches!(*s, Stmt::Assign { lhs, .. } if base.var(lhs).name() == "z2"))
+        .expect("the copy into `z2` is a top-level statement") as u32;
+    let delta = ProgramDelta {
+        ops: vec![DeltaOp::RemoveStmt {
+            method: main,
+            index,
+        }],
+    };
+    let (patched, fx) = delta.apply(&base).expect("removal applies");
+    let opts = SolverOptions::default();
+    let outcome = run_analysis_opts(&base, Analysis::Ci, Budget::unlimited(), opts);
+    assert!(outcome.completed());
+    let next = resolve_analysis_opts(
+        outcome,
+        &patched,
+        &fx,
+        Analysis::Ci,
+        Budget::unlimited(),
+        opts,
+    );
+    assert!(next.completed());
+    assert_eq!(next.result.state.stats.incr_fallback_reason, None);
+    let scratch = run_analysis_opts(&patched, Analysis::Ci, Budget::unlimited(), opts);
+    Projections::capture(&patched, &next.result).assert_identical(
+        &Projections::capture(&patched, &scratch.result),
+        "removal next to a store from an untouched unit",
+    );
 }
