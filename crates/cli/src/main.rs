@@ -19,11 +19,7 @@
 //! <n>` seeded synthetic edits) and re-solves incrementally after each,
 //! printing each localized step's removal cone (pointers and call edges),
 //! or falling back to a full solve — with the reason printed — when a
-//! delta breaks the incremental preconditions. Completed answers are memoized in
-//! the on-disk solved-result cache (`target/csc-results`, keyed by program
-//! content + analysis + options); a warm re-run answers from the cache
-//! without running propagation at all. `CSC_RESULT_CACHE=0` opts out,
-//! `CSC_RESULT_CACHE_DIR` redirects.
+//! delta breaks the incremental preconditions.
 //!
 //! Every command solves on one thread: the solver is sequential.
 //!
@@ -166,8 +162,7 @@ fn print_metrics(m: &PrecisionMetrics) {
 }
 
 /// The `resolve` subcommand: apply a delta chain, re-solving incrementally
-/// after each step, with the final answer memoized in (and, when warm,
-/// answered from) the on-disk solved-result cache.
+/// after each step.
 fn resolve_cmd(
     base: Program,
     analysis: Analysis,
@@ -232,25 +227,7 @@ fn resolve_cmd(
         }
     }
     let label = analysis.label().to_owned();
-    let final_program = programs.last().expect("chain starts non-empty");
-    let final_key = csc_core::result_cache_key(final_program, &analysis, &opts);
-    let cache_dir = csc_core::result_cache_dir();
-    // Warm path: an unchanged (program, analysis, options) triple answers
-    // from disk without running propagation at all.
-    if csc_core::result_cache_enabled() {
-        if let Some(summary) = csc_core::load_result(&cache_dir, final_key) {
-            println!(
-                "{label}: result cache hit ({} reachable methods, {} call edges, 0 propagations)",
-                summary.reachable.len(),
-                summary.call_edges.len()
-            );
-            if metrics {
-                print_metrics(&summary.metrics);
-            }
-            return ExitCode::SUCCESS;
-        }
-    }
-    // Cold path: solve the base once, then fold each delta incrementally.
+    // Solve the base once, then fold each delta incrementally.
     let mut outcome = run_analysis_opts(&programs[0], analysis.clone(), budget, opts);
     if !outcome.completed() {
         println!("{label}: budget exhausted after {:?}", outcome.total_time);
@@ -294,10 +271,6 @@ fn resolve_cmd(
     );
     if metrics {
         print_metrics(&PrecisionMetrics::compute(&outcome.result));
-    }
-    if csc_core::result_cache_enabled() {
-        let summary = csc_core::SolvedSummary::capture(final_program, &outcome.result);
-        csc_core::store_result(&cache_dir, final_key, &summary);
     }
     ExitCode::SUCCESS
 }

@@ -40,7 +40,10 @@
 //! `propagations` (this resolve's own), and `cone_ptrs` (pointers its
 //! removal cone reset; 0 without removals or on a full solve). Request
 //! lines are capped at [`MAX_REQUEST_BYTES`]; a longer or non-UTF-8 line
-//! gets a `bad-request` reply and the daemon reads on.
+//! gets a `bad-request` reply and the daemon reads on. A seeded `resolve`
+//! asks for at most [`MAX_RESOLVE_ACTIONS`] edit actions (default 8): the
+//! delta is generated before the request's budget applies, in time and
+//! memory linear in the count, so a larger `actions` is a `bad-request`.
 //!
 //! Programs are interned with `Box::leak`, because the resident session
 //! needs `'static` borrows. Every `load` leaks its program, and every
@@ -352,6 +355,10 @@ pub struct Server {
 /// larger than this should name a `path` instead.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// The most edit actions a seeded `resolve` may ask for: 128 times the
+/// default of 8.
+pub const MAX_RESOLVE_ACTIONS: usize = 1024;
+
 /// Reads one request line into `buf`, holding at most
 /// [`MAX_REQUEST_BYTES`] of it in memory. `None` at end of input; an
 /// `Err` reason for a line that is too long (the rest of it is skipped)
@@ -573,14 +580,21 @@ impl Server {
                 Err(e) => return Reply::err("delta-decode", &e),
             }
         } else if let Some(seed) = req.get("seed").and_then(Val::as_u64) {
+            let defaults = csc_workloads::DeltaGenConfig::default();
+            let actions = match req.get("actions").map(Val::as_u64) {
+                None => defaults.actions,
+                Some(Some(n)) if n <= MAX_RESOLVE_ACTIONS as u64 => n as usize,
+                Some(_) => {
+                    return Reply::err(
+                        "bad-request",
+                        &format!("`actions` must be an integer from 0 to {MAX_RESOLVE_ACTIONS}"),
+                    )
+                }
+            };
             let cfg = csc_workloads::DeltaGenConfig {
                 seed,
-                actions: req
-                    .get("actions")
-                    .and_then(Val::as_u64)
-                    .map(|n| n as usize)
-                    .unwrap_or(8),
-                removals: true,
+                actions,
+                ..defaults
             };
             csc_workloads::generate_delta(sess.program, &cfg)
         } else {
@@ -770,6 +784,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_flat_objects() {
@@ -798,5 +813,98 @@ mod tests {
         // Round-trip: the reply parses back under the same parser.
         let parsed = parse_object(r#"{"ok":true,"msg":"a\"b\nc","n":7}"#).expect("parses");
         assert_eq!(parsed["msg"], Val::Str("a\"b\nc".into()));
+    }
+
+    /// Characters the escaper and the parser treat specially: quotes,
+    /// backslashes and the multi-byte lengths; control characters and
+    /// plain ASCII come from ranges.
+    const SPECIAL: [char; 6] = ['"', '\\', '\u{7f}', 'é', '€', '😀'];
+
+    fn tricky_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            4 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ASCII")),
+            2 => (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control")),
+            2 => (0..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+        ]
+    }
+
+    fn tricky_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec(tricky_char(), 0..12).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// The values a reply renders: strings, integers an `f64` holds
+    /// exactly, and bools.
+    fn reply_value() -> impl Strategy<Value = Val> {
+        prop_oneof![
+            2 => tricky_string().prop_map(Val::Str),
+            1 => (0u64..1 << 53).prop_map(|n| Val::Num(n as f64)),
+            1 => any::<bool>().prop_map(Val::Bool),
+        ]
+    }
+
+    /// Fragments of flat and not-quite-flat JSON, concatenated in any
+    /// order to reach the parser's error paths. The bare `t`, `f` and `n`
+    /// start literals that the line then cuts short.
+    const TOKENS: [&str; 27] = [
+        "{", "}", "[", "]", "\"", ":", ",", " ", "\\", "\\u", "\\u00e9", "\\ud800", "\"cmd\"",
+        "\"k\":", "true", "fals", "t", "f", "n", "null", "-1.5e3", "1e999", "0x1", "é", "😀",
+        "\u{0}", "\n",
+    ];
+
+    /// Parses `line`, turning a panic into a test failure that names it.
+    fn parse_checked(line: &str) -> Result<BTreeMap<String, Val>, String> {
+        std::panic::catch_unwind(|| parse_object(line))
+            .unwrap_or_else(|_| panic!("parse_object panicked on {line:?}"))
+    }
+
+    proptest! {
+        #[test]
+        fn parse_object_never_panics_on_lossy_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let text = String::from_utf8_lossy(&bytes);
+            // Also start inside an object, so the bytes reach the key,
+            // value and escape paths.
+            for line in [text.to_string(), format!("{{\"{text}"), format!("{{\"k\":{text}")] {
+                let _ = parse_checked(&line);
+            }
+        }
+
+        #[test]
+        fn parse_object_never_panics_on_json_tokens(
+            picks in proptest::collection::vec(0..TOKENS.len(), 0..32),
+        ) {
+            let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            for line in [text.clone(), format!("{{\"k\":{text}")] {
+                let _ = parse_checked(&line);
+            }
+        }
+
+        #[test]
+        fn rendered_replies_parse_back(
+            fields in proptest::collection::vec((tricky_string(), reply_value()), 0..8),
+        ) {
+            let mut reply = Reply::default();
+            let mut want = BTreeMap::new();
+            for (k, v) in fields {
+                match &v {
+                    Val::Str(s) => reply.push_str(&k, s),
+                    Val::Num(n) => reply.push_num(&k, *n as u64),
+                    Val::Bool(b) => reply.push_bool(&k, *b),
+                    Val::Null => unreachable!("replies render no null"),
+                };
+                // A repeated key parses to its last value.
+                want.insert(k, v);
+            }
+            let line = reply.render();
+            prop_assert_eq!(parse_checked(&line), Ok(want), "rendered {}", line);
+            // Every proper prefix lacks the closing brace: an error, not
+            // a panic, wherever the cut lands (inside a literal, a number,
+            // a string or an escape).
+            for (cut, _) in line.char_indices() {
+                let prefix = &line[..cut];
+                prop_assert!(parse_checked(prefix).is_err(), "prefix {prefix:?} parsed");
+            }
+        }
     }
 }

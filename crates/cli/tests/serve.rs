@@ -1,12 +1,13 @@
 //! End-to-end exercise of the `csc serve` daemon over its stdio JSON
-//! protocol: load a benchmark, fold in a delta, query, then inject a
-//! panic into the next re-solve and watch the daemon degrade
-//! gracefully — answering from the last-good snapshot — and recover on
-//! the following resolve. One process for the whole conversation; the
-//! injected panic must not kill it.
+//! protocol: load a benchmark, refuse an oversized edit, fold in a delta,
+//! query, then inject a panic into the next re-solve and watch the daemon
+//! degrade gracefully — answering from the last-good snapshot — and
+//! recover on the following resolve. One process for the whole
+//! conversation; the injected panic must not kill it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 struct Daemon {
     child: Child,
@@ -76,6 +77,20 @@ fn serve_survives_worker_panic_and_recovers() {
     let r = d.roundtrip(r#"{"cmd":"load","bench":"hsqldb"}"#);
     has(&r, r#""ok":true"#);
     has(&r, r#""degraded":false"#);
+    let loaded = field(&r, "reachable").to_owned();
+
+    // An absurd `actions` count is refused before any delta is generated
+    // (generation runs outside the request budget), promptly, and the
+    // session stays as loaded.
+    let t0 = Instant::now();
+    let r = d.roundtrip(r#"{"cmd":"resolve","seed":1,"actions":1e12}"#);
+    has(&r, r#""ok":false"#);
+    has(&r, r#""kind":"bad-request""#);
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(10), "refusal took {took:?}");
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""degraded":false"#);
+    assert_eq!(field(&r, "reachable"), loaded, "session changed: {r}");
 
     // Fold in one synthetic delta; the session advances, and the reply
     // says how the re-solve went.

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the solve lifecycle.
 //!
-//! The failure plane (guarded entry points, typed [`SolveError`]s, cache
-//! degradation, serve-mode snapshots) is only trustworthy if every failure
-//! edge can be exercised on demand, deterministically. This module provides
+//! The failure plane (guarded entry points, typed [`SolveError`]s,
+//! serve-mode snapshots) is only trustworthy if every failure edge can be
+//! exercised on demand, deterministically. This module provides
 //! **named fault points** compiled into the hot paths but reduced to a single
 //! relaxed atomic load when unarmed — effectively free.
 //!
@@ -22,9 +22,10 @@
 //!
 //! * `panic` — panic with a human-readable payload; exercises the poisoned
 //!   path (the guarded entry points).
-//! * `err` — surface a typed error: I/O fault points return `io::Error`,
-//!   propagation fault points unwind with the [`InjectedFault`] marker which
-//!   the catch sites translate into [`SolveError::Fault`] instead of
+//! * `err` — surface a typed error: `delta-decode` returns an `io::Error`,
+//!   which [`decode_delta_guarded`] reports as a string error;
+//!   `worker-round` unwinds with the [`InjectedFault`] marker, which the
+//!   catch sites translate into [`SolveError::Fault`] instead of
 //!   [`SolveError::Poisoned`].
 //! * `delay` — sleep briefly at the fault point; exercises budget/timeout
 //!   interleavings without killing anything.
@@ -33,6 +34,7 @@
 //! schedule fires at the same step of the same solve on every run.
 //!
 //! [`SolveError`]: crate::solver::SolveError
+//! [`decode_delta_guarded`]: crate::decode_delta_guarded
 //! [`SolveError::Fault`]: crate::solver::SolveError::Fault
 //! [`SolveError::Poisoned`]: crate::solver::SolveError::Poisoned
 
@@ -42,10 +44,6 @@ use std::sync::OnceLock;
 /// A named fault point threaded through the solve lifecycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// Reading a solved-result or compiled-IR cache entry.
-    CacheRead,
-    /// Writing (tmp + rename) a cache entry.
-    CacheWrite,
     /// The solver starting one worklist step.
     WorkerRound,
     /// Decoding a `ProgramDelta` byte stream (serve/resolve ingest).
@@ -53,19 +51,12 @@ pub enum FaultPoint {
 }
 
 /// All fault points, in schedule order (used by the chaos matrix).
-pub const ALL_POINTS: [FaultPoint; 4] = [
-    FaultPoint::CacheRead,
-    FaultPoint::CacheWrite,
-    FaultPoint::WorkerRound,
-    FaultPoint::DeltaDecode,
-];
+pub const ALL_POINTS: [FaultPoint; 2] = [FaultPoint::WorkerRound, FaultPoint::DeltaDecode];
 
 impl FaultPoint {
     /// The point's `CSC_FAULT` name.
     pub fn name(self) -> &'static str {
         match self {
-            FaultPoint::CacheRead => "cache-read",
-            FaultPoint::CacheWrite => "cache-write",
             FaultPoint::WorkerRound => "worker-round",
             FaultPoint::DeltaDecode => "delta-decode",
         }
@@ -92,8 +83,8 @@ impl std::fmt::Display for FaultPoint {
 pub enum FaultMode {
     /// Panic with a string payload (exercises the poisoned path).
     Panic,
-    /// Typed error: `io::Error` at I/O points, [`InjectedFault`] unwind at
-    /// propagation points.
+    /// Typed error: `io::Error` at `delta-decode`, [`InjectedFault`]
+    /// unwind at `worker-round`.
     Err,
     /// Sleep ~5ms at the fault point (exercises budget interleavings).
     Delay,
@@ -265,9 +256,9 @@ pub fn hit(point: FaultPoint) {
     }
 }
 
-/// Fault hook for I/O-side points: `err` mode surfaces as an `io::Error`
-/// (which cache paths treat as a miss), `panic` mode panics (cache paths
-/// catch it), `delay` sleeps. No-op when unarmed.
+/// Fault hook for I/O-side points (`delta-decode`): `err` mode surfaces
+/// as an `io::Error`, `panic` mode panics (the caller's guard catches
+/// it), `delay` sleeps. No-op when unarmed.
 pub fn hit_io(point: FaultPoint) -> std::io::Result<()> {
     match fires(point) {
         None => Ok(()),

@@ -70,10 +70,7 @@ pub use csc::{pattern_methods, rebase_compatible, CscConfig, CscStats, CutShortc
 pub use fault::{FaultMode, FaultPoint};
 pub use mem::{peak_rss_kb, reset_peak_rss};
 pub use pts::PointsToSet;
-pub use results::{
-    load_result, result_cache_dir, result_cache_enabled, result_cache_key, store_result,
-    SolvedSummary,
-};
+pub use results::SolvedSummary;
 pub use scc::OnlineScc;
 pub use solver::incr::Resolved;
 pub use solver::{

@@ -15,7 +15,7 @@
 //! The fast tests additionally force a tiny condensation epoch
 //! (`SolverOptions::with_epoch`) so merge/catch-up paths run even on small
 //! programs; the full-suite test uses the production (adaptive) epoch.
-//! Programs come from the process-wide compiled-IR cache
+//! Programs come from the process-wide compiled-IR map
 //! (`csc_workloads::compiled`), so each benchmark is lowered once per test
 //! process, not once per configuration.
 

@@ -1,13 +1,13 @@
 //! Chaos matrix for the deterministic fault-injection layer.
 //!
 //! Every leg arms exactly one fault (`point`, `nth`, `mode`), runs a
-//! solve (or the cache / delta-decode driver the point lives on), and
+//! solve (or the delta decoder the `delta-decode` point lives on), and
 //! asserts the failure-plane contract:
 //!
 //! 1. the process survives — no injected fault escapes the typed plane;
 //! 2. if the fault fired, the failure is *typed*: `err` mode surfaces as
-//!    [`SolveError::Fault`] naming the point (or a clean cache miss /
-//!    string error on the I/O points), `panic` mode as
+//!    [`SolveError::Fault`] naming the point (or a string error from the
+//!    delta decoder), `panic` mode as
 //!    [`SolveError::Poisoned`] carrying the payload;
 //! 3. a clean retry immediately afterwards completes and is
 //!    bit-identical to an undisturbed baseline solve (full projected
@@ -91,32 +91,6 @@ fn solve_leg(program: &Program, nth: u64, mode: FaultMode, baseline: &SolvedSumm
         sum.call_edges, baseline.call_edges,
         "{leg}: retry call graph differs"
     );
-}
-
-/// Cache-point legs: the solved-result cache must treat any injected
-/// failure as a miss — reads return `None`, writes give up silently —
-/// and a clean round-trip afterwards still works.
-fn cache_leg(dir: &std::path::Path, summary: &SolvedSummary, mode: FaultMode) {
-    for point in [FaultPoint::CacheRead, FaultPoint::CacheWrite] {
-        fault::clear_all();
-        fault::arm(point, 1, mode);
-        if point == FaultPoint::CacheRead {
-            assert!(
-                csc_core::load_result(dir, 0xfau64).is_none(),
-                "injected {mode:?} read fault must be a miss"
-            );
-        } else {
-            // Must not panic; the write is allowed to be dropped.
-            csc_core::store_result(dir, 0xfbu64, summary);
-        }
-        assert!(fault::fired(point), "{point:?}/{mode:?} must fire");
-        fault::clear_all();
-    }
-    // Clean round-trip after the chaos.
-    csc_core::store_result(dir, 0xfcu64, summary);
-    let back = csc_core::load_result(dir, 0xfcu64).expect("clean cache round-trip");
-    assert_eq!(back.pts, summary.pts);
-    assert_eq!(back.call_edges, summary.call_edges);
 }
 
 /// Delta-decode legs: `err` becomes a string error, `panic` stays a
@@ -212,8 +186,6 @@ fn chaos_smoke() {
     let base = baseline(program);
     solve_leg(program, 1, FaultMode::Panic, &base);
     solve_leg(program, 1, FaultMode::Err, &base);
-    let dir = csc_core::result_cache_dir().join("chaos-smoke");
-    cache_leg(&dir, &base, FaultMode::Err);
     delta_leg(&delta_bytes, FaultMode::Err);
     fault::clear_all();
 }
@@ -227,16 +199,11 @@ fn chaos_matrix() {
     let _quiet = QuietPanics::install();
     let (program, delta_bytes) = fixture();
     let base = baseline(program);
-    let modes = [FaultMode::Panic, FaultMode::Err];
-    for mode in modes {
+    for mode in [FaultMode::Panic, FaultMode::Err] {
         solve_leg(program, 1, mode, &base);
         // Deeper strike: let a few steps of work land first, so the
         // unwound state is non-trivial when the fault hits.
         solve_leg(program, 4, mode, &base);
-    }
-    let dir = csc_core::result_cache_dir().join("chaos-matrix");
-    for mode in modes {
-        cache_leg(&dir, &base, mode);
         delta_leg(&delta_bytes, mode);
     }
     fault::clear_all();

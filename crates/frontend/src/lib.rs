@@ -46,14 +46,3 @@ pub use error::{FrontendError, Pos, Result};
 pub use lexer::{lex, Tok, Token};
 pub use lower::{compile, lower};
 pub use parser::parse;
-
-/// Fingerprint of the *observable lowering semantics* of this frontend.
-///
-/// Bump it with any change that alters the IR produced for an unchanged
-/// source program (new desugarings, statement ordering, id assignment,
-/// hierarchy resolution). Consumers that persist lowered IR — the
-/// `csc_workloads` on-disk compiled-IR cache — mix this into their cache
-/// keys, so stale entries from an older lowering can never be mistaken
-/// for fresh output (the `csc-ir` codec version only guards the byte
-/// *layout*, not what the frontend put in it).
-pub const LOWERING_VERSION: u32 = 1;

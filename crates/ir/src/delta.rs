@@ -22,11 +22,14 @@
 //!   incremental and the from-scratch solver consume the same patched
 //!   program, so the orphans are observationally irrelevant.
 //!
-//! The binary codec (`to_bytes`/`from_bytes`) mirrors
-//! [`crate::Program::to_bytes`]: versioned magic header, little-endian,
-//! every read bounds-checked.
+//! The binary codec (`to_bytes`/`from_bytes`) is deliberately dumb: a
+//! versioned magic header, little-endian fixed-width integers,
+//! length-prefixed strings, one tag byte per enum variant. Every read is
+//! bounds-checked, so truncated or corrupt input is a [`DecodeError`],
+//! never a panic.
 
-use crate::bytes::DecodeError;
+use std::fmt;
+
 use crate::ids::{CallSiteId, CastId, ClassId, FieldId, LoadId, MethodId, ObjId, StoreId, VarId};
 use crate::program::{
     CallSite, CastSite, Class, Field, LoadSite, Method, MethodKind, ObjInfo, Program, StoreSite,
@@ -646,6 +649,32 @@ fn rebuild_vtables(p: &mut Program) {
 
 const MAGIC: &[u8; 6] = b"CSCDL\0";
 const VERSION: u32 = 1;
+
+/// Why a byte stream failed to decode as a [`ProgramDelta`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The magic header or format version did not match.
+    BadHeader,
+    /// The stream ended before the structure was complete.
+    UnexpectedEof,
+    /// An enum tag byte had no corresponding variant.
+    BadTag(u8),
+    /// A structurally invalid payload, such as a non-UTF-8 string.
+    Corrupt(&'static str),
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DecodeError::BadHeader => write!(f, "bad magic or unsupported format version"),
+            DecodeError::UnexpectedEof => write!(f, "unexpected end of input"),
+            DecodeError::BadTag(t) => write!(f, "unknown enum tag {t}"),
+            DecodeError::Corrupt(what) => write!(f, "corrupt delta encoding: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
 
 struct W {
     buf: Vec<u8>,

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod bytes;
 mod delta;
 mod display;
 mod ids;
@@ -57,8 +56,9 @@ mod stmt;
 mod ty;
 
 pub use builder::{BuildError, MethodBuilder, ProgramBuilder};
-pub use bytes::DecodeError;
-pub use delta::{DeltaEffects, DeltaError, DeltaOp, DeltaStmt, EntityCounts, ProgramDelta};
+pub use delta::{
+    DecodeError, DeltaEffects, DeltaError, DeltaOp, DeltaStmt, EntityCounts, ProgramDelta,
+};
 pub use ids::{CallSiteId, CastId, ClassId, FieldId, LoadId, MethodId, ObjId, StoreId, VarId};
 pub use program::{
     CallSite, CastSite, Class, Field, LoadSite, Method, MethodKind, ObjInfo, Program, SigId,
