@@ -40,9 +40,10 @@
 //! `peak_rss_kb` growth beyond the tolerance fails the run when the
 //! hardware fingerprints match (downgraded to a warning otherwise, like
 //! wall-clock — RSS depends on the allocator and page behaviour), and
-//! `pts_bytes` growth always fails. `peak_rss_kb` is the row's own peak:
-//! `table_main` resets the high-water mark before each row. `edge_bytes`
-//! and `shared_chunks` are informational. Rows where either snapshot
+//! `pts_bytes` growth always fails. `peak_rss_kb` is not the row's own
+//! peak: `table_main`'s reset before each row only lowers the high-water
+//! mark to the current RSS, so a row can carry an earlier row's heap.
+//! `edge_bytes` and `shared_chunks` are informational. Rows where either snapshot
 //! predates a memory field print `-` for it and never gate.
 
 use std::collections::BTreeMap;

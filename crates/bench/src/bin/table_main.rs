@@ -5,9 +5,10 @@
 //! Besides the human-readable table, the run writes a machine-readable
 //! perf snapshot to `BENCH_main.json` (path overridable via
 //! `CSC_BENCH_JSON`) so CI can track wall-clock and precision drift.
-//! Each row's `peak_rss_kb` is that row's own peak: the high-water mark
-//! is reset before every row. `CSC_XL=1` appends the 10⁵+-statement `xl`
-//! program.
+//! Each row's `peak_rss_kb` is the process's high-water mark after the
+//! row. It is not the row's own peak: the reset before every row only
+//! lowers the mark to the current RSS, which still holds the heap earlier
+//! rows freed. `CSC_XL=1` appends the 10⁵+-statement `xl` program.
 
 use std::fmt::Write as _;
 

@@ -13,7 +13,10 @@
 //! * **Graceful degradation.** `resolve` is transactional: a timed-out
 //!   or panicked re-solve leaves the resident program and the
 //!   last-good snapshot untouched, answers from that snapshot, and marks
-//!   the session `degraded: true` until a later resolve succeeds.
+//!   the session `degraded: true` until a later resolve succeeds. A
+//!   panic while a completed re-solve's snapshot is advanced drops the
+//!   snapshot instead of leaving it half-patched: queries then fail with
+//!   `no-snapshot` until the next successful resolve captures it afresh.
 //! * **Request-scoped panic isolation.** Every request runs behind a
 //!   panic guard (the solve paths through `run_analysis_guarded` /
 //!   `resolve_analysis_guarded`, the dispatch itself behind one more
@@ -34,23 +37,33 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! Every reply carries `"ok"` and, once a session exists, `"degraded"`. A
-//! successful `resolve` also reports its mode (`incremental`, `full`, or
-//! `fallback:<reason>`), `resolve_ms` (wall time of the re-solve),
-//! `propagations` (this resolve's own), and `cone_ptrs` (pointers its
-//! removal cone reset; 0 without removals or on a full solve). Request
-//! lines are capped at [`MAX_REQUEST_BYTES`]; a longer or non-UTF-8 line
-//! gets a `bad-request` reply and the daemon reads on. A seeded `resolve`
-//! asks for at most [`MAX_RESOLVE_ACTIONS`] edit actions (default 8): the
-//! delta is generated before the request's budget applies, in time and
-//! memory linear in the count, so a larger `actions` is a `bad-request`.
+//! Every reply carries `"ok"`, `elapsed_ms` (the time spent handling the
+//! request) and, once a session exists, `"degraded"`. A successful
+//! `resolve` also reports its mode (`incremental`, `full`, or
+//! `fallback:<reason>`), `apply_ms` (applying the delta to the resident
+//! program), `resolve_ms` (wall time of the re-solve), `snapshot_ms`
+//! (bringing the query snapshot up to date), `snapshot_vars` (the
+//! variables re-projected: after an incremental resolve only those whose
+//! points-to sets it changed, after a full solve every variable),
+//! `propagations` (this resolve's own), and `cone_ptrs`
+//! (pointers its removal cone reset; 0 without removals or on a full
+//! solve). Request lines are capped at [`MAX_REQUEST_BYTES`]; a longer or
+//! non-UTF-8 line gets a `bad-request` reply and the daemon reads on. A
+//! seeded `resolve` asks for at most [`MAX_RESOLVE_ACTIONS`] edit actions
+//! (default 8): the delta is generated before the request's budget
+//! applies, in time and memory linear in the count, so a larger `actions`
+//! is a `bad-request`.
+//!
+//! The snapshot is captured in full at `load` and advanced in place
+//! ([`SolvedSummary::advance`]) after every successful `resolve`, in time
+//! proportional to what the resolve changed.
 //!
 //! Programs are interned with `Box::leak`, because the resident session
 //! needs `'static` borrows. Every `load` leaks its program, and every
 //! `resolve` whose delta applies leaks the patched program, whether or
 //! not the solve then succeeds. None is reclaimed before process exit, so
 //! the daemon grows by one program per `load` and per `resolve` (about
-//! 3.3 MB per resolve on the benchmark's jedit-scale `serve-edit`
+//! 3.0 MB per resolve on the benchmark's jedit-scale `serve-edit`
 //! workload). The ROADMAP item "Own the program; a daemon in bounded
 //! memory" (`SolverState` holding an `Arc<Program>`) removes these leaks.
 
@@ -295,6 +308,11 @@ impl Reply {
         self.push_raw(k, v.into().to_string())
     }
 
+    /// A duration in milliseconds, to the microsecond.
+    fn push_ms(&mut self, k: &str, d: Duration) -> &mut Self {
+        self.push_raw(k, format!("{:.3}", d.as_secs_f64() * 1e3))
+    }
+
     fn push_bool(&mut self, k: &str, v: bool) -> &mut Self {
         self.push_raw(k, if v { "true" } else { "false" })
     }
@@ -326,8 +344,11 @@ struct Session {
     /// The resident solver state. `None` after a failed resolve consumed
     /// it — the next resolve then falls back to a from-scratch solve.
     outcome: Option<AnalysisOutcome<'static>>,
-    /// Last-good published projections; the query plane.
-    snapshot: SolvedSummary,
+    /// Last-good published projections; the query plane. `None` only
+    /// after a panic escaped [`SolvedSummary::advance`], which patches it
+    /// in place: queries then fail with `no-snapshot` until the next
+    /// successful resolve captures it afresh.
+    snapshot: Option<SolvedSummary>,
     /// True while the snapshot is stale relative to the latest requested
     /// (but failed) edit; cleared by the next successful resolve.
     degraded: bool,
@@ -424,7 +445,9 @@ impl Server {
         let mut stdout = std::io::stdout().lock();
         let mut buf = Vec::new();
         loop {
-            let (reply, shutdown) = match read_request(&mut stdin, &mut buf) {
+            let request = read_request(&mut stdin, &mut buf);
+            let t0 = Instant::now();
+            let (mut reply, shutdown) = match request {
                 Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
                 Ok(Some(Ok(line))) => {
                     self.counters.requests += 1;
@@ -436,6 +459,7 @@ impl Server {
                 }
                 Ok(None) | Err(_) => break,
             };
+            reply.push_ms("elapsed_ms", t0.elapsed());
             let _ = writeln!(stdout, "{}", reply.render());
             let _ = stdout.flush();
             if shutdown {
@@ -549,7 +573,7 @@ impl Server {
                     program,
                     analysis,
                     outcome: Some(out),
-                    snapshot,
+                    snapshot: Some(snapshot),
                     degraded: false,
                 });
                 r
@@ -600,10 +624,12 @@ impl Server {
         } else {
             return Reply::err("bad-request", "resolve needs `delta_file` or `seed`");
         };
+        let t_apply = Instant::now();
         let (patched, fx) = match delta.apply(sess.program) {
             Ok(pair) => pair,
             Err(e) => return Reply::err("delta-apply", &e.to_string()),
         };
+        let apply_time = t_apply.elapsed();
         let patched: &'static Program = Box::leak(Box::new(patched));
         // The attempt consumes the resident outcome; a previous failure
         // left `None`, in which case the candidate is solved from scratch.
@@ -630,9 +656,23 @@ impl Server {
         };
         match attempt {
             Ok(out) if out.completed() => {
-                let resolve_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let resolve_time = t0.elapsed();
+                let t_snap = Instant::now();
+                // Out of the session while it is patched, so that a panic
+                // inside leaves no half-patched snapshot to answer from.
+                let (snapshot, snapshot_vars) = match sess.snapshot.take() {
+                    Some(mut snap) => {
+                        let n = snap.advance(patched, &out.result);
+                        (snap, n)
+                    }
+                    None => {
+                        let snap = SolvedSummary::capture(patched, &out.result);
+                        let n = snap.pts.len();
+                        (snap, n)
+                    }
+                };
+                let snapshot_time = t_snap.elapsed();
                 sess.program = patched;
-                sess.snapshot = SolvedSummary::capture(patched, &out.result);
                 sess.degraded = false;
                 let stats = out.result.state.stats;
                 sess.outcome = Some(out);
@@ -654,9 +694,13 @@ impl Server {
                         stats.propagations
                     }
                 };
-                r.push_num("reachable", sess.snapshot.reachable.len() as u64);
-                r.push_num("call_edges", sess.snapshot.call_edges.len() as u64);
-                r.push_raw("resolve_ms", format!("{resolve_ms:.3}"));
+                r.push_num("reachable", snapshot.reachable.len() as u64);
+                r.push_num("call_edges", snapshot.call_edges.len() as u64);
+                sess.snapshot = Some(snapshot);
+                r.push_ms("apply_ms", apply_time);
+                r.push_ms("resolve_ms", resolve_time);
+                r.push_ms("snapshot_ms", snapshot_time);
+                r.push_num("snapshot_vars", snapshot_vars as u64);
                 r.push_num("propagations", propagations);
                 r.push_num("cone_ptrs", stats.incr_cone_ptrs);
                 self.counters.resolves_ok += 1;
@@ -678,14 +722,22 @@ impl Server {
         r.push_bool("degraded", true);
         r.push_str("kind", kind);
         r.push_str("error", msg);
-        r.push_num("reachable", sess.snapshot.reachable.len() as u64);
-        r.push_num("call_edges", sess.snapshot.call_edges.len() as u64);
+        if let Some(snap) = &sess.snapshot {
+            r.push_num("reachable", snap.reachable.len() as u64);
+            r.push_num("call_edges", snap.call_edges.len() as u64);
+        }
         r
     }
 
     fn query(&mut self, req: &BTreeMap<String, Val>) -> Reply {
         let Some(sess) = self.session.as_ref() else {
             return Reply::err("bad-request", "no session loaded");
+        };
+        let Some(snap) = &sess.snapshot else {
+            return Reply::err(
+                "no-snapshot",
+                "a panic interrupted the snapshot's update; the next successful resolve rebuilds it",
+            );
         };
         let kind = req.get("kind").and_then(Val::as_str).unwrap_or("points-to");
         let mut r = Reply::ok(true);
@@ -715,7 +767,7 @@ impl Server {
                         &format!("unknown variable {var} in {class}.{method}"),
                     );
                 };
-                let mut objs: Vec<String> = sess.snapshot.pts[v.index()]
+                let mut objs: Vec<String> = snap.pts[v.index()]
                     .iter()
                     .map(|&o| {
                         format!(
@@ -730,11 +782,11 @@ impl Server {
                 r.push_str_list("objects", &objs);
             }
             "call-graph" => {
-                r.push_num("reachable", sess.snapshot.reachable.len() as u64);
-                r.push_num("edges", sess.snapshot.call_edges.len() as u64);
+                r.push_num("reachable", snap.reachable.len() as u64);
+                r.push_num("edges", snap.call_edges.len() as u64);
             }
             "casts" => {
-                let m = &sess.snapshot.metrics;
+                let m = &snap.metrics;
                 r.push_num("fail_casts", m.fail_casts as u64);
                 r.push_num("poly_calls", m.poly_calls as u64);
             }
@@ -753,9 +805,11 @@ impl Server {
             Some(sess) => {
                 r.push_bool("loaded", true);
                 r.push_bool("degraded", sess.degraded);
-                r.push_str("analysis", &sess.snapshot.analysis);
-                r.push_num("vars", sess.snapshot.pts.len() as u64);
-                r.push_num("reachable", sess.snapshot.reachable.len() as u64);
+                if let Some(snap) = &sess.snapshot {
+                    r.push_str("analysis", &snap.analysis);
+                    r.push_num("vars", snap.pts.len() as u64);
+                    r.push_num("reachable", snap.reachable.len() as u64);
+                }
             }
             None => {
                 r.push_bool("loaded", false);
@@ -813,6 +867,44 @@ mod tests {
         // Round-trip: the reply parses back under the same parser.
         let parsed = parse_object(r#"{"ok":true,"msg":"a\"b\nc","n":7}"#).expect("parses");
         assert_eq!(parsed["msg"], Val::Str("a\"b\nc".into()));
+    }
+
+    /// What a panic inside [`SolvedSummary::advance`] leaves: no resident
+    /// outcome and no snapshot. Queries fail with `no-snapshot` rather
+    /// than answer from a half-patched one, and the next successful
+    /// resolve captures the snapshot in full.
+    #[test]
+    fn lost_snapshot_fails_queries_until_a_resolve_recaptures_it() {
+        let mut server = Server::new(Analysis::Ci, None);
+        let send = |server: &mut Server, line: &str| {
+            let reply = server.dispatch_guarded(line).0.render();
+            parse_object(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"))
+        };
+        let loaded = send(&mut server, r#"{"cmd":"load","bench":"hsqldb"}"#);
+        assert_eq!(loaded["ok"], Val::Bool(true));
+        let sess = server.session.as_mut().expect("loaded");
+        sess.outcome = None;
+        sess.snapshot = None;
+
+        for query in [
+            r#"{"cmd":"query","kind":"call-graph"}"#,
+            r#"{"cmd":"query","kind":"casts"}"#,
+            r#"{"cmd":"query","kind":"points-to","var":"Main.main.r0"}"#,
+        ] {
+            let r = send(&mut server, query);
+            assert_eq!(r["kind"], Val::Str("no-snapshot".into()), "{query}");
+        }
+        let stats = send(&mut server, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats["loaded"], Val::Bool(true));
+        assert!(!stats.contains_key("vars"), "no snapshot to count");
+
+        let r = send(&mut server, r#"{"cmd":"resolve","seed":42}"#);
+        assert_eq!(r["resolve"], Val::Str("full".into()));
+        let stats = send(&mut server, r#"{"cmd":"stats"}"#);
+        assert_eq!(r["snapshot_vars"].as_u64(), stats["vars"].as_u64());
+        let r = send(&mut server, r#"{"cmd":"query","kind":"call-graph"}"#);
+        assert_eq!(r["ok"], Val::Bool(true));
+        assert_eq!(r["degraded"], Val::Bool(false));
     }
 
     /// Characters the escaper and the parser treat specially: quotes,

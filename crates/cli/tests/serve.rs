@@ -3,7 +3,8 @@
 //! query, then inject a panic into the next re-solve and watch the daemon
 //! degrade gracefully — answering from the last-good snapshot — and
 //! recover on the following resolve. One process for the whole
-//! conversation; the injected panic must not kill it.
+//! conversation; the injected panic must not kill it. A second daemon
+//! that folds in the same edits with no fault must then answer the same.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -34,7 +35,8 @@ impl Daemon {
         }
     }
 
-    /// Sends one request line and returns the reply line.
+    /// Sends one request line and returns the reply line, which must say
+    /// how long the daemon spent on it.
     fn roundtrip(&mut self, req: &str) -> String {
         writeln!(self.stdin, "{req}").expect("daemon accepts request");
         self.stdin.flush().expect("flush");
@@ -44,7 +46,32 @@ impl Daemon {
             !line.is_empty(),
             "daemon closed its stdout instead of replying to {req}"
         );
-        line.trim().to_owned()
+        let line = line.trim().to_owned();
+        non_negative(&line, "elapsed_ms");
+        line
+    }
+
+    /// The daemon's answers to a fixed set of queries, without their
+    /// timings: the call graph, the casts, and a few variables' points-to
+    /// sets.
+    fn answers(&mut self) -> Vec<String> {
+        let queries = [
+            r#"{"cmd":"query","kind":"call-graph"}"#,
+            r#"{"cmd":"query","kind":"casts"}"#,
+            r#"{"cmd":"query","kind":"points-to","var":"Main.main.r0"}"#,
+            r#"{"cmd":"query","kind":"points-to","var":"Scene0.run.got"}"#,
+            r#"{"cmd":"query","kind":"points-to","var":"Scene0.run.mixed"}"#,
+            r#"{"cmd":"query","kind":"points-to","var":"Registry.crossTouch.a"}"#,
+        ];
+        queries
+            .iter()
+            .map(|q| {
+                let r = self.roundtrip(q);
+                has(&r, r#""ok":true"#);
+                let elapsed = format!(r#","elapsed_ms":{}"#, field(&r, "elapsed_ms"));
+                r.replace(&elapsed, "")
+            })
+            .collect()
     }
 }
 
@@ -55,6 +82,17 @@ fn field<'r>(reply: &'r str, key: &str) -> &'r str {
         .nth(1)
         .unwrap_or_else(|| panic!("no `{key}` in reply: {reply}"));
     tail.split([',', '}']).next().unwrap_or_default()
+}
+
+/// The value of `"key":` in a flat reply, which must be a non-negative
+/// number.
+fn non_negative(reply: &str, key: &str) -> f64 {
+    let value = field(reply, key);
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|v| *v >= 0.0)
+        .unwrap_or_else(|| panic!("`{key}` must be a non-negative number in: {reply}"))
 }
 
 /// Asserts `reply` contains the literal `"key":value` fragment.
@@ -93,16 +131,19 @@ fn serve_survives_worker_panic_and_recovers() {
     assert_eq!(field(&r, "reachable"), loaded, "session changed: {r}");
 
     // Fold in one synthetic delta; the session advances, and the reply
-    // says how the re-solve went.
+    // says how the re-solve went and where its time went.
     let r = d.roundtrip(r#"{"cmd":"resolve","seed":42}"#);
     has(&r, r#""ok":true"#);
     has(&r, r#""degraded":false"#);
-    for key in ["resolve_ms", "propagations", "cone_ptrs"] {
-        let value = field(&r, key);
-        assert!(
-            value.parse::<f64>().is_ok_and(|v| v >= 0.0),
-            "`{key}` must be a non-negative number in: {r}"
-        );
+    for key in [
+        "apply_ms",
+        "resolve_ms",
+        "snapshot_ms",
+        "snapshot_vars",
+        "propagations",
+        "cone_ptrs",
+    ] {
+        non_negative(&r, key);
     }
     let healthy = d.roundtrip(r#"{"cmd":"query","kind":"call-graph"}"#);
     has(&healthy, r#""ok":true"#);
@@ -135,10 +176,10 @@ fn serve_survives_worker_panic_and_recovers() {
 
     // The fault is spent; re-sending the same edit recovers the session
     // (via a from-scratch solve, since the poisoned outcome was dropped).
-    let r = d.roundtrip(r#"{"cmd":"resolve","seed":43}"#);
-    has(&r, r#""ok":true"#);
-    has(&r, r#""degraded":false"#);
-    has(&r, r#""resolve":"full""#);
+    let recovery = d.roundtrip(r#"{"cmd":"resolve","seed":43}"#);
+    has(&recovery, r#""ok":true"#);
+    has(&recovery, r#""degraded":false"#);
+    has(&recovery, r#""resolve":"full""#);
     let r = d.roundtrip(r#"{"cmd":"query","kind":"call-graph"}"#);
     has(&r, r#""degraded":false"#);
 
@@ -148,10 +189,41 @@ fn serve_survives_worker_panic_and_recovers() {
     has(&r, r#""resolves_failed":1"#);
     has(&r, r#""request_panics":0"#);
 
-    let r = d.roundtrip(r#"{"cmd":"shutdown"}"#);
-    has(&r, r#""shutdown":true"#);
-    let status = d.child.wait().expect("daemon exits");
-    assert!(status.success(), "daemon must exit cleanly after shutdown");
+    // The full solve re-captured the whole snapshot; the next resolve,
+    // incremental on top of it, re-projects only what it changed.
+    let vars = non_negative(&r, "vars");
+    assert_eq!(
+        non_negative(&recovery, "snapshot_vars"),
+        vars,
+        "a full solve re-projects every variable: {recovery}"
+    );
+    let r = d.roundtrip(r#"{"cmd":"resolve","seed":44}"#);
+    has(&r, r#""ok":true"#);
+    has(&r, r#""resolve":"incremental""#);
+    assert!(
+        non_negative(&r, "snapshot_vars") < vars,
+        "an incremental resolve re-projected every variable: {r}"
+    );
+    let recovered = d.answers();
+
+    // A daemon that folds in the same edits without the fault answers
+    // the same.
+    let mut clean = Daemon::spawn();
+    let r = clean.roundtrip(r#"{"cmd":"load","bench":"hsqldb"}"#);
+    has(&r, r#""ok":true"#);
+    for seed in [42, 43, 44] {
+        let r = clean.roundtrip(&format!(r#"{{"cmd":"resolve","seed":{seed}}}"#));
+        has(&r, r#""ok":true"#);
+        has(&r, r#""degraded":false"#);
+    }
+    assert_eq!(recovered, clean.answers(), "the two daemons disagree");
+
+    for mut daemon in [d, clean] {
+        let r = daemon.roundtrip(r#"{"cmd":"shutdown"}"#);
+        has(&r, r#""shutdown":true"#);
+        let status = daemon.child.wait().expect("daemon exits");
+        assert!(status.success(), "daemon must exit cleanly after shutdown");
+    }
 }
 
 /// Bad request lines are answered, not fatal: a line that is not UTF-8

@@ -3,7 +3,7 @@
 //! (#reach-mtd), devirtualization (#poly-call), and call-graph construction
 //! (#call-edge). For every metric, smaller is better.
 
-use csc_ir::{CallKind, CallSiteId, MethodId, ObjId, Program, Type};
+use csc_ir::{CallKind, CallSiteId, CastSite, MethodId, ObjId, Program, Type};
 
 use crate::solver::PtaResult;
 
@@ -67,14 +67,22 @@ pub fn fail_casts(program: &Program, pts: &[Vec<ObjId>], reachable: &[MethodId])
     program
         .casts()
         .iter()
-        .filter(|cast| {
-            reachable.binary_search(&cast.method()).is_ok()
-                && pts[cast.rhs().index()].iter().any(|&o| {
-                    let ty = Type::Class(program.obj(o).class());
-                    !program.is_subtype(ty, cast.ty())
-                })
-        })
+        .filter(|cast| cast_may_fail(program, pts, reachable, cast))
         .count()
+}
+
+/// Whether one cast site may fail (see [`fail_casts`]).
+pub(crate) fn cast_may_fail(
+    program: &Program,
+    pts: &[Vec<ObjId>],
+    reachable: &[MethodId],
+    cast: &CastSite,
+) -> bool {
+    reachable.binary_search(&cast.method()).is_ok()
+        && pts[cast.rhs().index()].iter().any(|&o| {
+            let ty = Type::Class(program.obj(o).class());
+            !program.is_subtype(ty, cast.ty())
+        })
 }
 
 /// The number of virtual call sites that resolve to more than one callee
@@ -82,10 +90,26 @@ pub fn fail_casts(program: &Program, pts: &[Vec<ObjId>], reachable: &[MethodId])
 pub fn poly_calls(program: &Program, call_edges: &[(CallSiteId, MethodId)]) -> usize {
     call_edges
         .chunk_by(|a, b| a.0 == b.0)
-        .filter(|targets| {
-            targets.len() > 1 && program.call_site(targets[0].0).kind() == CallKind::Virtual
-        })
+        .filter(|targets| is_poly(program, targets[0].0, targets.len()))
         .count()
+}
+
+/// Whether `site` counts in [`poly_calls`] of `call_edges` (ascending,
+/// deduplicated); its callees are found by binary search.
+pub(crate) fn site_is_poly(
+    program: &Program,
+    call_edges: &[(CallSiteId, MethodId)],
+    site: CallSiteId,
+) -> bool {
+    let from = call_edges.partition_point(|e| e.0 < site);
+    let targets = call_edges[from..].partition_point(|e| e.0 == site);
+    is_poly(program, site, targets)
+}
+
+/// Whether a call site with `targets` callees is a polymorphic call: a
+/// virtual call with more than one.
+fn is_poly(program: &Program, site: CallSiteId, targets: usize) -> bool {
+    targets > 1 && program.call_site(site).kind() == CallKind::Virtual
 }
 
 #[cfg(test)]

@@ -70,6 +70,15 @@
 //! re-derived cycle again. Stateful plugins veto removals (and
 //! incompatible additions) through [`Plugin::rebase`]
 //! ([`FallbackReason::CscObligations`]).
+//!
+//! ## What a resolve changed
+//!
+//! From the rebase on, the state keeps a `Changes` log: the pointers
+//! whose points-to set or representative changed, the call edges and
+//! units the reset removed, and where the resolve's appended call edges
+//! and units start in the state's logs. [`crate::SolvedSummary::advance`]
+//! patches a snapshot of the base state from it instead of re-projecting
+//! every variable. A full solve keeps no log.
 
 use std::time::Instant;
 
@@ -82,6 +91,7 @@ use super::{
 use crate::context::{CallInfo, ContextSelector, CtxId};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::pts::PointsToSet;
+use crate::results::Diff;
 
 /// Outcome of [`Solver::resolve`].
 // One value exists per resolve call and it is destructured immediately by
@@ -191,6 +201,50 @@ struct Removed {
     /// The old points-to sets of the reset `this` pointers, as the
     /// objects not yet re-derived (the replay drains them).
     old_this: FxHashMap<u32, Vec<u32>>,
+}
+
+/// What one incremental resolve changed, from the rebase to the end of
+/// its drain.
+pub(crate) struct Changes {
+    /// The base state's [`SolverState::version`].
+    pub(crate) base: (u64, u64),
+    /// Cast sites of the base program; later ids were appended.
+    pub(crate) base_casts: usize,
+    /// `marked[p]`: pointer `p`'s set or representative may have changed.
+    /// Grows with the pointer table; dropped once the drain is over.
+    marked: Vec<bool>,
+    /// The marked pointers. Once the drain is over, only the variable
+    /// pointers whose projection may differ from the base state's.
+    pub(crate) ptrs: Vec<u32>,
+    /// Every cone pointer, with its representative before the reset.
+    reset: Vec<(u32, u32)>,
+    /// The non-empty sets the reset cleared, by representative.
+    reset_sets: FxHashMap<u32, PointsToSet>,
+    /// The call edges the reset removed.
+    removed_edges: FxHashSet<(CtxId, CallSiteId, CtxId, MethodId)>,
+    /// The units the reset removed.
+    removed_units: Vec<(CtxId, MethodId)>,
+    /// Where the call edges the resolve appended start in the state's log.
+    edges_from: usize,
+    /// Where the units the resolve made reachable start in the state's
+    /// log.
+    units_from: usize,
+}
+
+impl Changes {
+    /// Marks pointer `p`: a step grew its set, a condensation epoch
+    /// merged it, or the reset cleared it (splitting its SCC, whose
+    /// members are all in the cone).
+    pub(crate) fn mark(&mut self, p: u32) {
+        let i = p as usize;
+        if i >= self.marked.len() {
+            self.marked.resize(i + 1, false);
+        }
+        if !self.marked[i] {
+            self.marked[i] = true;
+            self.ptrs.push(p);
+        }
+    }
 }
 
 /// The contexts each of `methods` is reachable under, from one pass over
@@ -423,7 +477,8 @@ fn compute_cone(st: &SolverState<'_>, fx: &DeltaEffects) -> Cone {
 /// and clock are reset (the drain re-stamps the timing stats). Everything
 /// else — interned pointers and objects, points-to sets, PFG, call graph,
 /// reachability, SCC structure, slot plane — carries over verbatim (entity
-/// ids are append-only across a delta).
+/// ids are append-only across a delta). From here on the state logs what
+/// the resolve changes.
 fn rebase_state<'p>(
     old: SolverState<'_>,
     patched: &'p Program,
@@ -459,11 +514,25 @@ fn rebase_state<'p>(
         stats,
         budget: _,
         started: _,
+        lineage,
+        changes: _,
     } = old;
     ci_var_ptrs.resize(patched.vars().len(), ABSENT);
     ci_objs.resize(patched.objs().len(), ABSENT);
     reachable_ci.resize(patched.methods().len(), false);
     stmts.patch(patched, fx);
+    let changes = Changes {
+        base: (lineage, stats.incr_resolves),
+        base_casts: fx.base.casts,
+        marked: Vec::new(),
+        ptrs: Vec::new(),
+        reset: Vec::new(),
+        reset_sets: FxHashMap::default(),
+        removed_edges: FxHashSet::default(),
+        removed_units: Vec::new(),
+        edges_from: call_edges.len(),
+        units_from: reachable_log.len(),
+    };
     SolverState {
         program: patched,
         interner,
@@ -492,6 +561,8 @@ fn rebase_state<'p>(
         stats,
         budget,
         started: start,
+        lineage,
+        changes: Some(Box::new(changes)),
     }
 }
 
@@ -531,8 +602,16 @@ impl<'p> SolverState<'p> {
                 _ => None,
             })
             .collect();
+        // The cleared sets are kept, so that the pointers whose sets the
+        // drain rebuilds unchanged can be unmarked once it is over.
+        let mut reset = Vec::with_capacity(cone.ptrs.len());
+        let mut reset_sets = FxHashMap::default();
         for &p in &cone.ptrs {
-            *self.slots.pts_mut(p) = PointsToSet::new();
+            reset.push((p, self.reps.find(p)));
+            let old = std::mem::take(self.slots.pts_mut(p));
+            if !old.is_empty() {
+                reset_sets.insert(p, old);
+            }
             let pending = self.slots.pending_mut(p);
             if !pending.is_empty() {
                 *pending = PointsToSet::new();
@@ -563,8 +642,9 @@ impl<'p> SolverState<'p> {
             }
         }
 
+        let mut dead = FxHashSet::default();
         if !cone.edges.is_empty() {
-            let dead: FxHashSet<_> = cone.edges.iter().map(|&i| self.call_edges[i]).collect();
+            dead = cone.edges.iter().map(|&i| self.call_edges[i]).collect();
             for e in &dead {
                 self.call_edge_set.remove(e);
             }
@@ -592,6 +672,17 @@ impl<'p> SolverState<'p> {
             }
             self.reachable_log.retain(|u| !cone.unit_set.contains(u));
             self.stats.reachable = self.reachable_log.len() as u64;
+        }
+        if let Some(ch) = self.changes.as_deref_mut() {
+            for &p in &cone.ptrs {
+                ch.mark(p);
+            }
+            ch.reset = reset;
+            ch.reset_sets = reset_sets;
+            ch.removed_edges = dead;
+            ch.removed_units.clone_from(&cone.units);
+            ch.edges_from = self.call_edges.len();
+            ch.units_from = self.reachable_log.len();
         }
         Removed {
             store_units,
@@ -922,6 +1013,125 @@ impl<'p> SolverState<'p> {
     }
 }
 
+/// The change log's side of the state: settling it after the drain, and
+/// the reads [`crate::SolvedSummary::advance`] patches a snapshot with.
+impl SolverState<'_> {
+    /// Settles the change log once the drain is over. A step grows the
+    /// shared set of a collapsed SCC, so every member of a marked
+    /// pointer's SCC is marked. Then each cone pointer whose set came back
+    /// equal to the one the reset cleared is unmarked, and only variable
+    /// pointers are kept.
+    fn settle_changes(&mut self) {
+        let Some(ch) = self.changes.as_deref_mut() else {
+            return;
+        };
+        let mut expanded: FxHashSet<u32> = FxHashSet::default();
+        for i in 0..ch.ptrs.len() {
+            let rep = self.reps.find(ch.ptrs[i]);
+            if let Some(group) = self.members.get(&rep) {
+                if expanded.insert(rep) {
+                    group.iter().for_each(|&m| ch.mark(m));
+                }
+            }
+        }
+        for &(p, old_rep) in &ch.reset {
+            let now = self.slots.pts(self.reps.find(p));
+            if ch
+                .reset_sets
+                .get(&old_rep)
+                .map_or(now.is_empty(), |old| old == now)
+            {
+                ch.marked[p as usize] = false;
+            }
+        }
+        let (marked, keys) = (&ch.marked, &self.ptr_keys);
+        ch.ptrs
+            .retain(|&p| marked[p as usize] && matches!(keys[p as usize], PtrKey::Var(..)));
+        ch.marked = Vec::new();
+        ch.reset = Vec::new();
+        ch.reset_sets = FxHashMap::default();
+    }
+
+    /// The state's version: its lineage (one per full solve) and how many
+    /// incremental resolves it has been through since.
+    pub(crate) fn version(&self) -> (u64, u64) {
+        (self.lineage, self.stats.incr_resolves)
+    }
+
+    /// What the incremental resolve that produced this state changed;
+    /// `None` after a full solve.
+    pub(crate) fn changes(&self) -> Option<&Changes> {
+        self.changes.as_deref()
+    }
+
+    /// The projected reachable methods `changes` (this state's log)
+    /// removed from and added to `before`, the base state's projection.
+    pub(crate) fn reachable_changes(
+        &self,
+        changes: &Changes,
+        before: &[MethodId],
+    ) -> Diff<MethodId> {
+        let mut gone: Vec<MethodId> = changes
+            .removed_units
+            .iter()
+            .map(|&(_, m)| m)
+            .filter(|m| !self.reachable_ci[m.index()])
+            .collect();
+        gone.sort_unstable();
+        gone.dedup();
+        if !gone.is_empty() && !self.reachable_cs.is_empty() {
+            // Still reachable under some context?
+            let left: FxHashSet<MethodId> = gone.iter().copied().collect();
+            let live: FxHashSet<MethodId> = self
+                .reachable_cs
+                .iter()
+                .map(|&(_, m)| m)
+                .filter(|m| left.contains(m))
+                .collect();
+            gone.retain(|m| !live.contains(m));
+        }
+        let mut new: Vec<MethodId> = self.reachable_log[changes.units_from..]
+            .iter()
+            .map(|&(_, m)| m)
+            .filter(|m| before.binary_search(m).is_err())
+            .collect();
+        new.sort_unstable();
+        new.dedup();
+        Diff { gone, new }
+    }
+
+    /// The projected call edges `changes` (this state's log) removed from
+    /// and added to `before`, the base state's projection. A removed edge
+    /// the drain re-derived is neither: it is back in the state, and its
+    /// projection was already in `before`.
+    pub(crate) fn call_edge_changes(
+        &self,
+        changes: &Changes,
+        before: &[(CallSiteId, MethodId)],
+    ) -> Diff<(CallSiteId, MethodId)> {
+        let mut gone: Vec<(CallSiteId, MethodId)> = changes
+            .removed_edges
+            .iter()
+            .filter(|e| !self.call_edge_set.contains(e))
+            .map(|&(_, site, _, callee)| (site, callee))
+            .collect();
+        gone.sort_unstable();
+        gone.dedup();
+        if !self.reachable_cs.is_empty() {
+            // Still there under other contexts?
+            gone.retain(|&(site, callee)| !self.call_edges_of(callee).iter().any(|e| e.1 == site));
+        }
+        let mut new: Vec<(CallSiteId, MethodId)> = self.call_edges[changes.edges_from..]
+            .iter()
+            .map(|&(_, site, _, callee)| (site, callee))
+            .filter(|e| before.binary_search(e).is_err())
+            .collect();
+        new.sort_unstable();
+        new.dedup();
+        Diff { gone, new }
+    }
+}
+
 impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
     /// Incrementally re-solves a delta-patched program on top of a
     /// completed base result.
@@ -980,6 +1190,7 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
         .drain(start);
         // The reset's credit covers only this resolve's re-derivations.
         let st = &mut res.state;
+        st.settle_changes();
         st.copy_edges_since_collapse = st.copy_edges_since_collapse.max(0);
         st.stats.incr_resolves += 1;
         st.stats.incr_fallback_reason = None;

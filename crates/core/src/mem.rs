@@ -59,9 +59,10 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Resets the peak RSS that [`peak_rss_kb`] reports to the current RSS,
-/// by writing `5` to `/proc/self/clear_refs` (Linux 4.0+), so the next
-/// reading covers only what ran since. A no-op where that file is
-/// missing or not writable.
+/// by writing `5` to `/proc/self/clear_refs` (Linux 4.0+). The next
+/// reading is the larger of that RSS and the peak since, so it still
+/// counts heap the allocator kept from earlier work. A no-op where that
+/// file is missing or not writable.
 pub fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }

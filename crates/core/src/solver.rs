@@ -59,6 +59,7 @@
 //! about half.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use csc_ir::{
@@ -511,7 +512,18 @@ pub struct SolverState<'p> {
     pub stats: SolverStats,
     budget: Budget,
     started: Instant,
+
+    /// Which solve this state descends from: unique per full solve,
+    /// carried across incremental resolves. With `stats.incr_resolves` it
+    /// names the state's version (see [`SolverState::version`]).
+    lineage: u64,
+    /// What the current incremental resolve changed; `None` on a full
+    /// solve, which tracks nothing.
+    changes: Option<Box<incr::Changes>>,
 }
+
+/// The lineage of the next full solve.
+static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
 
 impl<'p> SolverState<'p> {
     fn new(program: &'p Program, budget: Budget, opts: SolverOptions) -> Self {
@@ -547,6 +559,8 @@ impl<'p> SolverState<'p> {
             stats,
             budget,
             started: Instant::now(),
+            lineage: NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed),
+            changes: None,
         }
     }
 
@@ -931,6 +945,9 @@ impl<'p> SolverState<'p> {
         let Some(delta) = self.slots.pts_mut(ptr.0).union_delta(&incoming) else {
             return true;
         };
+        if let Some(changes) = self.changes.as_deref_mut() {
+            changes.mark(ptr.0);
+        }
         self.stats.propagations += 1;
         if let Some(max) = self.budget.max_propagations {
             if self.stats.propagations > max {
@@ -1166,6 +1183,9 @@ impl<'p> SolverState<'p> {
             for (sub, mut old) in subgroups {
                 if let Some(delta) = old.union_delta(&union) {
                     for &m in &sub {
+                        if let Some(changes) = self.changes.as_deref_mut() {
+                            changes.mark(m);
+                        }
                         catchups.push((m, delta.clone()));
                     }
                 }
@@ -1293,6 +1313,17 @@ impl<'p> SolverState<'p> {
     /// plus the projected elements, not one pass per variable.
     pub fn pt_vars_projected(&self, wanted: &[bool]) -> Vec<Vec<ObjId>> {
         let mut out: Vec<Vec<ObjId>> = vec![Vec::new(); wanted.len()];
+        self.pt_vars_projected_into(wanted, &mut out);
+        out
+    }
+
+    /// [`pt_vars_projected`](Self::pt_vars_projected) in place: each
+    /// wanted `out[v]` is cleared and refilled, and the others are left as
+    /// they are (`out.len() == wanted.len()`).
+    pub(crate) fn pt_vars_projected_into(&self, wanted: &[bool], out: &mut [Vec<ObjId>]) {
+        for (pt, _) in out.iter_mut().zip(wanted).filter(|&(_, &w)| w) {
+            pt.clear();
+        }
         for (i, key) in self.ptr_keys.iter().enumerate() {
             if let PtrKey::Var(_, v) = *key {
                 if wanted.get(v.index()) == Some(&true) {
@@ -1300,11 +1331,10 @@ impl<'p> SolverState<'p> {
                 }
             }
         }
-        for pt in &mut out {
+        for (pt, _) in out.iter_mut().zip(wanted).filter(|&(_, &w)| w) {
             pt.sort_unstable();
             pt.dedup();
         }
-        out
     }
 
     /// Appends pointer `i`'s points-to set, projected to allocation sites,

@@ -18,6 +18,12 @@
 //!   edges and reachable units — a replay that drops an edge without
 //!   changing any projection still shows here.
 //!
+//! Each chain also carries a [`SolvedSummary`] captured at the base and
+//! [`advance`](SolvedSummary::advance)d after every resolve, as `csc
+//! serve` keeps its snapshot. At every step it must equal the summary
+//! captured from the from-scratch solve, field by field; a fallback step
+//! must re-project every variable, and an incremental step fewer.
+//!
 //! Deltas come from the seeded generator (`csc_workloads::generate_delta`)
 //! in both monotone (additions-only) and mixed (add/remove) modes, and
 //! chain: each step resolves on top of the previous step's outcome, so
@@ -27,9 +33,9 @@ use std::collections::BTreeSet;
 
 use csc_core::{
     resolve_analysis_opts, run_analysis_opts, Analysis, AnalysisOutcome, Budget, PrecisionMetrics,
-    PtaResult, SolverOptions,
+    PtaResult, SolvedSummary, SolverOptions,
 };
-use csc_ir::{CallSiteId, MethodId, ObjId, Program, VarId};
+use csc_ir::{CallSiteId, DeltaOp, DeltaStmt, MethodId, ObjId, Program, ProgramDelta, Stmt, VarId};
 use csc_workloads::{generate_delta, DeltaGenConfig};
 
 /// The four configurations the acceptance criteria name.
@@ -106,11 +112,36 @@ impl Projections {
     }
 }
 
+/// Asserts that `advanced` equals `captured`, field by field.
+fn assert_same_summary(advanced: &SolvedSummary, captured: &SolvedSummary, what: &str) {
+    assert_eq!(
+        advanced.pts.len(),
+        captured.pts.len(),
+        "{what}: summary var count"
+    );
+    for (v, (a, b)) in advanced.pts.iter().zip(&captured.pts).enumerate() {
+        assert_eq!(a, b, "{what}: advanced summary pts[{v}] differs");
+    }
+    assert_eq!(
+        advanced.reachable, captured.reachable,
+        "{what}: advanced summary reachable differs"
+    );
+    assert_eq!(
+        advanced.call_edges, captured.call_edges,
+        "{what}: advanced summary call edges differ"
+    );
+    assert_eq!(
+        advanced.metrics, captured.metrics,
+        "{what}: advanced summary metrics differ"
+    );
+}
+
 /// Drives `steps` chained deltas over one (program, analysis, options)
 /// cell: at each step the previous outcome is resolved incrementally
 /// against the patched program and compared bit-for-bit to a from-scratch
-/// solve. Returns how many steps took the incremental path (no fallback),
-/// so callers can assert the machinery actually engages.
+/// solve, and the chain's summary is advanced and compared to the
+/// from-scratch solve's. Returns how many steps took the incremental path
+/// (no fallback), so callers can assert the machinery actually engages.
 fn differential_chain(
     base: &Program,
     analysis: Analysis,
@@ -126,6 +157,7 @@ fn differential_chain(
     let mut current: &'static Program = Box::leak(Box::new(base.clone()));
     let mut outcome = run_analysis_opts(current, analysis.clone(), Budget::unlimited(), opts);
     assert!(outcome.completed(), "{what}: base run hit budget");
+    let mut summary = SolvedSummary::capture(current, &outcome.result);
     let mut incremental_steps = 0;
     for step in 0..steps {
         let cfg = DeltaGenConfig {
@@ -160,20 +192,163 @@ fn differential_chain(
         if stats.incr_fallback_reason.is_none() {
             incremental_steps += 1;
         }
+        let step_what = format!(
+            "{what} step {step} (fallback={:?})",
+            stats.incr_fallback_reason
+        );
         let p_incr = Projections::capture(patched, &next.result);
         let p_scratch = Projections::capture(patched, &scratch.result);
-        p_incr.assert_identical(
-            &p_scratch,
-            patched,
-            &format!(
-                "{what} step {step} (fallback={:?})",
-                stats.incr_fallback_reason
-            ),
+        p_incr.assert_identical(&p_scratch, patched, &step_what);
+        let reprojected = summary.advance(patched, &next.result);
+        assert_same_summary(
+            &summary,
+            &SolvedSummary::capture(patched, &scratch.result),
+            &step_what,
         );
+        if stats.incr_fallback_reason.is_some() {
+            assert_eq!(
+                reprojected,
+                patched.vars().len(),
+                "{step_what}: a fallback must re-project every variable"
+            );
+        } else {
+            assert!(
+                reprojected < patched.vars().len(),
+                "{step_what}: an incremental step re-projected every variable"
+            );
+        }
         outcome = next;
         current = patched;
     }
     incremental_steps
+}
+
+/// A condensation epoch that merges a cycle before any member steps still
+/// shows in the advanced summary: the delta closes a cycle between two
+/// variables with different sets, and with an epoch of one edge the merge
+/// hands both the union before the worklist reaches either, so only the
+/// merge itself tells `advance` that their sets changed.
+#[test]
+fn advance_sees_a_cycle_merged_before_it_steps() {
+    let base = csc_frontend::compile(
+        r#"
+        class A { }
+        class B extends A { }
+        class Main {
+            static void main() {
+                A x = new A();
+                A y = new B();
+            }
+        }
+        "#,
+    )
+    .expect("compiles");
+    let main = base.entry();
+    let var = |name: &str| {
+        base.method(main)
+            .vars()
+            .iter()
+            .copied()
+            .find(|&v| base.var(v).name() == name)
+            .expect("variable exists")
+    };
+    let (x, y) = (var("x"), var("y"));
+    let assign = |lhs, rhs| DeltaOp::AddStmt {
+        method: main,
+        stmt: DeltaStmt::Assign { lhs, rhs },
+    };
+    let delta = ProgramDelta {
+        ops: vec![assign(x, y), assign(y, x)],
+    };
+    let (patched, fx) = delta.apply(&base).expect("delta applies");
+    let opts = SolverOptions::with_epoch(1);
+    let outcome = run_analysis_opts(&base, Analysis::Ci, Budget::unlimited(), opts);
+    let mut summary = SolvedSummary::capture(&base, &outcome.result);
+    let next = resolve_analysis_opts(
+        outcome,
+        &patched,
+        &fx,
+        Analysis::Ci,
+        Budget::unlimited(),
+        opts,
+    );
+    assert_eq!(next.result.state.stats.incr_fallback_reason, None);
+    assert!(next.result.state.stats.ptrs_collapsed > 0, "no merge");
+    assert_eq!(summary.advance(&patched, &next.result), 2);
+    let scratch = run_analysis_opts(&patched, Analysis::Ci, Budget::unlimited(), opts);
+    assert_same_summary(
+        &summary,
+        &SolvedSummary::capture(&patched, &scratch.result),
+        "added cycle",
+    );
+    assert_eq!(summary.pts[x.index()].len(), 2);
+}
+
+/// A removal that cuts a method off from the entry drops it, its call
+/// edge and its variables' sets from the advanced summary, under a
+/// context-insensitive and a context-sensitive analysis.
+#[test]
+fn advance_drops_a_method_cut_off_by_a_removal() {
+    let base = csc_frontend::compile(
+        r#"
+        class A { }
+        class Helper {
+            A make() { A a = new A(); Object o = a; A c = (A) o; return c; }
+        }
+        class Main {
+            static void main() {
+                A keep = new A();
+                Helper h = new Helper();
+                A got = h.make();
+            }
+        }
+        "#,
+    )
+    .expect("compiles");
+    let main = base.entry();
+    let call = base
+        .method(main)
+        .body()
+        .iter()
+        .position(|s| matches!(s, Stmt::Call(_)))
+        .expect("main calls make");
+    let delta = ProgramDelta {
+        ops: vec![DeltaOp::RemoveStmt {
+            method: main,
+            index: call as u32,
+        }],
+    };
+    let (patched, fx) = delta.apply(&base).expect("delta applies");
+    for (label, analysis) in [("ci", Analysis::Ci), ("2obj", Analysis::KObj(2))] {
+        let opts = SolverOptions::default();
+        let outcome = run_analysis_opts(&base, analysis.clone(), Budget::unlimited(), opts);
+        let mut summary = SolvedSummary::capture(&base, &outcome.result);
+        let next = resolve_analysis_opts(
+            outcome,
+            &patched,
+            &fx,
+            analysis.clone(),
+            Budget::unlimited(),
+            opts,
+        );
+        assert_eq!(
+            next.result.state.stats.incr_fallback_reason, None,
+            "{label}"
+        );
+        let before = (summary.reachable.len(), summary.call_edges.len());
+        summary.advance(&patched, &next.result);
+        assert_eq!(
+            (summary.reachable.len(), summary.call_edges.len()),
+            (before.0 - 1, before.1 - 1),
+            "{label}: make and its call edge must go"
+        );
+        let scratch = run_analysis_opts(&patched, analysis, Budget::unlimited(), opts);
+        assert_same_summary(
+            &summary,
+            &SolvedSummary::capture(&patched, &scratch.result),
+            label,
+        );
+    }
 }
 
 /// Monotone (additions-only) chains: the plain analyses must take the
