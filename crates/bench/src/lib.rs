@@ -1,6 +1,6 @@
 //! # csc-bench — harness regenerating every table and figure of the paper
 //!
-//! Binaries (run with `--release`; see EXPERIMENTS.md for the mapping):
+//! Binaries (run with `--release`):
 //!
 //! * `table_time`     — Figure 12 (analysis time per program per analysis)
 //! * `table_main`     — Tables 1 & 2 (time + the four precision metrics)
@@ -8,15 +8,18 @@
 //! * `table_recall`   — §5.1 recall (soundness) experiment
 //! * `table_ablation` — §5.1 per-pattern precision impact
 //!
+//! They print the paper's tables as a reproduction; none of them is a
+//! gate. The exact counters behind Tables 1–2 are pinned by
+//! `crates/core/tests/golden.rs`, and `benchmark/run.py` is what measures
+//! time and memory.
+//!
 //! The analysis budget (the paper's "2h") defaults to 8 seconds per
 //! analysis; override with `CSC_BUDGET_SECS`. Rows whose analysis exceeded
 //! the budget print as `>Ns`, mirroring the paper's `>2h` entries.
 
 use std::time::Duration;
 
-use csc_core::{
-    run_analysis_opts, Analysis, AnalysisOutcome, Budget, PrecisionMetrics, SolverOptions,
-};
+use csc_core::{run_analysis, Analysis, AnalysisOutcome, Budget, PrecisionMetrics};
 use csc_ir::Program;
 
 /// The analysis budget, from `CSC_BUDGET_SECS` (default 8s).
@@ -35,16 +38,6 @@ pub fn budget_label() -> String {
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(8);
     format!(">{secs}s")
-}
-
-/// Engine options for bench runs: SCC-collapsed propagation is on by
-/// default; `CSC_SCC=0` (or `off`) selects the uncollapsed reference
-/// engine for A/B comparisons.
-pub fn solver_options() -> SolverOptions {
-    match std::env::var("CSC_SCC").as_deref() {
-        Ok("0") | Ok("off") => SolverOptions::no_collapse(),
-        _ => SolverOptions::default(),
-    }
 }
 
 /// The five analyses of the paper's comparison, in table order.
@@ -71,7 +64,7 @@ pub struct Row<'p> {
 /// Runs one analysis and computes metrics unless it timed out.
 pub fn run_row(program: &Program, analysis: Analysis) -> Row<'_> {
     let label = analysis.label();
-    let outcome = run_analysis_opts(program, analysis, budget(), solver_options());
+    let outcome = run_analysis(program, analysis, budget());
     let metrics = outcome
         .completed()
         .then(|| PrecisionMetrics::compute(&outcome.result));
@@ -80,45 +73,6 @@ pub fn run_row(program: &Program, analysis: Analysis) -> Row<'_> {
         outcome,
         metrics,
     }
-}
-
-/// The bench programs for this run: the ten-program suite, plus the
-/// 10⁵+-statement `xl` stress program when `CSC_XL=1` (opt-in — its 2obj
-/// row blows any small budget by design).
-pub fn bench_programs() -> Vec<csc_workloads::Benchmark> {
-    let mut benches = csc_workloads::suite();
-    if matches!(std::env::var("CSC_XL").as_deref(), Ok("1") | Ok("on")) {
-        benches.push(csc_workloads::xl());
-    }
-    benches
-}
-
-/// A fingerprint of the machine the bench ran on: `(cpu model, core
-/// count)`. The model string comes from `/proc/cpuinfo`'s first
-/// `model name` line (the architecture name as a fallback off Linux),
-/// sanitized so it can be embedded in the hand-rolled JSON rows; cores
-/// are the available parallelism. `bench_diff` compares fingerprints
-/// between snapshots and downgrades wall-clock regressions to warnings
-/// when they differ — cross-machine timings are not comparable, while
-/// propagation counts still are.
-pub fn hardware_fingerprint() -> (String, u64) {
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|info| {
-            info.lines().find_map(|l| {
-                let (key, val) = l.split_once(':')?;
-                (key.trim() == "model name").then(|| val.trim().to_owned())
-            })
-        })
-        .unwrap_or_else(|| std::env::consts::ARCH.to_owned());
-    let model: String = model
-        .chars()
-        .filter(|c| !matches!(c, '"' | '\\' | ','))
-        .collect();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1);
-    (model, cores)
 }
 
 /// Formats a duration the way the paper's tables do (seconds with one

@@ -40,8 +40,9 @@ use csc_interp::{execute, InterpConfig};
 use csc_ir::Program;
 
 fn usage() -> ExitCode {
+    let names = Analysis::names().collect::<Vec<_>>().join("|");
     eprintln!(
-        "usage:\n  csc analyze <file.mj> [--analysis ci|2obj|2type|2cs|zipper|csc|csc-doop|csc-hybrid] \
+        "usage:\n  csc analyze <file.mj> [--analysis {names}] \
          [--budget <secs>] [--pt <Class.method.var>] [--metrics]\n  csc dump-ir <file.mj>\n  \
          csc run <file.mj>\n  csc bench <name> [--analysis ...]\n  csc suite\n  \
          csc resolve <file.mj|name> [--delta <d.bin>]... [--gen-deltas <n>] [--seed <s>] \
@@ -49,20 +50,6 @@ fn usage() -> ExitCode {
          csc serve [--analysis ...] [--budget-ms <ms>]"
     );
     ExitCode::from(2)
-}
-
-fn parse_analysis(s: &str) -> Option<Analysis> {
-    Some(match s {
-        "ci" => Analysis::Ci,
-        "2obj" => Analysis::KObj(2),
-        "2type" => Analysis::KType(2),
-        "2cs" => Analysis::KCallSite(2),
-        "zipper" => Analysis::ZipperE,
-        "csc" => Analysis::CutShortcut,
-        "csc-doop" => Analysis::CutShortcutWith(csc_core::CscConfig::doop()),
-        "csc-hybrid" => Analysis::CscHybrid,
-        _ => return None,
-    })
 }
 
 fn load(path: &str) -> Result<Program, String> {
@@ -297,7 +284,7 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--analysis" => {
                 let Some(v) = it.next() else { return usage() };
-                match parse_analysis(v) {
+                match Analysis::from_name(v) {
                     Some(a) => analysis = a,
                     None => {
                         eprintln!("unknown analysis `{v}`");

@@ -553,7 +553,7 @@ impl Server {
             return Reply::err("bad-request", "load needs `bench`, `path`, or `source`");
         };
         let analysis = match req.get("analysis").and_then(Val::as_str) {
-            Some(s) => match crate::parse_analysis(s) {
+            Some(s) => match Analysis::from_name(s) {
                 Some(a) => a,
                 None => return Reply::err("bad-request", &format!("unknown analysis `{s}`")),
             },

@@ -41,7 +41,40 @@ pub enum Analysis {
     CscHybrid,
 }
 
+/// Every analysis the `csc` CLI and `csc serve` accept, by name, in the
+/// order of the evaluation matrix. [`Analysis::from_name`] and
+/// [`Analysis::names`] both read this one table, so an analysis added here
+/// is accepted everywhere and lands in the golden suite gate
+/// (`crates/core/tests/golden.rs`) at once.
+const BY_NAME: [(&str, MakeAnalysis); 8] = [
+    ("ci", || Analysis::Ci),
+    ("2obj", || Analysis::KObj(2)),
+    ("2type", || Analysis::KType(2)),
+    ("2cs", || Analysis::KCallSite(2)),
+    ("zipper", || Analysis::ZipperE),
+    ("csc", || Analysis::CutShortcut),
+    ("csc-doop", || Analysis::CutShortcutWith(CscConfig::doop())),
+    ("csc-hybrid", || Analysis::CscHybrid),
+];
+
+/// Builds the analysis a [`BY_NAME`] entry names.
+type MakeAnalysis = fn() -> Analysis;
+
 impl Analysis {
+    /// The analysis a CLI name (`ci`, `2obj`, …, `csc-hybrid`) selects, or
+    /// `None` for a name [`Analysis::names`] does not list.
+    pub fn from_name(name: &str) -> Option<Analysis> {
+        BY_NAME
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, make)| make())
+    }
+
+    /// The CLI names [`Analysis::from_name`] accepts, in matrix order.
+    pub fn names() -> impl Iterator<Item = &'static str> {
+        BY_NAME.iter().map(|(n, _)| *n)
+    }
+
     /// The short name used in the paper's tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -668,5 +701,22 @@ mod tests {
         let m_ci = PrecisionMetrics::compute(&ci.result);
         let m_csc = PrecisionMetrics::compute(&csc.result);
         assert!(m_csc.fail_casts <= m_ci.fail_casts);
+    }
+
+    #[test]
+    fn every_listed_name_parses() {
+        let names: Vec<&str> = Analysis::names().collect();
+        assert_eq!(
+            names.join(" "),
+            "ci 2obj 2type 2cs zipper csc csc-doop csc-hybrid"
+        );
+        for name in names {
+            assert!(Analysis::from_name(name).is_some(), "{name}");
+        }
+        assert!(Analysis::from_name("CSC").is_none());
+        assert!(matches!(
+            Analysis::from_name("csc-doop"),
+            Some(Analysis::CutShortcutWith(_))
+        ));
     }
 }

@@ -68,7 +68,6 @@ pub use context::{
 };
 pub use csc::{pattern_methods, rebase_compatible, CscConfig, CscStats, CutShortcut};
 pub use fault::{FaultMode, FaultPoint};
-pub use mem::{peak_rss_kb, reset_peak_rss};
 pub use pts::PointsToSet;
 pub use results::SolvedSummary;
 pub use scc::OnlineScc;

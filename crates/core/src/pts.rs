@@ -847,7 +847,6 @@ impl PointsToSet {
                                 acc.bytes += block;
                             } else {
                                 acc.shared_chunks += 1;
-                                acc.shared_bytes += block;
                             }
                         }
                     }

@@ -342,9 +342,6 @@ pub struct SolverStats {
     /// Heap bytes of the PFG edge storage (successor arenas + edge-dedup
     /// pair sets) at solve end.
     pub edge_bytes: u64,
-    /// Dense-chunk references deduplicated by copy-on-write sharing at
-    /// solve end — each would have cost a 512-byte block unshared.
-    pub shared_chunks: u64,
 }
 
 /// Why an incremental re-solve ([`Solver::resolve`]) abandoned localized
@@ -771,14 +768,12 @@ impl<'p> SolverState<'p> {
         self.enqueue(ptr, &objs);
     }
 
-    /// Stamps the data-plane memory counters (`pts_bytes`, `edge_bytes`,
-    /// `shared_chunks`) from a walk over the slot plane — called once at
-    /// the end of every solve and incremental re-solve, where the numbers
-    /// describe the converged state.
+    /// Stamps the data-plane memory counters (`pts_bytes`, `edge_bytes`)
+    /// from a walk over the slot plane — called once at the end of every
+    /// solve and incremental re-solve, where the numbers describe the
+    /// converged state.
     fn record_mem_stats(&mut self) {
-        let acc = self.slots.pts_account();
-        self.stats.pts_bytes = acc.bytes;
-        self.stats.shared_chunks = acc.shared_chunks;
+        self.stats.pts_bytes = self.slots.pts_account().bytes;
         self.stats.edge_bytes = self.slots.edge_bytes();
     }
 

@@ -1,21 +1,36 @@
-//! Golden snapshot tests for the projected analysis results on three
-//! small programs (the paper's motivating and pattern examples).
+//! Golden snapshot tests, in two kinds.
 //!
+//! *Projections* of three small programs (the paper's motivating and
+//! pattern examples): points-to sets, reachable methods and call edges.
 //! The differential and property harnesses catch *divergence* between
 //! engines, but a determinism regression that shifts both engines at once
 //! (e.g. an iteration-order change leaking into projections) would slip
 //! through them and only surface as an unreadable proptest failure
-//! downstream. These snapshots pin the exact projected output — points-to
-//! sets, reachable methods, call edges — so such a regression fails with a
-//! line-level diff instead.
+//! downstream. These snapshots pin the exact projected output, so such a
+//! regression fails with a line-level diff instead.
 //!
-//! Bless new snapshots with `CSC_UPDATE_GOLDEN=1 cargo test -p csc-core
-//! --test golden` after verifying a change is intentional.
+//! *Suite counters* (`golden/suite_counters.txt`): one line per
+//! (program, analysis) cell of the paper's Tables 1–2, for all ten suite
+//! programs under every analysis the CLI accepts, with the solve's
+//! propagation count and points-to bytes and the four precision metrics.
+//! The solver is sequential, so all six are exact; a change that moves
+//! any of them (an extra propagation the differential harness cannot see,
+//! a lost precision pattern) fails here. The full 80-row matrix is
+//! `#[ignore]`d for release mode; a fast leg checks the two smallest
+//! programs' rows against the same file in every test run. Time is not
+//! pinned: `table_main` prints it as a reproduction, and
+//! `benchmark/run.py` measures it.
+//!
+//! Bless new snapshots with `CSC_UPDATE_GOLDEN=1 cargo test --release -p
+//! csc-core --test golden -- --include-ignored` after verifying a change
+//! is intentional. Only the full suite leg writes `suite_counters.txt`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use csc_core::{run_analysis_opts, Analysis, Budget, PtaResult, SolverOptions};
+use csc_core::{
+    run_analysis, run_analysis_opts, Analysis, Budget, PrecisionMetrics, PtaResult, SolverOptions,
+};
 use csc_ir::{Program, VarId};
 
 /// Renders every projection of a result as a deterministic text snapshot.
@@ -63,6 +78,12 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
+fn read_golden(name: &str) -> String {
+    let path = golden_path(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()))
+}
+
 /// Compares a rendered snapshot against the committed golden file, with a
 /// readable first-difference report. `CSC_UPDATE_GOLDEN=1` re-blesses.
 fn check_golden(name: &str, got: &str) {
@@ -72,8 +93,7 @@ fn check_golden(name: &str, got: &str) {
         std::fs::write(&path, got).unwrap();
         return;
     }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
+    let want = read_golden(name);
     if want == got {
         return;
     }
@@ -140,4 +160,80 @@ fn golden_projections_are_engine_invariant() {
             }
         }
     }
+}
+
+/// Solves each named suite program under every CLI analysis
+/// ([`Analysis::names`]) with an unlimited budget and renders one line
+/// per row: the program, the analysis's CLI name, then the six exact
+/// counters.
+fn suite_rows(programs: &[&str]) -> String {
+    let mut out = String::new();
+    for name in programs {
+        let program = csc_workloads::by_name(name)
+            .expect("suite program")
+            .compile();
+        for analysis in Analysis::names() {
+            let outcome = run_analysis(
+                &program,
+                Analysis::from_name(analysis).expect("listed name parses"),
+                Budget::unlimited(),
+            );
+            assert!(outcome.completed(), "{name}/{analysis} did not complete");
+            let stats = &outcome.result.state.stats;
+            let m = PrecisionMetrics::compute(&outcome.result);
+            let _ = writeln!(
+                out,
+                "{name:<9} {analysis:<10} propagations={} pts_bytes={} fail_casts={} \
+                 reach_methods={} poly_calls={} call_edges={}",
+                stats.propagations,
+                stats.pts_bytes,
+                m.fail_casts,
+                m.reach_methods,
+                m.poly_calls,
+                m.call_edges
+            );
+        }
+    }
+    out
+}
+
+/// The exact gate over the whole evaluation matrix: 10 programs x 8
+/// analyses, about a minute in release.
+#[test]
+#[ignore = "solves 80 suite rows; run in release"]
+fn suite_counters_are_exact() {
+    let programs: Vec<&str> = csc_workloads::suite().iter().map(|b| b.name).collect();
+    check_golden("suite_counters", &suite_rows(&programs));
+}
+
+/// The fast leg of [`suite_counters_are_exact`]: hsqldb's and findbugs's
+/// 16 rows, each checked against its line of the committed file. It never
+/// writes the file (a partial render would truncate it), so under
+/// `CSC_UPDATE_GOLDEN` it leaves re-blessing to the full leg.
+#[test]
+fn suite_counters_fast_leg() {
+    if std::env::var("CSC_UPDATE_GOLDEN").is_ok() {
+        return;
+    }
+    let want = read_golden("suite_counters");
+    fn key(line: &str) -> Vec<&str> {
+        line.split_whitespace().take(2).collect()
+    }
+    let mut diff = String::new();
+    for got in suite_rows(&["hsqldb", "findbugs"]).lines() {
+        match want.lines().find(|w| key(w) == key(got)) {
+            Some(w) if w == got => {}
+            Some(w) => {
+                let _ = writeln!(diff, "    golden: {w}\n    got:    {got}");
+            }
+            None => {
+                let _ = writeln!(diff, "    missing: {got}");
+            }
+        }
+    }
+    assert!(
+        diff.is_empty(),
+        "suite counters drifted (re-bless with CSC_UPDATE_GOLDEN=1 and \
+         --include-ignored in release if intentional):\n{diff}"
+    );
 }

@@ -118,7 +118,7 @@ pub fn suite() -> Vec<Benchmark> {
 /// paper's `>2h` rows live at), with the registry/factory and cyclic-flow
 /// knobs turned up so both object-sensitive context explosion and
 /// assign-SCC collapsing have something to chew on. Not part of
-/// [`suite`] — the bench harness appends it only under `CSC_XL=1`.
+/// [`suite`]; `csc bench xl` runs it.
 pub fn xl() -> Benchmark {
     Benchmark {
         name: "xl",
