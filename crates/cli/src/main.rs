@@ -27,9 +27,14 @@
 //! line-delimited JSON protocol on stdin/stdout with per-request budgets,
 //! request-scoped panic isolation, and graceful degradation to the
 //! last-good snapshot. See [`serve`] for the protocol.
+//!
+//! Output goes through a fallible writer: when the reader closes stdout
+//! early (`csc bench hsqldb | head -1`), `csc` stops writing and exits
+//! with status 0, without a message.
 
 mod serve;
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -58,26 +63,33 @@ fn load(path: &str) -> Result<Program, String> {
 }
 
 fn analyze(
+    out: &mut impl Write,
     program: &Program,
     analysis: Analysis,
     budget: Budget,
     pt_query: Option<&str>,
     metrics: bool,
-) -> ExitCode {
+) -> io::Result<ExitCode> {
     let label = analysis.label().to_owned();
     let outcome = run_analysis_opts(program, analysis, budget, SolverOptions::default());
     if !outcome.completed() {
-        println!("{label}: budget exhausted after {:?}", outcome.total_time);
-        return ExitCode::FAILURE;
+        writeln!(
+            out,
+            "{label}: budget exhausted after {:?}",
+            outcome.total_time
+        )?;
+        return Ok(ExitCode::FAILURE);
     }
-    println!(
+    writeln!(
+        out,
         "{label}: completed in {:?} ({} reachable methods, {} call edges)",
         outcome.total_time,
         outcome.result.state.reachable_methods_projected().len(),
         outcome.result.state.call_edges_projected().len(),
-    );
+    )?;
     if let Some(stats) = &outcome.csc {
-        println!(
+        writeln!(
+            out,
             "  cut: {} store sites, {} returns; shortcuts: {} ({} store, {} load, {} relay, \
              {} container, {} local-flow); involved methods: {}",
             stats.cut_store_sites,
@@ -89,27 +101,23 @@ fn analyze(
             stats.container_edges,
             stats.local_flow_edges,
             stats.involved_methods.len()
-        );
+        )?;
     }
     if let Some(selected) = &outcome.selected {
-        println!("  Zipper-e selected {} methods", selected.len());
+        writeln!(out, "  Zipper-e selected {} methods", selected.len())?;
     }
     if metrics {
-        let m = PrecisionMetrics::compute(&outcome.result);
-        println!(
-            "  #fail-cast={} #reach-mtd={} #poly-call={} #call-edge={}",
-            m.fail_casts, m.reach_methods, m.poly_calls, m.call_edges
-        );
+        print_metrics(out, &PrecisionMetrics::compute(&outcome.result))?;
     }
     if let Some(q) = pt_query {
         let parts: Vec<&str> = q.split('.').collect();
         let [class, method, var] = parts[..] else {
             eprintln!("  --pt expects Class.method.var");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         let Some(m) = program.method_by_qualified_name(&format!("{class}.{method}")) else {
             eprintln!("  unknown method {class}.{method}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         let Some(v) = program
             .method(m)
@@ -119,7 +127,7 @@ fn analyze(
             .find(|&v| program.var(v).name() == var)
         else {
             eprintln!("  unknown variable {var} in {class}.{method}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         };
         let mut pt: Vec<String> = outcome
             .result
@@ -135,22 +143,25 @@ fn analyze(
             })
             .collect();
         pt.sort();
-        println!("  pt({q}) = {pt:#?}");
+        writeln!(out, "  pt({q}) = {pt:#?}")?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints one metrics line.
-fn print_metrics(m: &PrecisionMetrics) {
-    println!(
+fn print_metrics(out: &mut impl Write, m: &PrecisionMetrics) -> io::Result<()> {
+    writeln!(
+        out,
         "  #fail-cast={} #reach-mtd={} #poly-call={} #call-edge={}",
         m.fail_casts, m.reach_methods, m.poly_calls, m.call_edges
-    );
+    )
 }
 
 /// The `resolve` subcommand: apply a delta chain, re-solving incrementally
 /// after each step.
+#[allow(clippy::too_many_arguments)]
 fn resolve_cmd(
+    out: &mut impl Write,
     base: Program,
     analysis: Analysis,
     budget: Budget,
@@ -158,7 +169,7 @@ fn resolve_cmd(
     delta_files: &[String],
     gen_deltas: usize,
     seed: u64,
-) -> ExitCode {
+) -> io::Result<ExitCode> {
     let opts = SolverOptions::default();
     // Build the whole chain of patched programs up front; a delta that
     // does not apply should fail before any solving starts.
@@ -180,7 +191,7 @@ fn resolve_cmd(
                 }
                 Err(e) => {
                     eprintln!("generated delta {step} failed to apply: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -190,14 +201,14 @@ fn resolve_cmd(
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let delta = match csc_ir::ProgramDelta::from_bytes(&bytes) {
                 Ok(d) => d,
                 Err(e) => {
                     eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let current = programs.last().expect("chain starts non-empty");
@@ -208,7 +219,7 @@ fn resolve_cmd(
                 }
                 Err(e) => {
                     eprintln!("{path}: delta does not apply: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
@@ -217,10 +228,18 @@ fn resolve_cmd(
     // Solve the base once, then fold each delta incrementally.
     let mut outcome = run_analysis_opts(&programs[0], analysis.clone(), budget, opts);
     if !outcome.completed() {
-        println!("{label}: budget exhausted after {:?}", outcome.total_time);
-        return ExitCode::FAILURE;
+        writeln!(
+            out,
+            "{label}: budget exhausted after {:?}",
+            outcome.total_time
+        )?;
+        return Ok(ExitCode::FAILURE);
     }
-    println!("{label}: base solve completed in {:?}", outcome.total_time);
+    writeln!(
+        out,
+        "{label}: base solve completed in {:?}",
+        outcome.total_time
+    )?;
     for (i, fx) in effects.iter().enumerate() {
         outcome = resolve_analysis_opts(
             outcome,
@@ -231,23 +250,26 @@ fn resolve_cmd(
             opts,
         );
         if !outcome.completed() {
-            println!("{label}: budget exhausted at delta {i}");
-            return ExitCode::FAILURE;
+            writeln!(out, "{label}: budget exhausted at delta {i}")?;
+            return Ok(ExitCode::FAILURE);
         }
         let stats = &outcome.result.state.stats;
         match stats.incr_fallback_reason {
-            None => println!(
+            None => writeln!(
+                out,
                 "  delta {i}: incremental re-solve in {:.3}s (cone: {} pointers, {} call edges)",
                 stats.resolve_secs, stats.incr_cone_ptrs, stats.incr_cone_call_edges
-            ),
-            Some(r) => println!(
+            )?,
+            Some(r) => writeln!(
+                out,
                 "  delta {i}: full-solve fallback ({r}) in {:.3}s",
                 stats.resolve_secs
-            ),
+            )?,
         }
     }
     let stats = &outcome.result.state.stats;
-    println!(
+    writeln!(
+        out,
         "{label}: final ({} reachable methods, {} call edges, {} propagations, \
          {} incremental re-solves, {} fallbacks)",
         outcome.result.state.reachable_methods_projected().len(),
@@ -255,21 +277,35 @@ fn resolve_cmd(
         stats.propagations,
         stats.incr_resolves,
         stats.incr_fallbacks,
-    );
+    )?;
     if metrics {
-        print_metrics(&PrecisionMetrics::compute(&outcome.result));
+        print_metrics(out, &PrecisionMetrics::compute(&outcome.result))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader is gone (`csc … | head`): nothing left to say.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("csc: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs the command `args` names, writing its report to `out`.
+fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     let Some(cmd) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
 
     // Flag parsing shared by `analyze` and `bench`.
-    let mut analysis = Analysis::CutShortcut;
+    let mut name = "csc";
     let mut budget = Budget::unlimited();
     let mut pt_query: Option<String> = None;
     // Default per-request wall-clock budget for `serve` (milliseconds).
@@ -283,92 +319,115 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--analysis" => {
-                let Some(v) = it.next() else { return usage() };
-                match Analysis::from_name(v) {
-                    Some(a) => analysis = a,
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
+                match Analysis::names().find(|n| n == v) {
+                    Some(n) => name = n,
                     None => {
                         eprintln!("unknown analysis `{v}`");
-                        return usage();
+                        return Ok(usage());
                     }
                 }
             }
             "--budget" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 match v.parse::<u64>() {
                     Ok(secs) => budget = Budget::with_time(Duration::from_secs(secs)),
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             "--budget-ms" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 match v.parse::<u64>() {
                     Ok(ms) => budget_ms = Some(ms),
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             "--pt" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 pt_query = Some(v.clone());
             }
             "--metrics" => metrics = true,
             "--delta" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 delta_files.push(v.clone());
             }
             "--gen-deltas" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 match v.parse::<usize>() {
                     Ok(n) => gen_deltas = n,
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             "--seed" => {
-                let Some(v) = it.next() else { return usage() };
+                let Some(v) = it.next() else {
+                    return Ok(usage());
+                };
                 match v.parse::<u64>() {
                     Ok(s) => seed = s,
-                    Err(_) => return usage(),
+                    Err(_) => return Ok(usage()),
                 }
             }
             other => positional.push(other.to_owned()),
         }
     }
+    let analysis = Analysis::from_name(name).expect("a listed name parses");
 
     match cmd.as_str() {
         "analyze" => {
             let Some(path) = positional.first() else {
-                return usage();
+                return Ok(usage());
             };
             match load(path) {
-                Ok(program) => analyze(&program, analysis, budget, pt_query.as_deref(), metrics),
+                Ok(program) => analyze(
+                    out,
+                    &program,
+                    analysis,
+                    budget,
+                    pt_query.as_deref(),
+                    metrics,
+                ),
                 Err(e) => {
                     eprintln!("{e}");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
             }
         }
         "dump-ir" => {
             let Some(path) = positional.first() else {
-                return usage();
+                return Ok(usage());
             };
             match load(path) {
                 Ok(program) => {
-                    print!("{}", program.display_program());
-                    ExitCode::SUCCESS
+                    write!(out, "{}", program.display_program())?;
+                    Ok(ExitCode::SUCCESS)
                 }
                 Err(e) => {
                     eprintln!("{e}");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
             }
         }
         "run" => {
             let Some(path) = positional.first() else {
-                return usage();
+                return Ok(usage());
             };
             match load(path) {
                 Ok(program) => {
                     match execute(&program, InterpConfig::default()) {
-                        Ok(t) => println!(
+                        Ok(t) => writeln!(
+                            out,
                             "executed: {} steps, {} allocations, {} reached methods, \
                              {} call edges, {} failed casts",
                             t.steps,
@@ -376,39 +435,46 @@ fn main() -> ExitCode {
                             t.reached_methods.len(),
                             t.call_edges.len(),
                             t.failed_casts
-                        ),
-                        Err(e) => println!("{e}"),
+                        )?,
+                        Err(e) => writeln!(out, "{e}")?,
                     }
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 }
                 Err(e) => {
                     eprintln!("{e}");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
             }
         }
         "bench" => {
-            let Some(name) = positional.first() else {
-                return usage();
+            let Some(bench) = positional.first() else {
+                return Ok(usage());
             };
-            match csc_workloads::by_name(name) {
+            match csc_workloads::by_name(bench) {
                 Some(b) => {
                     let program = b.compile();
-                    analyze(&program, analysis, budget, pt_query.as_deref(), metrics)
+                    analyze(
+                        out,
+                        &program,
+                        analysis,
+                        budget,
+                        pt_query.as_deref(),
+                        metrics,
+                    )
                 }
                 None => {
-                    eprintln!("unknown benchmark `{name}` (try `csc suite`)");
-                    ExitCode::FAILURE
+                    eprintln!("unknown benchmark `{bench}` (try `csc suite`)");
+                    Ok(ExitCode::FAILURE)
                 }
             }
         }
         "resolve" => {
             let Some(target) = positional.first() else {
-                return usage();
+                return Ok(usage());
             };
             if !delta_files.is_empty() && gen_deltas > 0 {
                 eprintln!("--delta and --gen-deltas are mutually exclusive");
-                return usage();
+                return Ok(usage());
             }
             // A MiniJava file path, or a built-in benchmark name.
             let program = if std::path::Path::new(target).is_file() {
@@ -416,7 +482,7 @@ fn main() -> ExitCode {
                     Ok(p) => p,
                     Err(e) => {
                         eprintln!("{e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             } else {
@@ -424,11 +490,12 @@ fn main() -> ExitCode {
                     Some(b) => b.compile(),
                     None => {
                         eprintln!("`{target}` is neither a file nor a benchmark (try `csc suite`)");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 }
             };
             resolve_cmd(
+                out,
                 program,
                 analysis,
                 budget,
@@ -438,20 +505,21 @@ fn main() -> ExitCode {
                 seed,
             )
         }
-        "serve" => serve::Server::new(analysis, budget_ms).run(),
+        "serve" => Ok(serve::Server::new(name, budget_ms).run()),
         "suite" => {
             for b in csc_workloads::suite() {
                 let program = b.compile();
-                println!(
+                writeln!(
+                    out,
                     "{:<11} {:>5} classes {:>6} methods {:>7} statements",
                     b.name,
                     program.classes().len(),
                     program.methods().len(),
                     program.stmt_count()
-                );
+                )?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        _ => usage(),
+        _ => Ok(usage()),
     }
 }

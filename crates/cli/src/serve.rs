@@ -38,7 +38,9 @@
 //! ```
 //!
 //! Every reply carries `"ok"`, `elapsed_ms` (the time spent handling the
-//! request) and, once a session exists, `"degraded"`. A successful
+//! request) and, once a session exists, `"degraded"`. `load` and `stats`
+//! name the session's analysis by its CLI name (`"analysis":"csc-doop"`).
+//! A successful
 //! `resolve` also reports its mode (`incremental`, `full`, or
 //! `fallback:<reason>`), `apply_ms` (applying the delta to the resident
 //! program), `resolve_ms` (wall time of the re-solve), `snapshot_ms`
@@ -340,6 +342,8 @@ impl Reply {
 /// `program` — both advance together, only on a fully successful solve.
 struct Session {
     program: &'static Program,
+    /// The analysis's CLI name, one of [`Analysis::names`].
+    name: &'static str,
     analysis: Analysis,
     /// The resident solver state. `None` after a failed resolve consumed
     /// it — the next resolve then falls back to a from-scratch solve.
@@ -367,7 +371,8 @@ struct Counters {
 pub struct Server {
     session: Option<Session>,
     counters: Counters,
-    default_analysis: Analysis,
+    /// The CLI name of the analysis a `load` runs by default.
+    default_analysis: &'static str,
     default_budget_ms: Option<u64>,
 }
 
@@ -427,8 +432,9 @@ fn error_kind(e: &SolveError) -> &'static str {
 }
 
 impl Server {
-    /// Creates a server with the CLI-level defaults.
-    pub fn new(analysis: Analysis, budget_ms: Option<u64>) -> Self {
+    /// Creates a server with the CLI-level defaults; `analysis` is one of
+    /// [`Analysis::names`].
+    pub fn new(analysis: &'static str, budget_ms: Option<u64>) -> Self {
         Server {
             session: None,
             counters: Counters::default(),
@@ -552,25 +558,27 @@ impl Server {
         } else {
             return Reply::err("bad-request", "load needs `bench`, `path`, or `source`");
         };
-        let analysis = match req.get("analysis").and_then(Val::as_str) {
-            Some(s) => match Analysis::from_name(s) {
-                Some(a) => a,
+        let name = match req.get("analysis").and_then(Val::as_str) {
+            Some(s) => match Analysis::names().find(|&n| n == s) {
+                Some(n) => n,
                 None => return Reply::err("bad-request", &format!("unknown analysis `{s}`")),
             },
-            None => self.default_analysis.clone(),
+            None => self.default_analysis,
         };
+        let analysis = Analysis::from_name(name).expect("a listed name parses");
         let program: &'static Program = Box::leak(Box::new(program));
         let budget = self.budget_of(req);
         match run_analysis_guarded(program, analysis.clone(), budget, SolverOptions::default()) {
             Ok(out) if out.completed() => {
                 let snapshot = SolvedSummary::capture(program, &out.result);
                 let mut r = Reply::ok(true);
-                r.push_str("analysis", &out.result.analysis);
+                r.push_str("analysis", name);
                 r.push_num("reachable", snapshot.reachable.len() as u64);
                 r.push_num("call_edges", snapshot.call_edges.len() as u64);
                 r.push_bool("degraded", false);
                 self.session = Some(Session {
                     program,
+                    name,
                     analysis,
                     outcome: Some(out),
                     snapshot: Some(snapshot),
@@ -806,7 +814,7 @@ impl Server {
                 r.push_bool("loaded", true);
                 r.push_bool("degraded", sess.degraded);
                 if let Some(snap) = &sess.snapshot {
-                    r.push_str("analysis", &snap.analysis);
+                    r.push_str("analysis", sess.name);
                     r.push_num("vars", snap.pts.len() as u64);
                     r.push_num("reachable", snap.reachable.len() as u64);
                 }
@@ -875,7 +883,7 @@ mod tests {
     /// resolve captures the snapshot in full.
     #[test]
     fn lost_snapshot_fails_queries_until_a_resolve_recaptures_it() {
-        let mut server = Server::new(Analysis::Ci, None);
+        let mut server = Server::new("ci", None);
         let send = |server: &mut Server, line: &str| {
             let reply = server.dispatch_guarded(line).0.render();
             parse_object(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"))

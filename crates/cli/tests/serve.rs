@@ -256,3 +256,24 @@ fn serve_answers_bad_lines_and_keeps_serving() {
     let status = d.child.wait().expect("daemon exits");
     assert!(status.success(), "daemon must exit cleanly at end of input");
 }
+
+/// `load` and `stats` name a session's analysis by its CLI name, so
+/// `csc-doop` is told apart from `csc`.
+#[test]
+fn serve_names_the_analysis_by_its_cli_name() {
+    let mut d = Daemon::spawn();
+    let r = d.roundtrip(r#"{"cmd":"load","bench":"hsqldb"}"#);
+    has(&r, r#""analysis":"ci""#);
+    for name in ["csc-doop", "zipper"] {
+        let r = d.roundtrip(&format!(
+            r#"{{"cmd":"load","bench":"hsqldb","analysis":"{name}"}}"#
+        ));
+        has(&r, r#""ok":true"#);
+        has(&r, &format!(r#""analysis":"{name}""#));
+        let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+        has(&r, &format!(r#""analysis":"{name}""#));
+    }
+    drop(d.stdin);
+    let status = d.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon must exit cleanly at end of input");
+}

@@ -85,6 +85,14 @@ impl Analysis {
             Analysis::KType(_) => "ktype",
             Analysis::KCallSite(_) => "kcs",
             Analysis::ZipperE => "Zipper-e",
+            // The paper's Doop configuration, as `CscConfig::doop()` sets it.
+            Analysis::CutShortcutWith(CscConfig {
+                field_store: true,
+                field_load: false,
+                container: true,
+                local_flow: true,
+                ..
+            }) => "CSC-doop",
             Analysis::CutShortcut | Analysis::CutShortcutWith(_) => "CSC",
             Analysis::CscHybrid => "CSC+sel",
         }
@@ -718,5 +726,13 @@ mod tests {
             Analysis::from_name("csc-doop"),
             Some(Analysis::CutShortcutWith(_))
         ));
+        // Each listed analysis prints under its own label.
+        let labels: Vec<&str> = Analysis::names()
+            .map(|n| Analysis::from_name(n).unwrap().label())
+            .collect();
+        assert_eq!(
+            labels.join(" "),
+            "CI 2obj 2type kcs Zipper-e CSC CSC-doop CSC+sel"
+        );
     }
 }

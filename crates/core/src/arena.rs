@@ -318,7 +318,9 @@ impl PairSet {
         self.len() == 0
     }
 
-    /// Membership test.
+    /// Membership test. Only the tests ask: the solver deduplicates
+    /// through [`insert`](Self::insert)'s answer.
+    #[cfg(test)]
     pub(crate) fn contains(&self, src: u32, dst: u32) -> bool {
         let p = pack(src, dst);
         match self {

@@ -39,7 +39,7 @@ use csc_ir::{CallSiteId, DeltaEffects, FieldId, MethodId, Program, StoreId, VarI
 use crate::context::CtxId;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::pts::PointsToSet;
-use crate::solver::{CsObjId, EdgeKind, Event, Plugin, PtrId, PtrKey, ShortcutKind, SolverState};
+use crate::solver::{CsObjId, EdgeKind, Plugin, PtrId, PtrKey, ShortcutKind, SolverState};
 
 /// Which patterns are enabled. The default enables all three, matching the
 /// paper's Tai-e configuration; `CscConfig::doop()` disables the load half
@@ -344,6 +344,9 @@ impl CutShortcut {
         }
     }
 
+    /// Adds a shortcut edge. The solver reports only the edges its own
+    /// rules add, so a new shortcut edge goes through
+    /// [`Plugin::on_new_edge`] here, before this returns.
     fn add_shortcut(
         &mut self,
         st: &mut SolverState<'_>,
@@ -351,7 +354,8 @@ impl CutShortcut {
         dst: PtrId,
         kind: ShortcutKind,
     ) {
-        if src == dst || st.has_edge(src, dst) {
+        let edge = EdgeKind::Shortcut(kind);
+        if !st.add_edge(src, dst, edge) {
             return;
         }
         match kind {
@@ -363,7 +367,7 @@ impl CutShortcut {
         }
         self.record_involved(st, src);
         self.record_involved(st, dst);
-        st.add_edge(src, dst, EdgeKind::Shortcut(kind));
+        self.on_new_edge(st, src, dst, edge);
     }
 
     // ---- field access pattern: stores (Fig. 8) ---------------------------
@@ -627,10 +631,17 @@ impl CutShortcut {
             self.queue_hosts(dst, hosts);
         }
     }
+}
 
-    // ---- event dispatch ----------------------------------------------------
+// ---- solver hooks ---------------------------------------------------------
+//
+// The solver calls each hook from the rule that derived the fact. A shortcut
+// edge a hook adds runs `on_new_edge` inside `add_shortcut`, so hooks nest.
 
-    fn on_call_edge(
+impl Plugin for CutShortcut {
+    /// Local-flow shortcuts, temp store/load propagation, relay targets
+    /// and container watches for the new call edge's unit.
+    fn on_new_call_edge(
         &mut self,
         st: &mut SolverState<'_>,
         caller_ctx: CtxId,
@@ -734,10 +745,12 @@ impl CutShortcut {
     /// the new objects of `pt(ptr)`, and `[ColHost]` / `[MapHost]` classify
     /// them as container hosts. Obligations registered later replay the
     /// full points-to set at registration time, so none misses a delta.
-    fn on_points_to(&mut self, st: &mut SolverState<'_>, ptr: PtrId, delta: &PointsToSet) {
+    fn on_new_points_to(&mut self, st: &mut SolverState<'_>, ptr: PtrId, delta: &PointsToSet) {
         // The loops need `&mut self`, so they run over copies of the
-        // obligation lists; adding shortcut edges only queues events, so
-        // the lists cannot change meanwhile.
+        // obligation lists. Each shortcut edge they add runs `on_new_edge`
+        // at once; that can append host and relay facts, but only
+        // `on_new_call_edge` registers obligations, so the copies stay
+        // current.
         if let Some(obls) = self.store_obls.get(&ptr).cloned() {
             for (f, from) in obls {
                 for o in delta.iter() {
@@ -772,7 +785,9 @@ impl CutShortcut {
         }
     }
 
-    fn on_edge(&mut self, st: &mut SolverState<'_>, src: PtrId, dst: PtrId, kind: EdgeKind) {
+    /// `returnLoadEdges` bookkeeping, `[RelayEdge]` and `[PropHost]` for
+    /// a new PFG edge, the plugin's own shortcut edges included.
+    fn on_new_edge(&mut self, st: &mut SolverState<'_>, src: PtrId, dst: PtrId, kind: EdgeKind) {
         // returnLoadEdges bookkeeping + [RelayEdge].
         if self.cfg.field_load {
             if let PtrKey::Var(ctx, v) = st.ptr_key(dst) {
@@ -804,26 +819,6 @@ impl CutShortcut {
                 self.host_add_edge(src, dst);
                 self.drain_hosts(st);
             }
-        }
-    }
-}
-
-impl Plugin for CutShortcut {
-    fn wants_events(&self) -> bool {
-        true
-    }
-
-    fn handle(&mut self, st: &mut SolverState<'_>, ev: Event) {
-        match ev {
-            Event::NewCallEdge {
-                caller_ctx,
-                site,
-                callee_ctx,
-                callee,
-            } => self.on_call_edge(st, caller_ctx, site, callee_ctx, callee),
-            Event::NewPointsTo { ptr, delta } => self.on_points_to(st, ptr, &delta),
-            Event::NewEdge { src, dst, kind } => self.on_edge(st, src, dst, kind),
-            Event::NewReachable { .. } => {}
         }
     }
 

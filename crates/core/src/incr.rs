@@ -502,8 +502,6 @@ fn rebase_state<'p>(
         copy_edges_since_collapse,
         opts,
         queue,
-        events,
-        emit_events,
         mut reachable_ci,
         reachable_cs,
         reachable_log,
@@ -549,8 +547,6 @@ fn rebase_state<'p>(
         copy_edges_since_collapse,
         opts,
         queue,
-        events,
-        emit_events,
         reachable_ci,
         reachable_cs,
         reachable_log,
@@ -716,7 +712,7 @@ impl<'p> SolverState<'p> {
     fn replay_cone<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         cone: &Cone,
         mut removed: Removed,
     ) {
@@ -748,14 +744,14 @@ impl<'p> SolverState<'p> {
                 if self.needs_var(cone, ectx, param) {
                     let s = self.var_ptr(cctx, cs.args()[k]);
                     let t = self.var_ptr(ectx, param);
-                    self.add_edge(s, t, EdgeKind::Param);
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Param);
                 }
             }
             if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
                 if !plugin.is_return_cut(callee) && self.needs_var(cone, cctx, lhs) {
                     let s = self.var_ptr(ectx, ret);
                     let t = self.var_ptr(cctx, lhs);
-                    self.add_edge(s, t, EdgeKind::Return(callee));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Return(callee));
                 }
             }
             let (Some(recv), Some(this)) = (cs.recv(), m.this_var()) else {
@@ -833,7 +829,7 @@ impl<'p> SolverState<'p> {
     fn replay_unit<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         cone: &Cone,
         ctx: CtxId,
         method: MethodId,
@@ -849,14 +845,14 @@ impl<'p> SolverState<'p> {
             Stmt::Assign { lhs, rhs } if self.needs_var(cone, ctx, lhs) => {
                 let s = self.var_ptr(ctx, rhs);
                 let t = self.var_ptr(ctx, lhs);
-                self.add_edge(s, t, EdgeKind::Assign);
+                self.add_rule_edge(plugin, s, t, EdgeKind::Assign);
             }
             Stmt::Cast(id) => {
                 let c = program.cast(id);
                 if self.needs_var(cone, ctx, c.lhs()) {
                     let s = self.var_ptr(ctx, c.rhs());
                     let t = self.var_ptr(ctx, c.lhs());
-                    self.add_edge(s, t, EdgeKind::Cast(id));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Cast(id));
                 }
             }
             Stmt::Load(id) => {
@@ -871,7 +867,7 @@ impl<'p> SolverState<'p> {
                 let t = self.var_ptr(ctx, site.lhs());
                 for o in objs {
                     let s = self.field_ptr(CsObjId(o), site.field());
-                    self.add_edge(s, t, EdgeKind::Load(id));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Load(id));
                 }
             }
             Stmt::Store(id) => {
@@ -897,7 +893,7 @@ impl<'p> SolverState<'p> {
                 let s = self.var_ptr(ctx, site.rhs());
                 for o in objs {
                     let t = self.field_ptr(CsObjId(o), field);
-                    self.add_edge(s, t, EdgeKind::Store(id));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Store(id));
                 }
             }
             _ => {}
@@ -912,7 +908,7 @@ impl<'p> SolverState<'p> {
     fn replay_additions<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         fx: &DeltaEffects,
     ) {
         if fx.added_stmts.is_empty() {
@@ -931,7 +927,7 @@ impl<'p> SolverState<'p> {
     fn replay_one_stmt<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         ctx: CtxId,
         stmt: &Stmt,
     ) {
@@ -946,13 +942,13 @@ impl<'p> SolverState<'p> {
             Stmt::Assign { lhs, rhs } => {
                 let s = self.var_ptr(ctx, rhs);
                 let t = self.var_ptr(ctx, lhs);
-                self.add_edge(s, t, EdgeKind::Assign);
+                self.add_rule_edge(plugin, s, t, EdgeKind::Assign);
             }
             Stmt::Cast(id) => {
                 let c = program.cast(id);
                 let s = self.var_ptr(ctx, c.rhs());
                 let t = self.var_ptr(ctx, c.lhs());
-                self.add_edge(s, t, EdgeKind::Cast(id));
+                self.add_rule_edge(plugin, s, t, EdgeKind::Cast(id));
             }
             Stmt::Load(id) => {
                 let site = program.load(id);
@@ -964,7 +960,7 @@ impl<'p> SolverState<'p> {
                 let t = self.var_ptr(ctx, lhs);
                 for o in objs.iter() {
                     let s = self.field_ptr(CsObjId(o), field);
-                    self.add_edge(s, t, EdgeKind::Load(id));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Load(id));
                 }
             }
             Stmt::Store(id) => {
@@ -980,7 +976,7 @@ impl<'p> SolverState<'p> {
                 let s = self.var_ptr(ctx, rhs);
                 for o in objs.iter() {
                     let t = self.field_ptr(CsObjId(o), field);
-                    self.add_edge(s, t, EdgeKind::Store(id));
+                    self.add_rule_edge(plugin, s, t, EdgeKind::Store(id));
                 }
             }
             Stmt::Call(id) => {
@@ -1173,14 +1169,13 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
         let cone = (!fx.additions_only()).then(|| compute_cone(&prev.state, fx));
 
         let mut state = rebase_state(prev.state, patched, fx, budget, start);
-        state.emit_events = plugin.wants_events();
         let (mut cone_ptrs, mut cone_call_edges) = (0, 0);
         if let Some(cone) = cone.filter(|c| !c.is_empty()) {
             let removed = state.reset_cone(&cone);
-            state.replay_cone(&selector, &plugin, &cone, removed);
+            state.replay_cone(&selector, &mut plugin, &cone, removed);
             (cone_ptrs, cone_call_edges) = (cone.ptrs.len(), cone.edges.len());
         }
-        state.replay_additions(&selector, &plugin, fx);
+        state.replay_additions(&selector, &mut plugin, fx);
 
         let (mut res, plugin) = Solver {
             state,

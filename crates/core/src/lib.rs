@@ -73,7 +73,7 @@ pub use results::SolvedSummary;
 pub use scc::OnlineScc;
 pub use solver::incr::Resolved;
 pub use solver::{
-    Budget, CsObjId, EdgeKind, Event, FallbackReason, NoPlugin, Plugin, PtaResult, PtrId, PtrKey,
+    Budget, CsObjId, EdgeKind, FallbackReason, NoPlugin, Plugin, PtaResult, PtrId, PtrKey,
     ShortcutKind, SolveError, SolveStatus, Solver, SolverOptions, SolverState, SolverStats,
 };
 pub use zipper::ZipperE;

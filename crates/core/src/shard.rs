@@ -36,8 +36,8 @@ pub(crate) struct Shard {
     succ: SuccTable,
     /// Per-representative *logical* PFG edge sets, keyed by original
     /// `(src, dst)` endpoints and grouped under the source's current
-    /// representative (deduplication + `has_edge`; identical with
-    /// collapsing on or off). Condensation epochs migrate groups when
+    /// representative (deduplication, and the removal cone's successor
+    /// walk; identical with collapsing on or off). Condensation epochs migrate groups when
     /// representatives merge.
     edge_pairs: FxHashMap<u32, PairSet>,
 }

@@ -3,11 +3,12 @@
 //! implementing the rules of Fig. 7 of the paper.
 //!
 //! The solver is generic over a [`ContextSelector`] (context insensitivity,
-//! `k`-obj/`k`-type/`k`-call-site, selective) and over a [`Plugin`] that can
-//! observe solver events and manipulate the PFG. Cut-Shortcut is implemented
-//! entirely as such a plugin (`crate::csc`): its `cutStores`/`cutReturns`
-//! sets suppress edge creation in the `[Store]`/`[Return]` rules, and its
-//! shortcut edges (`E_SC`) enter the graph through [`SolverState::add_edge`].
+//! `k`-obj/`k`-type/`k`-call-site, selective) and over a [`Plugin`], whose
+//! hooks the rules call as they derive each new points-to fact, call edge
+//! and PFG edge. Cut-Shortcut is implemented entirely as such a plugin
+//! (`crate::csc`): its `cutStores`/`cutReturns` sets suppress edge creation
+//! in the `[Store]`/`[Return]` rules, and its hooks add the shortcut edges
+//! (`E_SC`) through [`SolverState::add_edge`].
 //!
 //! ## Data plane
 //!
@@ -17,8 +18,8 @@
 //! `Vec` lookups, with small FxHash tables only as the residual path for
 //! context-qualified entities. PFG edge deduplication reuses the hybrid
 //! [`PointsToSet`] as a per-source target set, and the worklist batches
-//! deltas per pointer — repeated `NewPointsTo` deltas targeting the same
-//! pointer coalesce into one pending set before fan-out.
+//! deltas per pointer — repeated deltas targeting the same pointer coalesce
+//! into one pending set before fan-out.
 //!
 //! ## SCC-collapsed propagation
 //!
@@ -31,14 +32,15 @@
 //! instead of one trip around the cycle. Collapsing is *precision-neutral*
 //! and observationally transparent:
 //!
-//! * statement processing (`[Load]`/`[Store]`/`[Call]`) and `NewPointsTo`
-//!   events still happen per member — when a representative's set grows,
-//!   the delta fans out to every member's statements, so plugins (the
-//!   Cut-Shortcut obligations in particular) see the same logical growth
-//!   per pointer as the uncollapsed solver;
-//! * PFG edges are deduplicated on their *original* endpoints, `NewEdge`
-//!   events carry original endpoints, and `has_edge` answers on original
-//!   endpoints — only the physical successor lists live at representatives;
+//! * statement processing (`[Load]`/`[Store]`/`[Call]`) and
+//!   [`Plugin::on_new_points_to`] still run per member — when a
+//!   representative's set grows, the delta fans out to every member's
+//!   statements and hook, so plugins (the Cut-Shortcut obligations in
+//!   particular) see the same logical growth per pointer as the uncollapsed
+//!   solver;
+//! * PFG edges are deduplicated on their *original* endpoints, and
+//!   [`Plugin::on_new_edge`] receives original endpoints — only the
+//!   physical successor lists live at representatives;
 //! * projections read through the union-find, so results are fanned back
 //!   out to members at projection time.
 //!
@@ -131,63 +133,37 @@ pub enum ShortcutKind {
     LocalFlow,
 }
 
-/// An observable solver event, delivered to the [`Plugin`] in order.
-#[derive(Clone, Debug)]
-pub enum Event {
-    /// `delta` was added to `pt(ptr)`.
-    NewPointsTo {
-        /// The pointer whose set grew.
-        ptr: PtrId,
-        /// Exactly the new objects.
-        delta: PointsToSet,
-    },
-    /// A new call-graph edge was discovered.
-    NewCallEdge {
-        /// Caller context.
-        caller_ctx: CtxId,
-        /// The call site.
-        site: CallSiteId,
-        /// Callee context.
-        callee_ctx: CtxId,
-        /// Resolved callee.
-        callee: MethodId,
-    },
-    /// A method became reachable under a context.
-    NewReachable {
-        /// The context.
-        ctx: CtxId,
-        /// The method.
-        method: MethodId,
-    },
-    /// A PFG edge was added.
-    NewEdge {
-        /// Source pointer.
-        src: PtrId,
-        /// Target pointer.
-        dst: PtrId,
-        /// Provenance.
-        kind: EdgeKind,
-    },
-}
-
 /// A solver extension. The Cut-Shortcut analysis is the canonical
 /// implementation; [`NoPlugin`] is the identity.
+///
+/// The three `on_new_*` hooks run inline, from the rule that derived the
+/// fact, and may add PFG edges through [`SolverState::add_edge`]. Edges a
+/// plugin adds itself are not reported back to it: `add_edge` returns
+/// whether the edge is new, and the plugin handles its own new edges.
 pub trait Plugin {
-    /// Called once before solving starts.
-    fn init(&mut self, st: &mut SolverState<'_>) {
-        let _ = st;
+    /// `delta`, exactly the new objects, was added to `pt(ptr)`. Over a
+    /// solve, the deltas one pointer receives are disjoint and add up to
+    /// its final set, also when it is a member of a collapsed SCC.
+    fn on_new_points_to(&mut self, st: &mut SolverState<'_>, ptr: PtrId, delta: &PointsToSet) {
+        let _ = (st, ptr, delta);
     }
 
-    /// Whether the plugin wants [`Event`]s delivered (skipping event
-    /// bookkeeping keeps plain analyses allocation-light).
-    fn wants_events(&self) -> bool {
-        false
+    /// A new call-graph edge was added, after its `[Param]`/`[Return]`
+    /// edges.
+    fn on_new_call_edge(
+        &mut self,
+        st: &mut SolverState<'_>,
+        caller_ctx: CtxId,
+        site: CallSiteId,
+        callee_ctx: CtxId,
+        callee: MethodId,
+    ) {
+        let _ = (st, caller_ctx, site, callee_ctx, callee);
     }
 
-    /// Handles one event. May freely add edges / points-to facts via the
-    /// state.
-    fn handle(&mut self, st: &mut SolverState<'_>, ev: Event) {
-        let _ = (st, ev);
+    /// A rule added the new PFG edge `src -> dst` (original endpoints).
+    fn on_new_edge(&mut self, st: &mut SolverState<'_>, src: PtrId, dst: PtrId, kind: EdgeKind) {
+        let _ = (st, src, dst, kind);
     }
 
     /// `[Store]` cut check: whether the given store site's PFG edges are
@@ -487,9 +463,6 @@ pub struct SolverState<'p> {
     /// accumulator (the accumulators themselves live in `slots`).
     queue: VecDeque<PtrId>,
 
-    events: VecDeque<Event>,
-    emit_events: bool,
-
     /// Reachability: dense for the empty context, residual set for
     /// context-qualified units, plus the insertion-ordered log backing the
     /// public views.
@@ -544,8 +517,6 @@ impl<'p> SolverState<'p> {
             copy_edges_since_collapse: 0,
             opts,
             queue: VecDeque::new(),
-            events: VecDeque::new(),
-            emit_events: false,
             reachable_ci: vec![false; program.methods().len()],
             reachable_cs: FxHashSet::default(),
             reachable_log: Vec::new(),
@@ -699,24 +670,26 @@ impl<'p> SolverState<'p> {
 
     // ---- mutation (also used by plugins) ----------------------------------
 
-    /// Adds a PFG edge (deduplicated on its *original* endpoints). New
-    /// edges immediately flush the source's current points-to set to the
-    /// target. Cast edges carry a type filter (`checkcast` semantics): only
-    /// objects assignable to the cast target propagate, as in Tai-e and
-    /// Doop.
+    /// Adds a PFG edge (deduplicated on its *original* endpoints) and
+    /// returns whether it is new. New edges immediately flush the source's
+    /// current points-to set to the target. Cast edges carry a type filter
+    /// (`checkcast` semantics): only objects assignable to the cast target
+    /// propagate, as in Tai-e and Doop.
     ///
     /// The physical successor entry lives at the source's SCC
     /// representative; an edge whose endpoints are already in the same SCC
     /// stays logical-only (the shared set makes propagation a no-op), but
-    /// is still counted, deduplicated, and delivered as a [`Event::NewEdge`]
-    /// so plugins observe the same PFG as the uncollapsed solver.
-    pub fn add_edge(&mut self, src: PtrId, dst: PtrId, kind: EdgeKind) {
+    /// is still counted and deduplicated, and a rule's edge is still
+    /// reported to [`Plugin::on_new_edge`], so plugins observe the same PFG
+    /// as the uncollapsed solver. This method reports nothing: a plugin
+    /// that adds an edge handles it itself.
+    pub fn add_edge(&mut self, src: PtrId, dst: PtrId, kind: EdgeKind) -> bool {
         if src == dst {
-            return;
+            return false;
         }
         let csrc = self.reps.find(src.0);
         if !self.slots.edge_pairs_mut(csrc).insert(src.0, dst.0) {
-            return;
+            return false;
         }
         let filter = match kind {
             EdgeKind::Cast(id) => self.program.cast(id).ty().as_class(),
@@ -742,8 +715,14 @@ impl<'p> SolverState<'p> {
                 }
             }
         }
-        if self.emit_events {
-            self.events.push_back(Event::NewEdge { src, dst, kind });
+        true
+    }
+
+    /// [`add_edge`](Self::add_edge) for an edge a rule derived: a new edge
+    /// is reported to the plugin.
+    fn add_rule_edge<P: Plugin>(&mut self, plugin: &mut P, src: PtrId, dst: PtrId, kind: EdgeKind) {
+        if self.add_edge(src, dst, kind) {
+            plugin.on_new_edge(self, src, dst, kind);
         }
     }
 
@@ -753,19 +732,6 @@ impl<'p> SolverState<'p> {
     /// arm here.
     fn apply_filter(&self, objs: &PointsToSet, class: csc_ir::ClassId) -> PointsToSet {
         crate::shard::filter_pts(objs, class, &self.obj_keys, self.program)
-    }
-
-    /// Whether a PFG edge already exists (original endpoints, like the
-    /// dedup in [`SolverState::add_edge`]).
-    pub fn has_edge(&self, src: PtrId, dst: PtrId) -> bool {
-        self.slots
-            .edge_pairs(self.reps.find(src.0))
-            .is_some_and(|pairs| pairs.contains(src.0, dst.0))
-    }
-
-    /// Injects objects into a pointer's points-to set (via the worklist).
-    pub fn add_points_to(&mut self, ptr: PtrId, objs: PointsToSet) {
-        self.enqueue(ptr, &objs);
     }
 
     /// Stamps the data-plane memory counters (`pts_bytes`, `edge_bytes`)
@@ -821,7 +787,7 @@ impl<'p> SolverState<'p> {
     fn add_reachable<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         ctx: CtxId,
         method: MethodId,
     ) {
@@ -829,9 +795,6 @@ impl<'p> SolverState<'p> {
             return;
         }
         self.stats.reachable += 1;
-        if self.emit_events {
-            self.events.push_back(Event::NewReachable { ctx, method });
-        }
         let m = self.program.method(method);
         let mut news: Vec<(VarId, ObjId)> = Vec::new();
         let mut assigns: Vec<(VarId, VarId, EdgeKind)> = Vec::new();
@@ -857,7 +820,7 @@ impl<'p> SolverState<'p> {
         for (rhs, lhs, kind) in assigns {
             let s = self.var_ptr(ctx, rhs);
             let t = self.var_ptr(ctx, lhs);
-            self.add_edge(s, t, kind);
+            self.add_rule_edge(plugin, s, t, kind);
         }
         for site in static_calls {
             let callee = self.program.call_site(site).target();
@@ -879,7 +842,7 @@ impl<'p> SolverState<'p> {
     fn add_call_edge<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         caller_ctx: CtxId,
         site: CallSiteId,
         callee_ctx: CtxId,
@@ -906,7 +869,7 @@ impl<'p> SolverState<'p> {
             let arg = cs.args()[k];
             let s = self.var_ptr(caller_ctx, arg);
             let t = self.var_ptr(callee_ctx, param);
-            self.add_edge(s, t, EdgeKind::Param);
+            self.add_rule_edge(plugin, s, t, EdgeKind::Param);
         }
         // [Return]: suppressed when the callee's return variable is in
         // cutReturns.
@@ -914,17 +877,10 @@ impl<'p> SolverState<'p> {
             if !plugin.is_return_cut(callee) {
                 let s = self.var_ptr(callee_ctx, ret);
                 let t = self.var_ptr(caller_ctx, lhs);
-                self.add_edge(s, t, EdgeKind::Return(callee));
+                self.add_rule_edge(plugin, s, t, EdgeKind::Return(callee));
             }
         }
-        if self.emit_events {
-            self.events.push_back(Event::NewCallEdge {
-                caller_ctx,
-                site,
-                callee_ctx,
-                callee,
-            });
-        }
+        plugin.on_new_call_edge(self, caller_ctx, site, callee_ctx, callee);
     }
 
     /// Processes one worklist entry (always a representative — the queue is
@@ -933,7 +889,7 @@ impl<'p> SolverState<'p> {
     fn step<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         ptr: PtrId,
         incoming: PointsToSet,
     ) -> bool {
@@ -978,47 +934,47 @@ impl<'p> SolverState<'p> {
             seg_idx = seg.next;
         }
 
-        self.fan_out(selector, plugin, ptr, delta);
+        self.fan_out(selector, plugin, ptr, &delta);
         true
     }
 
-    /// Statement processing and `NewPointsTo` events for a committed delta,
-    /// fanned out to every member of a collapsed SCC — each member's
-    /// loads/stores/calls must see the shared set's growth exactly as they
-    /// would uncollapsed. The member list is taken out and restored around
-    /// the loop (nothing inside statement processing can reach `members`;
-    /// merges only happen between worklist steps), avoiding an O(|SCC|)
-    /// clone per delta.
+    /// Statement processing and [`Plugin::on_new_points_to`] for a
+    /// committed delta, fanned out to every member of a collapsed SCC —
+    /// each member's loads/stores/calls and hook must see the shared set's
+    /// growth exactly as they would uncollapsed. The member list is taken
+    /// out and restored around the loop (neither statement processing nor
+    /// a hook can reach `members`; merges only happen between worklist
+    /// steps), avoiding an O(|SCC|) clone per delta.
     fn fan_out<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         ptr: PtrId,
-        delta: PointsToSet,
+        delta: &PointsToSet,
     ) {
-        if let Some(group) = self.members.remove(&ptr.0) {
-            for &m in &group {
-                if let PtrKey::Var(ctx, v) = self.ptr_keys[m as usize] {
-                    self.process_var_stmts(selector, plugin, ctx, v, &delta);
-                }
-            }
-            if self.emit_events {
-                for &m in &group {
-                    self.events.push_back(Event::NewPointsTo {
-                        ptr: PtrId(m),
-                        delta: delta.clone(),
-                    });
-                }
-            }
-            self.members.insert(ptr.0, group);
-        } else {
-            if let PtrKey::Var(ctx, v) = self.ptr_keys[ptr.0 as usize] {
-                self.process_var_stmts(selector, plugin, ctx, v, &delta);
-            }
-            if self.emit_events {
-                self.events.push_back(Event::NewPointsTo { ptr, delta });
-            }
+        let group = self.members.remove(&ptr.0);
+        for &m in group.as_deref().unwrap_or(&[ptr.0]) {
+            self.process_delta(selector, plugin, m, delta);
         }
+        if let Some(group) = group {
+            self.members.insert(ptr.0, group);
+        }
+    }
+
+    /// Fires the rules and the hook for one pointer whose set grew by
+    /// `delta`: statement processing if it is a variable, then
+    /// [`Plugin::on_new_points_to`].
+    fn process_delta<S: ContextSelector, P: Plugin>(
+        &mut self,
+        selector: &S,
+        plugin: &mut P,
+        p: u32,
+        delta: &PointsToSet,
+    ) {
+        if let PtrKey::Var(ctx, v) = self.ptr_keys[p as usize] {
+            self.process_var_stmts(selector, plugin, ctx, v, delta);
+        }
+        plugin.on_new_points_to(self, PtrId(p), delta);
     }
 
     /// The `[Load]` / `[Store]` / `[Call]` rules for one variable whose
@@ -1026,7 +982,7 @@ impl<'p> SolverState<'p> {
     fn process_var_stmts<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         ctx: CtxId,
         v: VarId,
         delta: &PointsToSet,
@@ -1039,7 +995,7 @@ impl<'p> SolverState<'p> {
             let t = self.var_ptr(ctx, lhs);
             for o in delta.iter() {
                 let s = self.field_ptr(CsObjId(o), field);
-                self.add_edge(s, t, EdgeKind::Load(l));
+                self.add_rule_edge(plugin, s, t, EdgeKind::Load(l));
             }
         }
         // [Store] (cut-aware)
@@ -1053,7 +1009,7 @@ impl<'p> SolverState<'p> {
             let s = self.var_ptr(ctx, rhs);
             for o in delta.iter() {
                 let t = self.field_ptr(CsObjId(o), field);
-                self.add_edge(s, t, EdgeKind::Store(st));
+                self.add_rule_edge(plugin, s, t, EdgeKind::Store(st));
             }
         }
         // [Call]
@@ -1068,7 +1024,7 @@ impl<'p> SolverState<'p> {
     fn process_instance_call<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
-        plugin: &P,
+        plugin: &mut P,
         caller_ctx: CtxId,
         site: CallSiteId,
         recv: CsObjId,
@@ -1134,10 +1090,10 @@ impl<'p> SolverState<'p> {
     /// 1. the unified set is flushed along every (rebuilt) outgoing edge —
     ///    a member's edge may never have seen another member's elements;
     /// 2. every member whose old set was a strict subset of the union gets
-    ///    per-member statement processing and a `NewPointsTo` event for the
-    ///    missing elements, exactly as if the elements had propagated to it
-    ///    around the cycle.
-    fn collapse_cycles<S: ContextSelector, P: Plugin>(&mut self, selector: &S, plugin: &P) {
+    ///    per-member statement processing and one
+    ///    [`Plugin::on_new_points_to`] call for the missing elements, exactly
+    ///    as if the elements had propagated to it around the cycle.
+    fn collapse_cycles<S: ContextSelector, P: Plugin>(&mut self, selector: &S, plugin: &mut P) {
         self.copy_edges_since_collapse = 0;
         self.stats.scc_runs += 1;
         let n = self.ptr_keys.len();
@@ -1271,15 +1227,7 @@ impl<'p> SolverState<'p> {
         // Replay pass 2: per-member catch-up for elements a member had not
         // seen before its set was unified.
         for (m, delta) in catchups {
-            if let PtrKey::Var(ctx, v) = self.ptr_keys[m as usize] {
-                self.process_var_stmts(selector, plugin, ctx, v, &delta);
-            }
-            if self.emit_events {
-                self.events.push_back(Event::NewPointsTo {
-                    ptr: PtrId(m),
-                    delta,
-                });
-            }
+            self.process_delta(selector, plugin, m, &delta);
         }
     }
 
@@ -1402,11 +1350,9 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
     pub fn solve(mut self) -> (PtaResult<'p>, P) {
         let start = Instant::now();
         self.state.started = start;
-        self.state.emit_events = self.plugin.wants_events();
-        self.plugin.init(&mut self.state);
         let entry = self.state.program.entry();
         self.state
-            .add_reachable(&self.selector, &self.plugin, CtxId::EMPTY, entry);
+            .add_reachable(&self.selector, &mut self.plugin, CtxId::EMPTY, entry);
         self.drain(start)
     }
 
@@ -1423,29 +1369,24 @@ impl<'p, S: ContextSelector, P: Plugin> Solver<'p, S, P> {
             mut plugin,
         } = self;
         crate::fault::init();
-        // Per-pointer steps, plugin events at quiescence (empty worklist).
         let mut status = SolveStatus::Completed;
         loop {
             if state.should_collapse() {
-                state.collapse_cycles(&selector, &plugin);
+                state.collapse_cycles(&selector, &mut plugin);
             }
-            if let Some(ptr) = state.queue.pop_front() {
-                // One step is the `worker-round` fault point's unit. A
-                // panic here (injected or organic) unwinds to the caller;
-                // the guarded entry points translate it into a typed
-                // `SolveError`.
-                crate::fault::hit(crate::fault::FaultPoint::WorkerRound);
-                // Canonicalize: the pointer may have been merged into an
-                // SCC after it was queued.
-                let ptr = state.repr(ptr);
-                let incoming = state.slots.take_pending(ptr.0);
-                if !state.step(&selector, &plugin, ptr, incoming) {
-                    status = SolveStatus::Timeout;
-                    break;
-                }
-            } else if let Some(ev) = state.events.pop_front() {
-                plugin.handle(&mut state, ev);
-            } else {
+            let Some(ptr) = state.queue.pop_front() else {
+                break;
+            };
+            // One step is the `worker-round` fault point's unit. A panic
+            // here (injected or organic) unwinds to the caller; the guarded
+            // entry points translate it into a typed `SolveError`.
+            crate::fault::hit(crate::fault::FaultPoint::WorkerRound);
+            // Canonicalize: the pointer may have been merged into an SCC
+            // after it was queued.
+            let ptr = state.repr(ptr);
+            let incoming = state.slots.take_pending(ptr.0);
+            if !state.step(&selector, &mut plugin, ptr, incoming) {
+                status = SolveStatus::Timeout;
                 break;
             }
         }

@@ -2,14 +2,14 @@
 //! selectors, and result projections — independent of the Cut-Shortcut
 //! plugin.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use csc_core::{
     resolve_analysis_opts, run_analysis, run_analysis_opts, Analysis, Budget, CallSiteSelector,
-    CiSelector, NoPlugin, ObjSelector, SelectiveSelector, SolveStatus, Solver, SolverOptions,
-    SolverState,
+    CiSelector, CtxId, EdgeKind, NoPlugin, ObjSelector, Plugin, PointsToSet, PtrId,
+    SelectiveSelector, SolveStatus, Solver, SolverOptions, SolverState,
 };
-use csc_ir::{Program, VarId};
+use csc_ir::{CallSiteId, MethodId, Program, VarId};
 use csc_workloads::{generate_delta, DeltaGenConfig};
 
 fn compile(src: &str) -> Program {
@@ -434,4 +434,78 @@ fn one_pass_projection_equals_per_variable_projection() {
         incremental_removals,
         "no step resolved removals incrementally"
     );
+}
+
+/// A plugin that only records what the solver's hooks deliver.
+#[derive(Default)]
+struct Recorder {
+    /// Per pointer, every object delivered to `on_new_points_to`.
+    pts: HashMap<u32, Vec<u32>>,
+    call_edges: Vec<(CtxId, CallSiteId, CtxId, MethodId)>,
+    edges: u64,
+}
+
+impl Plugin for Recorder {
+    fn on_new_points_to(&mut self, _: &mut SolverState<'_>, ptr: PtrId, delta: &PointsToSet) {
+        self.pts.entry(ptr.0).or_default().extend(delta.iter());
+    }
+
+    fn on_new_call_edge(
+        &mut self,
+        _: &mut SolverState<'_>,
+        caller_ctx: CtxId,
+        site: CallSiteId,
+        callee_ctx: CtxId,
+        callee: MethodId,
+    ) {
+        self.call_edges.push((caller_ctx, site, callee_ctx, callee));
+    }
+
+    fn on_new_edge(&mut self, _: &mut SolverState<'_>, _: PtrId, _: PtrId, _: EdgeKind) {
+        self.edges += 1;
+    }
+}
+
+/// The hook contract, with and without SCC collapse: each pointer's
+/// deltas are disjoint and add up to its final set (a collapsed member
+/// included, through the condensation catch-up), each call edge is
+/// reported once, and each PFG edge once.
+#[test]
+fn plugin_hooks_report_every_fact_once() {
+    for name in ["hsqldb", "findbugs"] {
+        let program = csc_workloads::compiled(name).unwrap();
+        for (label, opts) in [
+            ("default", SolverOptions::default()),
+            ("no-collapse", SolverOptions::no_collapse()),
+        ] {
+            let (res, rec) = Solver::with_options(
+                program,
+                CiSelector,
+                Recorder::default(),
+                Budget::unlimited(),
+                opts,
+            )
+            .solve();
+            let st = &res.state;
+            assert_eq!(res.status, SolveStatus::Completed);
+            if opts.collapse_sccs {
+                assert!(st.stats.ptrs_collapsed > 0, "{name}/{label}: no collapse");
+            }
+            for p in 0..st.ptr_count() as u32 {
+                let mut got = rec.pts.get(&p).cloned().unwrap_or_default();
+                got.sort_unstable();
+                let delivered = got.len();
+                got.dedup();
+                assert_eq!(got.len(), delivered, "{name}/{label}: pointer {p} overlaps");
+                let want: Vec<u32> = st.pt(PtrId(p)).iter().collect();
+                assert_eq!(got, want, "{name}/{label}: pointer {p}");
+            }
+            let mut got = rec.call_edges.clone();
+            let mut want = st.call_edges().to_vec();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{name}/{label}: call edges");
+            assert_eq!(rec.edges, st.stats.edges, "{name}/{label}: PFG edges");
+        }
+    }
 }
