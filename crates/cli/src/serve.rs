@@ -443,9 +443,12 @@ impl Server {
         }
     }
 
-    /// Runs the request loop until `shutdown`, EOF, or a read error. A
-    /// request line that is not UTF-8 or is longer than
-    /// [`MAX_REQUEST_BYTES`] is answered with `bad-request` and skipped.
+    /// Runs the request loop until `shutdown`, EOF, a read error, or a
+    /// failed reply write. A request line that is not UTF-8 or is longer
+    /// than [`MAX_REQUEST_BYTES`] is answered with `bad-request` and
+    /// skipped. When stdout's reader is gone the daemon exits with status
+    /// 0 and no message; any other write error prints `csc: cannot write
+    /// output: …` and exits with status 1.
     pub fn run(mut self) -> ExitCode {
         let mut stdin = std::io::stdin().lock();
         let mut stdout = std::io::stdout().lock();
@@ -466,8 +469,15 @@ impl Server {
                 Ok(None) | Err(_) => break,
             };
             reply.push_ms("elapsed_ms", t0.elapsed());
-            let _ = writeln!(stdout, "{}", reply.render());
-            let _ = stdout.flush();
+            if let Err(e) = writeln!(stdout, "{}", reply.render()).and_then(|()| stdout.flush()) {
+                // No reader hears the replies any more: stop, as `main`
+                // does for the one-shot commands.
+                if e.kind() == std::io::ErrorKind::BrokenPipe {
+                    return ExitCode::SUCCESS;
+                }
+                eprintln!("csc: cannot write output: {e}");
+                return ExitCode::FAILURE;
+            }
             if shutdown {
                 return ExitCode::SUCCESS;
             }

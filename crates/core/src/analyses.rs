@@ -83,6 +83,7 @@ impl Analysis {
             Analysis::KObj(_) => "kobj",
             Analysis::KType(2) => "2type",
             Analysis::KType(_) => "ktype",
+            Analysis::KCallSite(2) => "2cs",
             Analysis::KCallSite(_) => "kcs",
             Analysis::ZipperE => "Zipper-e",
             // The paper's Doop configuration, as `CscConfig::doop()` sets it.
@@ -732,7 +733,7 @@ mod tests {
             .collect();
         assert_eq!(
             labels.join(" "),
-            "CI 2obj 2type kcs Zipper-e CSC CSC-doop CSC+sel"
+            "CI 2obj 2type 2cs Zipper-e CSC CSC-doop CSC+sel"
         );
     }
 }

@@ -3,8 +3,8 @@
 use crate::error::{FrontendError, Pos, Result};
 
 /// A lexical token kind.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Tok {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Tok {
     /// Identifier (class/method/field/variable name).
     Ident(String),
     /// Integer literal.
@@ -131,234 +131,234 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Token {
     /// The token kind.
     pub tok: Tok,
     /// Where it starts.
     pub pos: Pos,
 }
 
-/// Tokenizes the entire source, ending with a [`Tok::Eof`] token.
+/// An on-demand lexer: [`Lexer::next_token`] scans one token at a time,
+/// so no token vector is ever built.
 ///
-/// # Errors
-///
-/// Returns an error on unknown characters, unterminated block comments, or
-/// integer literals that overflow `i64`.
-pub fn lex(src: &str) -> Result<Vec<Token>> {
-    let bytes = src.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1u32;
-    let mut col = 1u32;
+/// The first lexical error ends the token stream: from then on the lexer
+/// reports [`Tok::Eof`] and keeps the error for [`Lexer::finish`].
+pub(crate) struct Lexer<'s> {
+    src: &'s str,
+    i: usize,
+    line: u32,
+    col: u32,
+    error: Option<FrontendError>,
+}
 
-    macro_rules! bump {
-        () => {{
-            if bytes[i] == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            i += 1;
-        }};
-    }
-
-    while i < bytes.len() {
-        let c = bytes[i];
-        let pos = Pos { line, col };
-        match c {
-            b' ' | b'\t' | b'\r' | b'\n' => bump!(),
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'/' => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    bump!();
-                }
-            }
-            b'/' if i + 1 < bytes.len() && bytes[i + 1] == b'*' => {
-                bump!();
-                bump!();
-                loop {
-                    if i + 1 >= bytes.len() {
-                        return Err(FrontendError::new(pos, "unterminated block comment"));
-                    }
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        bump!();
-                        bump!();
-                        break;
-                    }
-                    bump!();
-                }
-            }
-            b'{' => {
-                toks.push(Token {
-                    tok: Tok::LBrace,
-                    pos,
-                });
-                bump!();
-            }
-            b'}' => {
-                toks.push(Token {
-                    tok: Tok::RBrace,
-                    pos,
-                });
-                bump!();
-            }
-            b'(' => {
-                toks.push(Token {
-                    tok: Tok::LParen,
-                    pos,
-                });
-                bump!();
-            }
-            b')' => {
-                toks.push(Token {
-                    tok: Tok::RParen,
-                    pos,
-                });
-                bump!();
-            }
-            b';' => {
-                toks.push(Token {
-                    tok: Tok::Semi,
-                    pos,
-                });
-                bump!();
-            }
-            b',' => {
-                toks.push(Token {
-                    tok: Tok::Comma,
-                    pos,
-                });
-                bump!();
-            }
-            b'.' => {
-                toks.push(Token { tok: Tok::Dot, pos });
-                bump!();
-            }
-            b'+' => {
-                toks.push(Token {
-                    tok: Tok::Plus,
-                    pos,
-                });
-                bump!();
-            }
-            b'-' => {
-                toks.push(Token {
-                    tok: Tok::Minus,
-                    pos,
-                });
-                bump!();
-            }
-            b'*' => {
-                toks.push(Token {
-                    tok: Tok::Star,
-                    pos,
-                });
-                bump!();
-            }
-            b'%' => {
-                toks.push(Token {
-                    tok: Tok::Percent,
-                    pos,
-                });
-                bump!();
-            }
-            b'=' => {
-                bump!();
-                if i < bytes.len() && bytes[i] == b'=' {
-                    bump!();
-                    toks.push(Token {
-                        tok: Tok::EqEq,
-                        pos,
-                    });
-                } else {
-                    toks.push(Token {
-                        tok: Tok::Assign,
-                        pos,
-                    });
-                }
-            }
-            b'!' => {
-                bump!();
-                if i < bytes.len() && bytes[i] == b'=' {
-                    bump!();
-                    toks.push(Token {
-                        tok: Tok::NotEq,
-                        pos,
-                    });
-                } else {
-                    return Err(FrontendError::new(pos, "expected `!=`"));
-                }
-            }
-            b'<' => {
-                bump!();
-                if i < bytes.len() && bytes[i] == b'=' {
-                    bump!();
-                    toks.push(Token { tok: Tok::Le, pos });
-                } else {
-                    toks.push(Token { tok: Tok::Lt, pos });
-                }
-            }
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    bump!();
-                }
-                let text = &src[start..i];
-                let value: i64 = text.parse().map_err(|_| {
-                    FrontendError::new(pos, format!("integer literal `{text}` overflows i64"))
-                })?;
-                toks.push(Token {
-                    tok: Tok::Int(value),
-                    pos,
-                });
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    bump!();
-                }
-                let word = &src[start..i];
-                let tok = match word {
-                    "class" => Tok::Class,
-                    "abstract" => Tok::Abstract,
-                    "extends" => Tok::Extends,
-                    "static" => Tok::Static,
-                    "void" => Tok::Void,
-                    "int" => Tok::IntKw,
-                    "boolean" => Tok::BooleanKw,
-                    "if" => Tok::If,
-                    "else" => Tok::Else,
-                    "while" => Tok::While,
-                    "return" => Tok::Return,
-                    "new" => Tok::New,
-                    "this" => Tok::This,
-                    "super" => Tok::Super,
-                    "null" => Tok::Null,
-                    "true" => Tok::True,
-                    "false" => Tok::False,
-                    _ => Tok::Ident(word.to_owned()),
-                };
-                toks.push(Token { tok, pos });
-            }
-            other => {
-                return Err(FrontendError::new(
-                    pos,
-                    format!("unexpected character `{}`", other as char),
-                ));
-            }
+impl<'s> Lexer<'s> {
+    /// A lexer at the start of `src`.
+    pub fn new(src: &'s str) -> Self {
+        Lexer {
+            src,
+            i: 0,
+            line: 1,
+            col: 1,
+            error: None,
         }
     }
-    toks.push(Token {
-        tok: Tok::Eof,
-        pos: Pos { line, col },
-    });
-    Ok(toks)
+
+    /// The next token; [`Tok::Eof`] at the end of input, and from the
+    /// first lexical error on.
+    pub fn next_token(&mut self) -> Token {
+        if self.error.is_none() {
+            match self.scan() {
+                Ok(t) => return t,
+                Err(e) => self.error = Some(e),
+            }
+        }
+        Token {
+            tok: Tok::Eof,
+            pos: self.pos(),
+        }
+    }
+
+    /// Settles the result of parsing this lexer's tokens. The first
+    /// lexical error anywhere in the source wins over `parsed`, even over
+    /// a syntax error before it, as if the whole source had been lexed
+    /// before parsing began: on a parse error the rest of the source is
+    /// lexed to look for one.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first lexical error, else `parsed`'s error.
+    pub fn finish<T>(mut self, parsed: Result<T>) -> Result<T> {
+        if parsed.is_err() {
+            while self.next_token().tok != Tok::Eof {}
+        }
+        match self.error {
+            Some(e) => Err(e),
+            None => parsed,
+        }
+    }
+
+    fn pos(&self) -> Pos {
+        Pos {
+            line: self.line,
+            col: self.col,
+        }
+    }
+
+    /// Advances past one byte, tracking the line and column.
+    fn bump(&mut self) {
+        if self.src.as_bytes()[self.i] == b'\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        self.i += 1;
+    }
+
+    /// Scans one token, skipping whitespace and comments before it.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on unknown characters, unterminated block
+    /// comments, or integer literals that overflow `i64`.
+    fn scan(&mut self) -> Result<Token> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        loop {
+            let pos = self.pos();
+            let Some(&c) = bytes.get(self.i) else {
+                return Ok(Token { tok: Tok::Eof, pos });
+            };
+            let next = bytes.get(self.i + 1).copied();
+            let tok = match c {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    self.bump();
+                    continue;
+                }
+                b'/' if next == Some(b'/') => {
+                    while self.i < bytes.len() && bytes[self.i] != b'\n' {
+                        self.bump();
+                    }
+                    continue;
+                }
+                b'/' if next == Some(b'*') => {
+                    self.bump();
+                    self.bump();
+                    loop {
+                        if self.i + 1 >= bytes.len() {
+                            return Err(FrontendError::new(pos, "unterminated block comment"));
+                        }
+                        if bytes[self.i] == b'*' && bytes[self.i + 1] == b'/' {
+                            self.bump();
+                            self.bump();
+                            break;
+                        }
+                        self.bump();
+                    }
+                    continue;
+                }
+                b'{' => Tok::LBrace,
+                b'}' => Tok::RBrace,
+                b'(' => Tok::LParen,
+                b')' => Tok::RParen,
+                b';' => Tok::Semi,
+                b',' => Tok::Comma,
+                b'.' => Tok::Dot,
+                b'+' => Tok::Plus,
+                b'-' => Tok::Minus,
+                b'*' => Tok::Star,
+                b'%' => Tok::Percent,
+                b'=' if next == Some(b'=') => {
+                    self.bump();
+                    Tok::EqEq
+                }
+                b'=' => Tok::Assign,
+                b'!' if next == Some(b'=') => {
+                    self.bump();
+                    Tok::NotEq
+                }
+                b'!' => return Err(FrontendError::new(pos, "expected `!=`")),
+                b'<' if next == Some(b'=') => {
+                    self.bump();
+                    Tok::Le
+                }
+                b'<' => Tok::Lt,
+                b'0'..=b'9' => {
+                    let start = self.i;
+                    while self.i < bytes.len() && bytes[self.i].is_ascii_digit() {
+                        self.bump();
+                    }
+                    let text = &src[start..self.i];
+                    let value: i64 = text.parse().map_err(|_| {
+                        FrontendError::new(pos, format!("integer literal `{text}` overflows i64"))
+                    })?;
+                    return Ok(Token {
+                        tok: Tok::Int(value),
+                        pos,
+                    });
+                }
+                c if c.is_ascii_alphabetic() || c == b'_' => {
+                    let start = self.i;
+                    while self.i < bytes.len()
+                        && (bytes[self.i].is_ascii_alphanumeric() || bytes[self.i] == b'_')
+                    {
+                        self.bump();
+                    }
+                    let tok = match &src[start..self.i] {
+                        "class" => Tok::Class,
+                        "abstract" => Tok::Abstract,
+                        "extends" => Tok::Extends,
+                        "static" => Tok::Static,
+                        "void" => Tok::Void,
+                        "int" => Tok::IntKw,
+                        "boolean" => Tok::BooleanKw,
+                        "if" => Tok::If,
+                        "else" => Tok::Else,
+                        "while" => Tok::While,
+                        "return" => Tok::Return,
+                        "new" => Tok::New,
+                        "this" => Tok::This,
+                        "super" => Tok::Super,
+                        "null" => Tok::Null,
+                        "true" => Tok::True,
+                        "false" => Tok::False,
+                        word => Tok::Ident(word.to_owned()),
+                    };
+                    return Ok(Token { tok, pos });
+                }
+                other => {
+                    return Err(FrontendError::new(
+                        pos,
+                        format!("unexpected character `{}`", other as char),
+                    ));
+                }
+            };
+            // The last byte of a punctuation token.
+            self.bump();
+            return Ok(Token { tok, pos });
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `src`, ending with [`Tok::Eof`], or its first
+    /// lexical error.
+    fn lex(src: &str) -> Result<Vec<Token>> {
+        let mut lexer = Lexer::new(src);
+        let mut toks = Vec::new();
+        loop {
+            let t = lexer.next_token();
+            let eof = t.tok == Tok::Eof;
+            toks.push(t);
+            if eof {
+                return lexer.finish(Ok(toks));
+            }
+        }
+    }
 
     fn kinds(src: &str) -> Vec<Tok> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()

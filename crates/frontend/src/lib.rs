@@ -43,6 +43,5 @@ mod lower;
 mod parser;
 
 pub use error::{FrontendError, Pos, Result};
-pub use lexer::{lex, Tok, Token};
 pub use lower::{compile, lower};
 pub use parser::parse;

@@ -30,7 +30,6 @@ struct ClassSym {
 }
 
 /// Per-method symbol information.
-#[derive(Clone)]
 struct MethodSym {
     id: MethodId,
     is_static: bool,
@@ -39,6 +38,8 @@ struct MethodSym {
 }
 
 struct SymTab {
+    /// Indexed by [`ClassId`]: the builder numbers classes in declaration
+    /// order, `Object` first, and so does this table.
     classes: Vec<ClassSym>,
     by_name: HashMap<String, usize>,
 }
@@ -49,29 +50,22 @@ impl SymTab {
     }
 
     /// Inclusive ancestor chain indices, self first.
-    fn ancestors(&self, mut c: usize) -> Vec<usize> {
-        let mut chain = vec![c];
-        while let Some(sup) = self.classes[c].superclass {
-            chain.push(sup);
-            c = sup;
-        }
-        chain
+    fn ancestors(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(c), |&c| self.classes[c].superclass)
     }
 
     fn resolve_field(&self, class: usize, name: &str) -> Option<(FieldId, Type)> {
         self.ancestors(class)
-            .into_iter()
             .find_map(|c| self.classes[c].fields.get(name).copied())
     }
 
     fn resolve_method(&self, class: usize, name: &str) -> Option<&MethodSym> {
         self.ancestors(class)
-            .into_iter()
             .find_map(|c| self.classes[c].methods.get(name))
     }
 
     fn is_subclass(&self, sub: usize, sup: usize) -> bool {
-        self.ancestors(sub).contains(&sup)
+        self.ancestors(sub).any(|c| c == sup)
     }
 
     fn is_subtype(&self, sub: Type, sup: Type) -> bool {
@@ -88,7 +82,8 @@ impl SymTab {
     }
 
     fn idx_of(&self, id: ClassId) -> Option<usize> {
-        self.classes.iter().position(|c| c.id == id)
+        let i = id.index();
+        (self.classes.get(i)?.id == id).then_some(i)
     }
 
     fn type_name_of(&self, ty: Type) -> String {
@@ -97,12 +92,10 @@ impl SymTab {
             Type::Boolean => "boolean".into(),
             Type::Void => "void".into(),
             Type::Null => "null".into(),
-            Type::Class(id) => self
-                .classes
-                .iter()
-                .find(|c| c.id == id)
-                .map(|c| c.name.clone())
-                .unwrap_or_else(|| format!("{id}")),
+            Type::Class(id) => match self.idx_of(id) {
+                Some(i) => self.classes[i].name.clone(),
+                None => format!("{id}"),
+            },
         }
     }
 }
@@ -165,6 +158,11 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
         } else {
             pb.add_class(&decl.name, None)
         };
+        debug_assert_eq!(
+            id.index(),
+            symtab.classes.len(),
+            "class ids are table indices"
+        );
         symtab
             .by_name
             .insert(decl.name.clone(), symtab.classes.len());
@@ -567,7 +565,6 @@ impl BodyCtx<'_, '_> {
                 let ctor = self.symtab.classes[sup]
                     .methods
                     .get("<init>")
-                    .cloned()
                     .ok_or_else(|| {
                         FrontendError::new(
                             *pos,
@@ -751,7 +748,7 @@ impl BodyCtx<'_, '_> {
                 self.mb
                     .new_obj(v, class_id, &format!("{class}@{}", pos.line));
                 // Constructors are not inherited: resolve in the exact class.
-                match self.symtab.classes[idx].methods.get("<init>").cloned() {
+                match self.symtab.classes[idx].methods.get("<init>") {
                     Some(ctor) => {
                         let arg_vars = self.lower_args(&ctor.params, args, *pos)?;
                         self.mb
@@ -845,7 +842,7 @@ impl BodyCtx<'_, '_> {
         };
 
         // Resolve the callee: static vs virtual, explicit vs implicit recv.
-        let (kind, recv, target): (CallKind, Option<VarId>, MethodSym) = match base {
+        let (kind, recv, target): (CallKind, Option<VarId>, &MethodSym) = match base {
             Some(b) => {
                 // `Name.m(..)` where `Name` is not a variable is a static call.
                 if let Expr::Var(n, npos) = &**b {
@@ -855,16 +852,9 @@ impl BodyCtx<'_, '_> {
                         let cidx = self.symtab.class(n).ok_or_else(|| {
                             FrontendError::new(*npos, format!("unknown variable or class `{n}`"))
                         })?;
-                        let m =
-                            self.symtab
-                                .resolve_method(cidx, name)
-                                .cloned()
-                                .ok_or_else(|| {
-                                    FrontendError::new(
-                                        *pos,
-                                        format!("class `{n}` has no method `{name}`"),
-                                    )
-                                })?;
+                        let m = self.symtab.resolve_method(cidx, name).ok_or_else(|| {
+                            FrontendError::new(*pos, format!("class `{n}` has no method `{name}`"))
+                        })?;
                         if !m.is_static {
                             return Err(FrontendError::new(
                                 *pos,
@@ -875,19 +865,15 @@ impl BodyCtx<'_, '_> {
                     } else {
                         let (bv, bt) = self.expr(b)?;
                         let bclass = self.class_of(bt, *pos)?;
-                        let m = self
-                            .symtab
-                            .resolve_method(bclass, name)
-                            .cloned()
-                            .ok_or_else(|| {
-                                FrontendError::new(
-                                    *pos,
-                                    format!(
-                                        "class `{}` has no method `{name}`",
-                                        self.symtab.classes[bclass].name
-                                    ),
-                                )
-                            })?;
+                        let m = self.symtab.resolve_method(bclass, name).ok_or_else(|| {
+                            FrontendError::new(
+                                *pos,
+                                format!(
+                                    "class `{}` has no method `{name}`",
+                                    self.symtab.classes[bclass].name
+                                ),
+                            )
+                        })?;
                         if m.is_static {
                             return Err(FrontendError::new(
                                 *pos,
@@ -899,19 +885,15 @@ impl BodyCtx<'_, '_> {
                 } else {
                     let (bv, bt) = self.expr(b)?;
                     let bclass = self.class_of(bt, *pos)?;
-                    let m = self
-                        .symtab
-                        .resolve_method(bclass, name)
-                        .cloned()
-                        .ok_or_else(|| {
-                            FrontendError::new(
-                                *pos,
-                                format!(
-                                    "class `{}` has no method `{name}`",
-                                    self.symtab.classes[bclass].name
-                                ),
-                            )
-                        })?;
+                    let m = self.symtab.resolve_method(bclass, name).ok_or_else(|| {
+                        FrontendError::new(
+                            *pos,
+                            format!(
+                                "class `{}` has no method `{name}`",
+                                self.symtab.classes[bclass].name
+                            ),
+                        )
+                    })?;
                     if m.is_static {
                         return Err(FrontendError::new(
                             *pos,
@@ -925,7 +907,6 @@ impl BodyCtx<'_, '_> {
                 let m = self
                     .symtab
                     .resolve_method(self.class_idx, name)
-                    .cloned()
                     .ok_or_else(|| FrontendError::new(*pos, format!("unknown method `{name}`")))?;
                 if m.is_static {
                     (CallKind::Static, None, m)

@@ -1,46 +1,86 @@
 //! Recursive-descent parser for MiniJava.
+//!
+//! The parser pulls tokens from the [`Lexer`] on demand through a
+//! four-token lookahead ring (the deepest look, `peek_at(3)`, is the cast
+//! check in `unary_expr`), so the source is never materialized as a token
+//! vector. Each token is moved out of the ring when consumed: an
+//! identifier's `String` is allocated once, by the lexer, and moved into
+//! the AST.
+//!
+//! Diagnostics are those of lexing the whole file first: a lexical error
+//! anywhere in the source wins over a syntax error before it. On a syntax
+//! error the parser lexes the rest of the source, and reports the first
+//! lexical error there if it finds one ([`Lexer::finish`]).
 
 use crate::ast::{
     ABinOp, AStmt, ClassDecl, Expr, FieldDecl, MethodDecl, SourceProgram, Target, TypeName,
 };
 use crate::error::{FrontendError, Pos, Result};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{Lexer, Tok, Token};
 
 /// Parses MiniJava source text into an AST.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical error in the source if it has one, else the
+/// first syntactic error.
 pub fn parse(src: &str) -> Result<SourceProgram> {
-    let toks = lex(src)?;
-    Parser { toks, idx: 0 }.program()
+    let mut lexer = Lexer::new(src);
+    let ring = [
+        lexer.next_token(),
+        lexer.next_token(),
+        lexer.next_token(),
+        lexer.next_token(),
+    ];
+    let mut parser = Parser {
+        lexer,
+        ring,
+        head: 0,
+    };
+    let program = parser.program();
+    parser.lexer.finish(program)
 }
 
-struct Parser {
-    toks: Vec<Token>,
-    idx: usize,
+/// Tokens of lookahead the parser keeps: the current one and three more.
+const LOOKAHEAD: usize = 4;
+
+struct Parser<'s> {
+    lexer: Lexer<'s>,
+    /// The next [`LOOKAHEAD`] tokens, the current one at `head`. Past the
+    /// end of input they are all [`Tok::Eof`].
+    ring: [Token; LOOKAHEAD],
+    head: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
-        &self.toks[self.idx].tok
+        &self.ring[self.head].tok
     }
 
     fn peek_at(&self, n: usize) -> &Tok {
-        let i = (self.idx + n).min(self.toks.len() - 1);
-        &self.toks[i].tok
+        debug_assert!(n < LOOKAHEAD, "lookahead {n} beyond the ring");
+        &self.ring[(self.head + n) % LOOKAHEAD].tok
     }
 
     fn pos(&self) -> Pos {
-        self.toks[self.idx].pos
+        self.ring[self.head].pos
     }
 
+    /// Consumes the current token and refills the ring from the lexer.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.idx].clone();
-        if self.idx + 1 < self.toks.len() {
-            self.idx += 1;
-        }
+        let next = self.lexer.next_token();
+        let t = std::mem::replace(&mut self.ring[self.head], next);
+        self.head = (self.head + 1) % LOOKAHEAD;
         t
+    }
+
+    /// Consumes the current token, which the caller has matched as an
+    /// identifier, and returns its name.
+    fn bump_ident(&mut self) -> String {
+        match self.bump().tok {
+            Tok::Ident(s) => s,
+            other => unreachable!("bump_ident on {other:?}"),
+        }
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -69,11 +109,8 @@ impl Parser {
 
     fn ident(&mut self) -> Result<(String, Pos)> {
         let pos = self.pos();
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok((s, pos))
-            }
+        match self.peek() {
+            Tok::Ident(_) => Ok((self.bump_ident(), pos)),
             other => Err(FrontendError::new(
                 pos,
                 format!("expected identifier, found {}", other.describe()),
@@ -203,7 +240,7 @@ impl Parser {
 
     fn type_name(&mut self) -> Result<TypeName> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::IntKw => {
                 self.bump();
                 Ok(TypeName::Int)
@@ -216,10 +253,7 @@ impl Parser {
                 self.bump();
                 Ok(TypeName::Void)
             }
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(TypeName::Named(s))
-            }
+            Tok::Ident(_) => Ok(TypeName::Named(self.bump_ident())),
             other => Err(FrontendError::new(
                 pos,
                 format!("expected a type, found {}", other.describe()),
@@ -241,7 +275,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<AStmt> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::If => {
                 self.bump();
                 self.expect(Tok::LParen)?;
@@ -438,21 +472,21 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<Expr> {
         // Cast: `( Ident ) <expr-start>` — binds to a whole unary expression,
         // as in Java: `(T) x.f()` casts the call result.
-        if self.peek() == &Tok::LParen {
-            if let Tok::Ident(ty) = self.peek_at(1).clone() {
-                if self.peek_at(2) == &Tok::RParen && Self::starts_expr(self.peek_at(3)) {
-                    let pos = self.pos();
-                    self.bump(); // (
-                    self.bump(); // Ident
-                    self.bump(); // )
-                    let expr = self.unary_expr()?;
-                    return Ok(Expr::Cast {
-                        ty,
-                        expr: Box::new(expr),
-                        pos,
-                    });
-                }
-            }
+        if self.peek() == &Tok::LParen
+            && matches!(self.peek_at(1), Tok::Ident(_))
+            && self.peek_at(2) == &Tok::RParen
+            && Self::starts_expr(self.peek_at(3))
+        {
+            let pos = self.pos();
+            self.bump(); // (
+            let ty = self.bump_ident();
+            self.bump(); // )
+            let expr = self.unary_expr()?;
+            return Ok(Expr::Cast {
+                ty,
+                expr: Box::new(expr),
+                pos,
+            });
         }
         let mut e = self.primary()?;
         loop {
@@ -483,7 +517,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::This => {
                 self.bump();
                 Ok(Expr::This(pos))
@@ -500,7 +534,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Bool(false, pos))
             }
-            Tok::Int(v) => {
+            &Tok::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v, pos))
             }
@@ -510,8 +544,8 @@ impl Parser {
                 let args = self.args()?;
                 Ok(Expr::New { class, args, pos })
             }
-            Tok::Ident(n) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let n = self.bump_ident();
                 if self.peek() == &Tok::LParen {
                     let args = self.args()?;
                     Ok(Expr::Call {

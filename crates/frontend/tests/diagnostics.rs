@@ -187,3 +187,17 @@ fn deep_field_chains_lower_to_load_sequences() {
     .unwrap();
     assert_eq!(p.loads().len(), 3, "a.b, .c, .o");
 }
+
+#[test]
+fn lexical_error_wins_over_earlier_syntax_error() {
+    // Line 1 lacks a class name, but the `&` on line 2 is reported: the
+    // whole file is lexed before any syntax error is.
+    let e = err("class { }\nclass B { void m() { a & b; } }");
+    assert_eq!(e, "2:24: unexpected character `&`");
+}
+
+#[test]
+fn unterminated_comment_wins_over_earlier_syntax_error() {
+    let e = err("class { }\nclass B { } /* never closed");
+    assert_eq!(e, "2:13: unterminated block comment");
+}
