@@ -2,7 +2,7 @@
 //! paper's evaluation matrix.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csc_ir::{DeltaEffects, MethodId, Program};
 
@@ -104,8 +104,10 @@ impl Analysis {
 pub struct AnalysisOutcome<'p> {
     /// The main analysis result.
     pub result: PtaResult<'p>,
-    /// Total wall-clock time, including Zipper-e's pre-analysis when
-    /// applicable.
+    /// Total wall-clock time. From [`run_analysis_opts`], the whole call:
+    /// Zipper-e's pre-analysis and selection, the Cut-Shortcut plugin's
+    /// static pre-pass and solver set-up included. From
+    /// [`resolve_analysis_opts`], the solves' own clocks.
     pub total_time: Duration,
     /// Pre-analysis time (Zipper-e only).
     pub pre_time: Option<Duration>,
@@ -144,70 +146,49 @@ pub fn run_analysis<'p>(
 /// spawns (including Zipper-e's and the hybrid's pre-analysis) runs under
 /// the same options, so a differential comparison toggling
 /// [`SolverOptions::collapse_sccs`] covers the whole pipeline.
+///
+/// [`AnalysisOutcome::total_time`] is timed from entry to return.
 pub fn run_analysis_opts<'p>(
     program: &'p Program,
     analysis: Analysis,
     budget: Budget,
     opts: SolverOptions,
 ) -> AnalysisOutcome<'p> {
+    let start = Instant::now();
+    let mut outcome = run_phases(program, analysis, budget, opts);
+    outcome.total_time = start.elapsed();
+    outcome
+}
+
+/// The phases of [`run_analysis_opts`], which stamps `total_time` over
+/// all of them.
+fn run_phases<'p>(
+    program: &'p Program,
+    analysis: Analysis,
+    budget: Budget,
+    opts: SolverOptions,
+) -> AnalysisOutcome<'p> {
     match analysis {
-        Analysis::Ci => {
-            let (result, _) =
-                Solver::with_options(program, CiSelector, NoPlugin, budget, opts).solve();
-            let total_time = result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: None,
-                csc: None,
-                selected: None,
-                plugin: None,
-                pre_result: None,
-            }
-        }
-        Analysis::KObj(k) => {
-            let (result, _) =
-                Solver::with_options(program, ObjSelector::new(k), NoPlugin, budget, opts).solve();
-            let total_time = result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: None,
-                csc: None,
-                selected: None,
-                plugin: None,
-                pre_result: None,
-            }
-        }
-        Analysis::KType(k) => {
-            let (result, _) =
-                Solver::with_options(program, TypeSelector::new(k), NoPlugin, budget, opts).solve();
-            let total_time = result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: None,
-                csc: None,
-                selected: None,
-                plugin: None,
-                pre_result: None,
-            }
-        }
-        Analysis::KCallSite(k) => {
-            let (result, _) =
-                Solver::with_options(program, CallSiteSelector::new(k), NoPlugin, budget, opts)
-                    .solve();
-            let total_time = result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: None,
-                csc: None,
-                selected: None,
-                plugin: None,
-                pre_result: None,
-            }
-        }
+        Analysis::Ci => plain_outcome(
+            Solver::with_options(program, CiSelector, NoPlugin, budget, opts)
+                .solve()
+                .0,
+        ),
+        Analysis::KObj(k) => plain_outcome(
+            Solver::with_options(program, ObjSelector::new(k), NoPlugin, budget, opts)
+                .solve()
+                .0,
+        ),
+        Analysis::KType(k) => plain_outcome(
+            Solver::with_options(program, TypeSelector::new(k), NoPlugin, budget, opts)
+                .solve()
+                .0,
+        ),
+        Analysis::KCallSite(k) => plain_outcome(
+            Solver::with_options(program, CallSiteSelector::new(k), NoPlugin, budget, opts)
+                .solve()
+                .0,
+        ),
         Analysis::ZipperE => {
             let zopts = ZipperOptions::default();
             let (pre, _) =
@@ -227,10 +208,9 @@ pub fn run_analysis_opts<'p>(
             // so coordinator_secs covers both solves of a two-phase
             // analysis (modulo the selection step between them).
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            let total_time = pre_time + result.elapsed;
             AnalysisOutcome {
                 result,
-                total_time,
+                total_time: Duration::ZERO,
                 pre_time: Some(pre_time),
                 csc: None,
                 selected: Some(selected),
@@ -238,7 +218,7 @@ pub fn run_analysis_opts<'p>(
                 pre_result: Some(pre),
             }
         }
-        Analysis::CutShortcut => run_analysis_opts(
+        Analysis::CutShortcut => run_phases(
             program,
             Analysis::CutShortcutWith(CscConfig::all()),
             budget,
@@ -249,10 +229,9 @@ pub fn run_analysis_opts<'p>(
             let (mut result, plugin) =
                 Solver::with_options(program, CiSelector, plugin, budget, opts).solve();
             result.analysis = "csc".to_owned();
-            let total_time = result.elapsed;
             AnalysisOutcome {
                 result,
-                total_time,
+                total_time: Duration::ZERO,
                 pre_time: None,
                 csc: Some(plugin.stats().clone()),
                 selected: None,
@@ -286,10 +265,9 @@ pub fn run_analysis_opts<'p>(
             result.analysis = "csc-hybrid".to_owned();
             // As for Zipper-e: coordinator_secs covers both solves.
             result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            let total_time = pre_time + result.elapsed;
             AnalysisOutcome {
                 result,
-                total_time,
+                total_time: Duration::ZERO,
                 pre_time: Some(pre_time),
                 csc: Some(plugin.stats().clone()),
                 selected: Some(selected.clone()),
@@ -513,8 +491,7 @@ pub fn resolve_analysis_opts<'p>(
     }
 }
 
-/// Wraps a plugin-free result the way [`run_analysis_opts`]'s plain arms
-/// do.
+/// Wraps a plugin-free result, timed by the solve's own clock.
 fn plain_outcome(result: PtaResult<'_>) -> AnalysisOutcome<'_> {
     let total_time = result.elapsed;
     AnalysisOutcome {
@@ -710,6 +687,20 @@ mod tests {
         let m_ci = PrecisionMetrics::compute(&ci.result);
         let m_csc = PrecisionMetrics::compute(&csc.result);
         assert!(m_csc.fail_casts <= m_ci.fail_casts);
+    }
+
+    #[test]
+    fn total_time_covers_the_plugin_pre_pass() {
+        let program = csc_workloads::by_name("hsqldb")
+            .expect("suite program")
+            .compile();
+        let out = run_analysis(&program, Analysis::CutShortcut, Budget::unlimited());
+        assert!(
+            out.total_time > out.result.elapsed,
+            "{:?} must cover more than the solve's {:?}",
+            out.total_time,
+            out.result.elapsed
+        );
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! hierarchy so that subclasses inheriting or overriding a container method
 //! are covered.
 
-use std::collections::{HashMap, HashSet};
-
-use csc_ir::{ClassId, EntityCounts, MethodId, Program};
+use csc_ir::{ClassId, MethodId, Program};
 
 /// Which kind of container element a role manipulates. Distinguishing map
 /// keys from map values lets `keySet()` iterators match `put`'s key argument
@@ -82,16 +80,35 @@ impl ContainerSpec {
     /// program are silently skipped (programs need not link the whole
     /// mini-JDK).
     pub fn resolve(&self, program: &Program) -> ResolvedContainerSpec {
-        let mut resolved = ResolvedContainerSpec::default();
+        let nmethods = program.methods().len();
+        let mut collection_roots = Vec::new();
+        let mut map_roots = Vec::new();
         for (name, is_map) in &self.host_roots {
             if let Some(c) = program.class_by_name(name) {
                 if *is_map {
-                    resolved.map_roots.push(c);
+                    map_roots.push(c);
                 } else {
-                    resolved.collection_roots.push(c);
+                    collection_roots.push(c);
                 }
             }
         }
+        let host_class = (0..program.classes().len())
+            .map(|c| {
+                let c = ClassId::from_usize(c);
+                collection_roots
+                    .iter()
+                    .chain(&map_roots)
+                    .any(|&root| program.is_subclass(c, root))
+            })
+            .collect();
+        let mut resolved = ResolvedContainerSpec {
+            collection_roots,
+            map_roots,
+            host_class,
+            entrances: vec![Vec::new(); nmethods],
+            exits: vec![None; nmethods],
+            transfers: vec![false; nmethods],
+        };
         // For entry (C, m): every concrete method that a call on any
         // subclass of C may dispatch to.
         let concrete_impls = |class_name: &str, method_name: &str| -> Vec<MethodId> {
@@ -101,60 +118,64 @@ impl ContainerSpec {
             let Some(decl) = program.resolve_method(base, method_name) else {
                 return Vec::new();
             };
-            let mut out = HashSet::new();
-            for c in 0..program.classes().len() {
-                let c = ClassId::from_usize(c);
-                if program.is_subclass(c, base) {
-                    if let Some(m) = program.dispatch(c, decl) {
-                        out.insert(m);
-                    }
-                }
-            }
-            let mut v: Vec<MethodId> = out.into_iter().collect();
-            v.sort_unstable();
-            v
+            let mut out: Vec<MethodId> = (0..program.classes().len())
+                .map(ClassId::from_usize)
+                .filter(|&c| program.is_subclass(c, base))
+                .filter_map(|c| program.dispatch(c, decl))
+                .collect();
+            out.sort_unstable();
+            out.dedup();
+            out
         };
         for (c, m, k, cat) in &self.entrances {
             for id in concrete_impls(c, m) {
-                resolved.entrances.entry(id).or_default().push((*k, *cat));
+                resolved.entrances[id.index()].push((*k, *cat));
             }
         }
         for (c, m, cat) in &self.exits {
             for id in concrete_impls(c, m) {
-                resolved.exits.entry(id).or_insert(*cat);
+                resolved.exits[id.index()].get_or_insert(*cat);
             }
         }
         for (c, m) in &self.transfers {
             for id in concrete_impls(c, m) {
-                resolved.transfers.insert(id);
+                resolved.transfers[id.index()] = true;
             }
         }
         resolved
     }
 }
 
-/// A [`ContainerSpec`] resolved against a concrete program.
-#[derive(Clone, Debug, Default)]
+/// A [`ContainerSpec`] resolved against a concrete program. The tables
+/// are indexed by class or method id; an empty entry means no role.
+#[derive(Clone, Debug)]
 pub struct ResolvedContainerSpec {
     /// Classes whose instances are collection hosts (`[ColHost]`).
-    pub collection_roots: Vec<ClassId>,
+    pub(crate) collection_roots: Vec<ClassId>,
     /// Classes whose instances are map hosts (`[MapHost]`).
-    pub map_roots: Vec<ClassId>,
-    /// Entrance methods with their `(arg index, category)` annotations.
-    pub entrances: HashMap<MethodId, Vec<(usize, Category)>>,
-    /// Exit methods with the category they return.
-    pub exits: HashMap<MethodId, Category>,
-    /// Transfer methods.
-    pub transfers: HashSet<MethodId>,
+    pub(crate) map_roots: Vec<ClassId>,
+    /// Per class: whether it is a subclass of a root, so that its
+    /// instances are hosts.
+    host_class: Vec<bool>,
+    /// Per method: its `(arg index, category)` entrance annotations.
+    pub(crate) entrances: Vec<Vec<(usize, Category)>>,
+    /// Per method: the category it returns, if it is an exit.
+    pub(crate) exits: Vec<Option<Category>>,
+    /// Per method: whether it is a transfer.
+    pub(crate) transfers: Vec<bool>,
 }
 
 impl ResolvedContainerSpec {
-    /// Whether objects of `class` are hosts ([ColHost]/[MapHost] premise).
-    pub fn is_host_class(&self, program: &Program, class: ClassId) -> bool {
-        self.collection_roots
-            .iter()
-            .chain(self.map_roots.iter())
-            .any(|&root| program.is_subclass(class, root))
+    /// Whether objects of `class` are hosts (the `[ColHost]`/`[MapHost]`
+    /// premise).
+    pub fn is_host_class(&self, class: ClassId) -> bool {
+        self.host_class[class.index()]
+    }
+
+    /// Whether `m` is an entrance, an exit or a transfer.
+    pub(crate) fn has_role(&self, m: MethodId) -> bool {
+        let m = m.index();
+        !self.entrances[m].is_empty() || self.exits[m].is_some() || self.transfers[m]
     }
 
     /// Whether `new` (resolved against a patched, additions-only extension
@@ -164,18 +185,14 @@ impl ResolvedContainerSpec {
     /// is conservatively not rebasable — while entrance/exit/transfer
     /// annotations may gain entries for appended methods only (an added
     /// annotation on a *base* method means existing call edges missed its
-    /// container obligations).
-    pub fn compatible_extension(&self, new: &ResolvedContainerSpec, base: &EntityCounts) -> bool {
-        let in_m = |m: &MethodId| m.index() < base.methods;
+    /// container obligations). `self`'s method tables cover exactly the
+    /// base methods, so those checks are prefix comparisons.
+    pub fn compatible_extension(&self, new: &ResolvedContainerSpec) -> bool {
         self.collection_roots == new.collection_roots
             && self.map_roots == new.map_roots
-            && super::prep::map_restricted_eq(&self.entrances, &new.entrances, in_m)
-            && super::prep::map_restricted_eq(&self.exits, &new.exits, in_m)
-            && self.transfers.iter().all(|m| new.transfers.contains(m))
-            && new
-                .transfers
-                .iter()
-                .all(|m| !in_m(m) || self.transfers.contains(m))
+            && new.entrances.starts_with(&self.entrances)
+            && new.exits.starts_with(&self.exits)
+            && new.transfers.starts_with(&self.transfers)
     }
 }
 
@@ -189,10 +206,10 @@ mod tests {
             csc_frontend::compile("class Main { static void main() { Object o = new Object(); } }")
                 .unwrap();
         let spec = ContainerSpec::mini_jdk().resolve(&program);
-        assert!(spec.entrances.is_empty());
-        assert!(spec.exits.is_empty());
-        assert!(spec.transfers.is_empty());
+        let nmethods = program.methods().len() as u32;
+        assert!((0..nmethods).all(|m| !spec.has_role(MethodId::new(m))));
         assert!(spec.collection_roots.is_empty());
+        assert!(spec.map_roots.is_empty());
     }
 
     #[test]
@@ -230,14 +247,14 @@ mod tests {
             .method_by_qualified_name("ArrayList.iterator")
             .unwrap();
         let next = program.method_by_qualified_name("Iterator.next").unwrap();
-        assert_eq!(spec.entrances[&add], vec![(1, Category::Col)]);
-        assert!(spec.transfers.contains(&iter));
-        assert_eq!(spec.exits[&next], Category::Col);
+        assert_eq!(spec.entrances[add.index()], vec![(1, Category::Col)]);
+        assert!(spec.transfers[iter.index()]);
+        assert_eq!(spec.exits[next.index()], Some(Category::Col));
         let al = program.class_by_name("ArrayList").unwrap();
         let sub = program.class_by_name("SubList").unwrap();
-        assert!(spec.is_host_class(&program, al));
-        assert!(spec.is_host_class(&program, sub));
+        assert!(spec.is_host_class(al));
+        assert!(spec.is_host_class(sub));
         let node = program.class_by_name("Node").unwrap();
-        assert!(!spec.is_host_class(&program, node));
+        assert!(!spec.is_host_class(node));
     }
 }

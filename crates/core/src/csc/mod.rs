@@ -160,22 +160,15 @@ impl CscStats {
 pub fn pattern_methods(program: &Program, cfg: &CscConfig) -> HashSet<MethodId> {
     let info = StaticInfo::compute(program);
     let spec = cfg.container_spec.resolve(program);
-    let mut out = HashSet::new();
-    if cfg.field_store {
-        out.extend(info.prop_store_seeds.keys().copied());
-    }
-    if cfg.field_load {
-        out.extend(info.cut_load_returns.iter().copied());
-    }
-    if cfg.local_flow {
-        out.extend(info.lflow.keys().copied());
-    }
-    if cfg.container {
-        out.extend(spec.entrances.keys().copied());
-        out.extend(spec.exits.keys().copied());
-        out.extend(spec.transfers.iter().copied());
-    }
-    out
+    (0..program.methods().len())
+        .map(MethodId::from_usize)
+        .filter(|&m| {
+            (cfg.field_store && !info.prop_store_seeds[m.index()].is_empty())
+                || (cfg.field_load && info.cut_load_returns[m.index()])
+                || (cfg.local_flow && !info.lflow[m.index()].is_empty())
+                || (cfg.container && spec.has_role(m))
+        })
+        .collect()
 }
 
 /// Whether a Cut-Shortcut plugin built for `base` would rebase onto
@@ -197,8 +190,7 @@ pub fn rebase_compatible(
     let new_info = StaticInfo::compute(patched);
     let old_spec = cfg.container_spec.resolve(base);
     let new_spec = cfg.container_spec.resolve(patched);
-    old_info.compatible_extension(&new_info, &fx.base)
-        && old_spec.compatible_extension(&new_spec, &fx.base)
+    old_info.compatible_extension(&new_info) && old_spec.compatible_extension(&new_spec)
 }
 
 /// A host watch attached to the receiver pointer of a container call site.
@@ -229,9 +221,13 @@ pub struct CutShortcut {
     cfg: CscConfig,
     info: StaticInfo,
     spec: ResolvedContainerSpec,
-    /// §4.2.2 recursion: methods cut dynamically by `[CutPropLoad]`, beyond
-    /// the static closure.
-    dyn_cut_load: HashSet<MethodId>,
+    /// Per method: whether the field-load pattern cuts its returns — the
+    /// static closure, plus the methods `[CutPropLoad]`'s recursion
+    /// reaches during the solve (§4.2.2).
+    load_cut: Vec<bool>,
+    /// Per method: whether an enabled pattern cuts its returns
+    /// ([`Plugin::is_return_cut`]).
+    return_cut: Vec<bool>,
     /// Propagatable temp stores registered per callee *analysis unit*
     /// (method × context): `(k_base, f, k_from)`.
     prop_stores: PropStores,
@@ -252,7 +248,6 @@ pub struct CutShortcut {
     /// The pointer-host map `ptH`.
     pth: FxHashMap<PtrId, PointsToSet>,
     host_succ: FxHashMap<PtrId, Vec<PtrId>>,
-    host_edges: FxHashSet<(PtrId, PtrId)>,
     host_worklist: VecDeque<(PtrId, PointsToSet)>,
     /// Container watches per receiver pointer.
     watches: FxHashMap<PtrId, Vec<Watch>>,
@@ -280,24 +275,22 @@ impl CutShortcut {
                 }
             }
         }
-        let mut cut_ret: HashSet<MethodId> = HashSet::new();
-        if cfg.field_load {
-            cut_ret.extend(info.cut_load_returns.iter().copied());
+        let load_cut = info.cut_load_returns.clone();
+        let return_cut = return_cuts(&cfg, &info, &spec, &load_cut);
+        for m in (0..return_cut.len()).filter(|&m| return_cut[m]) {
+            stats.cut_return_methods += 1;
+            stats.involved_methods.insert(MethodId::from_usize(m));
         }
-        if cfg.container {
-            cut_ret.extend(spec.exits.keys().copied());
-        }
-        if cfg.local_flow {
-            cut_ret.extend(info.lflow.keys().copied());
-        }
-        stats.cut_return_methods = cut_ret.len();
-        stats.involved_methods.extend(cut_ret);
-
-        let mut plugin = CutShortcut {
+        // Static seeds ([CutStore] / level-0 [CutPropLoad]) are registered
+        // lazily per analysis unit (method × context) in `on_new_call_edge`,
+        // which keeps the plugin correct under selective context
+        // sensitivity (the paper's §3.4 combination idea).
+        CutShortcut {
             cfg,
             info,
             spec,
-            dyn_cut_load: HashSet::new(),
+            load_cut,
+            return_cut,
             prop_stores: FxHashMap::default(),
             prop_loads: FxHashMap::default(),
             temp_stores_seen: FxHashSet::default(),
@@ -308,23 +301,14 @@ impl CutShortcut {
             relay_targets: FxHashMap::default(),
             pth: FxHashMap::default(),
             host_succ: FxHashMap::default(),
-            host_edges: FxHashSet::default(),
             host_worklist: VecDeque::new(),
             watches: FxHashMap::default(),
             host_sources: FxHashMap::default(),
             host_targets: FxHashMap::default(),
             source_seen: FxHashSet::default(),
             target_seen: FxHashSet::default(),
-            stats: CscStats::default(),
-        };
-        std::mem::swap(&mut plugin.stats, &mut stats);
-        // Seed propagatable temp stores/loads from the static cut sites
-        // ([CutStore] and level-0 [CutPropLoad]).
-        // Static seeds ([CutStore] / level-0 [CutPropLoad]) are registered
-        // lazily per analysis unit (method × context) in `on_call_edge`,
-        // which keeps the plugin correct under selective context
-        // sensitivity (the paper's §3.4 combination idea).
-        plugin
+            stats,
+        }
     }
 
     /// The final statistics (valid after solving).
@@ -333,7 +317,7 @@ impl CutShortcut {
     }
 
     fn is_load_cut(&self, m: MethodId) -> bool {
-        self.info.cut_load_returns.contains(&m) || self.dyn_cut_load.contains(&m)
+        self.load_cut[m.index()]
     }
 
     fn record_involved(&mut self, st: &SolverState<'_>, p: PtrId) {
@@ -490,11 +474,14 @@ impl CutShortcut {
     }
 
     /// Adds `m` to the load-pattern `cutReturns` (dynamically) and replays
-    /// relay registration for its existing call edges.
+    /// relay registration for its existing call edges. Only the load
+    /// pattern calls this, so the load pattern is enabled and `m`'s return
+    /// is cut from now on.
     fn mark_load_cut(&mut self, st: &mut SolverState<'_>, m: MethodId) {
-        if self.info.cut_load_returns.contains(&m) || !self.dyn_cut_load.insert(m) {
+        if std::mem::replace(&mut self.load_cut[m.index()], true) {
             return;
         }
+        self.return_cut[m.index()] = true;
         self.stats.cut_return_methods += 1;
         self.stats.involved_methods.insert(m);
         let edges: Vec<(CtxId, CallSiteId, CtxId)> = st.call_edges_of(m).to_vec();
@@ -613,16 +600,21 @@ impl CutShortcut {
                     }
                 }
             }
-            if let Some(succ) = self.host_succ.get(&ptr).cloned() {
-                for t in succ {
+            if let Some(succ) = self.host_succ.get(&ptr) {
+                for &t in succ {
                     self.host_worklist.push_back((t, delta.clone()));
                 }
             }
         }
     }
 
+    /// `[PropHost]`'s host-graph edge for the PFG edge `src → dst`. No
+    /// dedup set: `on_new_edge` runs at most once per original
+    /// `(src, dst)`, since `add_edge` dedups on the original endpoints,
+    /// `add_shortcut` reports only new edges, and `rebase` refuses any
+    /// delta that removes something.
     fn host_add_edge(&mut self, src: PtrId, dst: PtrId) {
-        if src == dst || !self.host_edges.insert((src, dst)) {
+        if src == dst {
             return;
         }
         self.host_succ.entry(src).or_default().push(dst);
@@ -651,13 +643,16 @@ impl Plugin for CutShortcut {
     ) {
         let cs = st.program.call_site(site);
         let (lhs, recv) = (cs.lhs(), cs.recv());
+        let c = callee.index();
+        // The static tables are read by index: they stay fixed during a
+        // solve, and each step below needs `&mut self`.
 
         // [ShortcutLFlow]
-        if self.cfg.local_flow {
-            if let (Some(ks), Some(lhs)) = (self.info.lflow.get(&callee).cloned(), lhs) {
+        if self.cfg.local_flow && !self.info.lflow[c].is_empty() {
+            if let Some(lhs) = lhs {
                 let t = st.var_ptr(caller_ctx, lhs);
-                for k in ks {
-                    if let Some(arg) = st.program.call_site(site).arg_k(k as usize) {
+                for i in 0..self.info.lflow[c].len() {
+                    if let Some(arg) = cs.arg_k(self.info.lflow[c][i] as usize) {
                         let s = st.var_ptr(caller_ctx, arg);
                         self.add_shortcut(st, s, t, ShortcutKind::LocalFlow);
                     }
@@ -665,19 +660,15 @@ impl Plugin for CutShortcut {
             }
         }
 
-        // Field store propagation: static seeds of the callee plus any
-        // propagatable temp stores registered for this callee unit.
+        // Field store propagation: static seeds of the callee plus the
+        // propagatable temp stores registered for this callee unit so far.
         if self.cfg.field_store {
-            let mut seeds: Vec<(u32, FieldId, u32)> = self
-                .info
-                .prop_store_seeds
-                .get(&callee)
-                .cloned()
-                .unwrap_or_default();
-            if let Some(extra) = self.prop_stores.get(&(callee, callee_ctx)) {
-                seeds.extend(extra.iter().copied());
+            let extra = self.prop_stores.get(&(callee, callee_ctx)).cloned();
+            for i in 0..self.info.prop_store_seeds[c].len() {
+                let (kb, f, kf) = self.info.prop_store_seeds[c][i];
+                self.derive_temp_store(st, site, caller_ctx, kb, f, kf);
             }
-            for (kb, f, kf) in seeds {
+            for (kb, f, kf) in extra.into_iter().flatten() {
                 self.derive_temp_store(st, site, caller_ctx, kb, f, kf);
             }
         }
@@ -685,16 +676,12 @@ impl Plugin for CutShortcut {
         // Field load propagation + relay registration.
         if self.cfg.field_load {
             if let Some(lhs) = lhs {
-                let mut seeds: Vec<(u32, FieldId)> = self
-                    .info
-                    .prop_load_seeds
-                    .get(&callee)
-                    .cloned()
-                    .unwrap_or_default();
-                if let Some(extra) = self.prop_loads.get(&(callee, callee_ctx)) {
-                    seeds.extend(extra.iter().copied());
+                let extra = self.prop_loads.get(&(callee, callee_ctx)).cloned();
+                for i in 0..self.info.prop_load_seeds[c].len() {
+                    let (k, f) = self.info.prop_load_seeds[c][i];
+                    self.derive_temp_load(st, site, caller_ctx, lhs, k, f);
                 }
-                for (k, f) in seeds {
+                for (k, f) in extra.into_iter().flatten() {
                     self.derive_temp_load(st, site, caller_ctx, lhs, k, f);
                 }
                 if self.is_load_cut(callee) {
@@ -706,21 +693,20 @@ impl Plugin for CutShortcut {
         // Container roles.
         if self.cfg.container {
             if let Some(recv) = recv {
-                if let Some(roles) = self.spec.entrances.get(&callee).cloned() {
-                    for (k, cat) in roles {
-                        if let Some(arg) = st.program.call_site(site).arg_k(k) {
-                            let arg_ptr = st.var_ptr(caller_ctx, arg);
-                            self.register_watch(
-                                st,
-                                caller_ctx,
-                                recv,
-                                Watch::Source { arg: arg_ptr, cat },
-                            );
-                        }
+                for i in 0..self.spec.entrances[c].len() {
+                    let (k, cat) = self.spec.entrances[c][i];
+                    if let Some(arg) = cs.arg_k(k) {
+                        let arg_ptr = st.var_ptr(caller_ctx, arg);
+                        self.register_watch(
+                            st,
+                            caller_ctx,
+                            recv,
+                            Watch::Source { arg: arg_ptr, cat },
+                        );
                     }
                 }
-                if let Some(&cat) = self.spec.exits.get(&callee) {
-                    if let Some(lhs) = lhs {
+                if let Some(lhs) = lhs {
+                    if let Some(cat) = self.spec.exits[c] {
                         let lhs_ptr = st.var_ptr(caller_ctx, lhs);
                         self.register_watch(
                             st,
@@ -729,9 +715,7 @@ impl Plugin for CutShortcut {
                             Watch::Target { lhs: lhs_ptr, cat },
                         );
                     }
-                }
-                if self.spec.transfers.contains(&callee) {
-                    if let Some(lhs) = lhs {
+                    if self.spec.transfers[c] {
                         let lhs_ptr = st.var_ptr(caller_ctx, lhs);
                         self.register_watch(st, caller_ctx, recv, Watch::Transfer { lhs: lhs_ptr });
                     }
@@ -774,8 +758,7 @@ impl Plugin for CutShortcut {
                 .iter()
                 .filter(|&o| {
                     let (_, obj) = st.obj_key(CsObjId(o));
-                    self.spec
-                        .is_host_class(st.program, st.program.obj(obj).class())
+                    self.spec.is_host_class(st.program.obj(obj).class())
                 })
                 .collect();
             if !hosts.is_empty() {
@@ -791,7 +774,7 @@ impl Plugin for CutShortcut {
         // returnLoadEdges bookkeeping + [RelayEdge].
         if self.cfg.field_load {
             if let PtrKey::Var(ctx, v) = st.ptr_key(dst) {
-                if let Some(&m) = self.info.ret_var_owner.get(&v) {
+                if let Some(m) = self.info.ret_var_owner[v.index()] {
                     let is_rle = match kind {
                         EdgeKind::Load(l) => self.info.is_qualifying_ret_load(l),
                         EdgeKind::Shortcut(ShortcutKind::Load) => true,
@@ -814,7 +797,7 @@ impl Plugin for CutShortcut {
         // [PropHost] — all PFG edges except return edges of Transfer
         // methods participate in host propagation.
         if self.cfg.container {
-            let excluded = matches!(kind, EdgeKind::Return(m) if self.spec.transfers.contains(&m));
+            let excluded = matches!(kind, EdgeKind::Return(m) if self.spec.transfers[m.index()]);
             if !excluded {
                 self.host_add_edge(src, dst);
                 self.drain_hosts(st);
@@ -837,11 +820,15 @@ impl Plugin for CutShortcut {
         }
         let info = StaticInfo::compute(patched);
         let spec = self.cfg.container_spec.resolve(patched);
-        if !self.info.compatible_extension(&info, &fx.base)
-            || !self.spec.compatible_extension(&spec, &fx.base)
-        {
+        if !self.info.compatible_extension(&info) || !self.spec.compatible_extension(&spec) {
             return false;
         }
+        // Base methods keep their load cuts, the recursion's included;
+        // appended methods start from the fresh static closure.
+        let base = self.load_cut.len();
+        self.load_cut
+            .extend_from_slice(&info.cut_load_returns[base..]);
+        self.return_cut = return_cuts(&self.cfg, &info, &spec, &self.load_cut);
         self.info = info;
         self.spec = spec;
         true
@@ -852,8 +839,23 @@ impl Plugin for CutShortcut {
     }
 
     fn is_return_cut(&self, m: MethodId) -> bool {
-        (self.cfg.field_load && self.is_load_cut(m))
-            || (self.cfg.container && self.spec.exits.contains_key(&m))
-            || (self.cfg.local_flow && self.info.lflow.contains_key(&m))
+        self.return_cut[m.index()]
     }
+}
+
+/// Per method: whether an enabled pattern cuts its returns — the field-load
+/// pattern's `load_cut`, the container exits, or the local-flow methods.
+fn return_cuts(
+    cfg: &CscConfig,
+    info: &StaticInfo,
+    spec: &ResolvedContainerSpec,
+    load_cut: &[bool],
+) -> Vec<bool> {
+    (0..load_cut.len())
+        .map(|m| {
+            (cfg.field_load && load_cut[m])
+                || (cfg.container && spec.exits[m].is_some())
+                || (cfg.local_flow && !info.lflow[m].is_empty())
+        })
+        .collect()
 }

@@ -15,80 +15,112 @@
 //!   `[RelayEdge]` re-routes every non-load inflow;
 //! * the local-flow `↣` relation (`[Param2Var]`, `[Param2VarRec]`, Fig. 11)
 //!   and the resulting `cutReturns` of `[CutLFlow]`.
+//!
+//! Every table is a vector indexed by a dense id (method, variable, store
+//! or load site), where an empty entry (`false`, `None`, an empty list)
+//! means the id has none.
+//!
+//! The definitions pass keeps three flat per-variable arrays and no
+//! per-variable list: the number of defining statements, whether one of
+//! them is something other than a copy `x = y`, and the sources of the
+//! copies, stored once as a compressed row table (one offsets array plus
+//! one sources array).
+//!
+//! The local-flow fixpoint runs per method over a dense table of
+//! parameter-index bit sets, one row per local variable. A row is
+//! `⌈param_k_bound / 64⌉` words wide, so every method with fewer than 64
+//! parameter indices (every suite method) uses one `u64` per variable,
+//! and a method with 64 or more gets wider rows through the same code.
 
 use std::collections::{HashMap, HashSet};
 
-use csc_ir::{CallKind, LoadId, MethodId, Program, Stmt, StoreId, VarId};
+use csc_ir::{CallKind, FieldId, LoadId, MethodId, Program, Stmt, StoreId, VarId};
 
 /// Static information shared by all Cut-Shortcut pattern handlers.
 #[derive(Debug)]
 pub struct StaticInfo {
-    /// Number of defining statements per variable.
-    pub def_count: Vec<u32>,
     /// If the variable is a parameter (paper numbering: 0 = `this`) of its
     /// method and is never redefined, its parameter index.
-    pub unredefined_param_k: Vec<Option<u32>>,
+    pub(crate) unredefined_param_k: Vec<Option<u32>>,
     /// `cutStores`: store sites whose PFG edges are suppressed.
-    pub cut_stores: Vec<bool>,
+    pub(crate) cut_stores: Vec<bool>,
     /// Seed temp-stores per method: `(k_base, field, k_from)` — the store
     /// base/value parameter indices of each cut store in the method.
-    pub prop_store_seeds: HashMap<MethodId, Vec<(u32, csc_ir::FieldId, u32)>>,
+    pub(crate) prop_store_seeds: Vec<Vec<(u32, FieldId, u32)>>,
     /// Level-0 qualifying return-loads: `lhs == m_ret` and base is an
     /// unredefined parameter. Indexed per load site; used to classify load
     /// edges as `returnLoadEdges`.
-    pub qualifying_ret_load: Vec<bool>,
+    pub(crate) qualifying_ret_load: Vec<bool>,
     /// Seed temp-loads per method: `(k_base, field)` for each level-0
     /// qualifying return-load.
-    pub prop_load_seeds: HashMap<MethodId, Vec<(u32, csc_ir::FieldId)>>,
-    /// Methods whose returns are cut by the field-load pattern (level-0
-    /// plus the static CHA closure of the nested-call recursion).
-    pub cut_load_returns: HashSet<MethodId>,
-    /// Local flow: `⟨m, k⟩ ↣ m_ret` parameter indices per method
-    /// (`[CutLFlow]` cuts exactly these methods' returns).
-    pub lflow: HashMap<MethodId, Vec<u32>>,
-    /// Map from a method's synthetic return variable to the method.
-    pub ret_var_owner: HashMap<VarId, MethodId>,
-}
-
-/// How a variable is defined, for the local-flow fixpoint.
-#[derive(Clone, Debug)]
-enum Def {
-    /// `x = y` — candidate for parameter derivation.
-    Assign(VarId),
-    /// Any other defining statement (load, call result, allocation, …).
-    Other,
+    pub(crate) prop_load_seeds: Vec<Vec<(u32, FieldId)>>,
+    /// Per method: whether the field-load pattern cuts its returns
+    /// (level-0 plus the static CHA closure of the nested-call recursion).
+    pub(crate) cut_load_returns: Vec<bool>,
+    /// Local flow: `⟨m, k⟩ ↣ m_ret` parameter indices per method, ascending
+    /// (`[CutLFlow]` cuts exactly the methods with a non-empty list).
+    pub(crate) lflow: Vec<Vec<u32>>,
+    /// Per variable: the method whose synthetic return variable it is.
+    pub(crate) ret_var_owner: Vec<Option<MethodId>>,
 }
 
 impl StaticInfo {
     /// Computes all static information for a program.
     pub fn compute(program: &Program) -> Self {
         let nvars = program.vars().len();
+        let nmethods = program.methods().len();
+
+        // Definitions: per variable, how many statements define it and
+        // whether one of them is not a copy; the copies' `(lhs, rhs)` pairs
+        // become the compressed row table below.
         let mut def_count = vec![0u32; nvars];
-        let mut defs_by_var: HashMap<VarId, Vec<Def>> = HashMap::new();
-
-        let mut record = |v: VarId, d: Def, def_count: &mut Vec<u32>| {
-            def_count[v.index()] += 1;
-            defs_by_var.entry(v).or_default().push(d);
-        };
-
+        let mut other_def = vec![false; nvars];
+        let mut copies: Vec<(VarId, VarId)> = Vec::new();
         for m in program.methods() {
-            m.visit_stmts(|s| match s {
-                Stmt::New { lhs, .. }
-                | Stmt::ConstInt { lhs, .. }
-                | Stmt::ConstBool { lhs, .. }
-                | Stmt::ConstNull { lhs }
-                | Stmt::BinOp { lhs, .. } => record(*lhs, Def::Other, &mut def_count),
-                Stmt::Assign { lhs, rhs } => record(*lhs, Def::Assign(*rhs), &mut def_count),
-                Stmt::Cast(id) => record(program.cast(*id).lhs(), Def::Other, &mut def_count),
-                Stmt::Load(id) => record(program.load(*id).lhs(), Def::Other, &mut def_count),
-                Stmt::Call(id) => {
-                    if let Some(lhs) = program.call_site(*id).lhs() {
-                        record(lhs, Def::Other, &mut def_count);
-                    }
+            m.visit_stmts(|s| {
+                let (lhs, copy_of) = match s {
+                    Stmt::New { lhs, .. }
+                    | Stmt::ConstInt { lhs, .. }
+                    | Stmt::ConstBool { lhs, .. }
+                    | Stmt::ConstNull { lhs }
+                    | Stmt::BinOp { lhs, .. } => (*lhs, None),
+                    Stmt::Assign { lhs, rhs } => (*lhs, Some(*rhs)),
+                    Stmt::Cast(id) => (program.cast(*id).lhs(), None),
+                    Stmt::Load(id) => (program.load(*id).lhs(), None),
+                    Stmt::Call(id) => match program.call_site(*id).lhs() {
+                        Some(lhs) => (lhs, None),
+                        None => return,
+                    },
+                    Stmt::Store(_) | Stmt::Return | Stmt::If { .. } | Stmt::While { .. } => return,
+                };
+                def_count[lhs.index()] += 1;
+                match copy_of {
+                    Some(rhs) => copies.push((lhs, rhs)),
+                    None => other_def[lhs.index()] = true,
                 }
-                Stmt::Store(_) | Stmt::Return | Stmt::If { .. } | Stmt::While { .. } => {}
             });
         }
+        // The copy sources of `v` are `copy_src[copy_off[v]..copy_off[v + 1]]`,
+        // in statement order: a counting sort of `copies` by target. The
+        // prefix sums leave each row's end in `copy_off[v]`, and filling
+        // back to front moves it down to the row's start.
+        let mut copy_off = vec![0u32; nvars + 1];
+        for &(lhs, _) in &copies {
+            copy_off[lhs.index()] += 1;
+        }
+        let mut end = 0;
+        for off in &mut copy_off {
+            end += *off;
+            *off = end;
+        }
+        let mut copy_src = vec![VarId::new(0); copies.len()];
+        for &(lhs, rhs) in copies.iter().rev() {
+            copy_off[lhs.index()] -= 1;
+            copy_src[copy_off[lhs.index()] as usize] = rhs;
+        }
+        drop(copies);
+        let copy_sources =
+            |v: VarId| &copy_src[copy_off[v.index()] as usize..copy_off[v.index() + 1] as usize];
 
         // Unredefined parameters ([Arg2Var] side condition).
         let mut unredefined_param_k = vec![None; nvars];
@@ -106,8 +138,7 @@ impl StaticInfo {
         // containing method (and the field is reference-typed — primitive
         // stores carry no objects).
         let mut cut_stores = vec![false; program.stores().len()];
-        let mut prop_store_seeds: HashMap<MethodId, Vec<(u32, csc_ir::FieldId, u32)>> =
-            HashMap::new();
+        let mut prop_store_seeds = vec![Vec::new(); nmethods];
         for (i, st) in program.stores().iter().enumerate() {
             if !program.field(st.field()).ty().is_reference() {
                 continue;
@@ -118,25 +149,22 @@ impl StaticInfo {
             );
             if let (Some(kb), Some(kf)) = (kb, kf) {
                 cut_stores[i] = true;
-                prop_store_seeds
-                    .entry(st.method())
-                    .or_default()
-                    .push((kb, st.field(), kf));
+                prop_store_seeds[st.method().index()].push((kb, st.field(), kf));
             }
         }
 
         // Return-variable ownership.
-        let mut ret_var_owner = HashMap::new();
+        let mut ret_var_owner = vec![None; nvars];
         for (i, method) in program.methods().iter().enumerate() {
             if let Some(rv) = method.ret_var() {
-                ret_var_owner.insert(rv, MethodId::from_usize(i));
+                ret_var_owner[rv.index()] = Some(MethodId::from_usize(i));
             }
         }
 
         // Level-0 qualifying return-loads ([CutPropLoad] base case).
         let mut qualifying_ret_load = vec![false; program.loads().len()];
-        let mut prop_load_seeds: HashMap<MethodId, Vec<(u32, csc_ir::FieldId)>> = HashMap::new();
-        let mut cut_load_returns: HashSet<MethodId> = HashSet::new();
+        let mut prop_load_seeds = vec![Vec::new(); nmethods];
+        let mut cut_load_returns = vec![false; nmethods];
         // Per cut method: parameter indices that act as load bases (used by
         // the CHA closure below).
         let mut base_params: HashMap<MethodId, HashSet<u32>> = HashMap::new();
@@ -151,8 +179,8 @@ impl StaticInfo {
             }
             if let Some(k) = unredefined_param_k[ld.base().index()] {
                 qualifying_ret_load[i] = true;
-                prop_load_seeds.entry(m).or_default().push((k, ld.field()));
-                cut_load_returns.insert(m);
+                prop_load_seeds[m.index()].push((k, ld.field()));
+                cut_load_returns[m.index()] = true;
                 base_params.entry(m).or_default().insert(k);
             }
         }
@@ -173,7 +201,7 @@ impl StaticInfo {
                 }
                 let chas = cha_targets(program, cs);
                 for m in chas {
-                    if !cut_load_returns.contains(&m) {
+                    if !cut_load_returns[m.index()] {
                         continue;
                     }
                     let Some(ks) = base_params.get(&m).cloned() else {
@@ -184,7 +212,7 @@ impl StaticInfo {
                             continue;
                         };
                         if let Some(kn) = unredefined_param_k[arg.index()] {
-                            let newly = cut_load_returns.insert(n);
+                            let newly = !std::mem::replace(&mut cut_load_returns[n.index()], true);
                             let set = base_params.entry(n).or_default();
                             let added = set.insert(kn);
                             if newly || added {
@@ -200,68 +228,82 @@ impl StaticInfo {
         }
 
         // Local flow ([Param2Var] / [Param2VarRec]): least fixpoint of
-        // "all defs are assignments from parameter-derived variables".
-        let mut lflow: HashMap<MethodId, Vec<u32>> = HashMap::new();
+        // "all defs are copies from parameter-derived variables", per
+        // method over its locals' parameter-index sets. A variable is
+        // derived once its set is non-empty.
+        let mut lflow = vec![Vec::new(); nmethods];
+        // Scratch reused across methods: each variable's row in its
+        // method's table, and the table.
+        let mut row_of = vec![0u32; nvars];
+        let mut sets: Vec<u64> = Vec::new();
         for (mi, method) in program.methods().iter().enumerate() {
-            let m = MethodId::from_usize(mi);
             let Some(ret) = method.ret_var() else {
                 continue;
             };
             if !method.ret_ty().is_reference() {
                 continue;
             }
-            let mut derived: HashMap<VarId, HashSet<u32>> = HashMap::new();
+            let vars = method.vars();
+            let width = method.param_k_bound().div_ceil(64);
+            for (i, v) in vars.iter().enumerate() {
+                row_of[v.index()] = i as u32;
+            }
+            // The first word of `v`'s row; `None` for another method's
+            // variable, which is never derived here.
+            let row = |v: VarId| {
+                let i = row_of[v.index()] as usize;
+                (vars.get(i) == Some(&v)).then_some(i * width)
+            };
+            let derived = |sets: &[u64], r: usize| sets[r..r + width].iter().any(|&w| w != 0);
+            sets.clear();
+            sets.resize(vars.len() * width, 0);
             for k in 0..method.param_k_bound() {
-                if let Some(p) = method.param_k(k) {
-                    if def_count[p.index()] == 0 {
-                        derived.insert(p, HashSet::from([k as u32]));
-                    }
+                if let Some(r) = method
+                    .param_k(k)
+                    .filter(|p| def_count[p.index()] == 0)
+                    .and_then(row)
+                {
+                    sets[r + k / 64] |= 1 << (k % 64);
                 }
             }
             loop {
                 let mut changed = false;
-                for &v in method.vars() {
-                    if derived.contains_key(&v) || def_count[v.index()] == 0 {
+                for (i, &v) in vars.iter().enumerate() {
+                    let r = i * width;
+                    if def_count[v.index()] == 0 || other_def[v.index()] || derived(&sets, r) {
                         continue;
                     }
-                    let Some(defs) = defs_by_var.get(&v) else {
+                    let srcs = copy_sources(v);
+                    if !srcs
+                        .iter()
+                        .all(|&y| row(y).is_some_and(|ry| derived(&sets, ry)))
+                    {
                         continue;
-                    };
-                    let mut ks: HashSet<u32> = HashSet::new();
-                    let mut ok = true;
-                    for d in defs {
-                        match d {
-                            Def::Assign(y) => match derived.get(y) {
-                                Some(yk) => ks.extend(yk.iter().copied()),
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            },
-                            Def::Other => {
-                                ok = false;
-                                break;
-                            }
+                    }
+                    for &y in srcs {
+                        let ry = row(y).expect("a derived source is local");
+                        for w in 0..width {
+                            sets[r + w] |= sets[ry + w];
                         }
                     }
-                    if ok && !ks.is_empty() {
-                        derived.insert(v, ks);
-                        changed = true;
-                    }
+                    changed = true;
                 }
                 if !changed {
                     break;
                 }
             }
-            if let Some(ks) = derived.get(&ret) {
-                let mut ks: Vec<u32> = ks.iter().copied().collect();
-                ks.sort_unstable();
-                lflow.insert(m, ks);
+            if let Some(r) = row(ret) {
+                for (w, &word) in sets[r..r + width].iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        lflow[mi].push((w * 64) as u32 + bits.trailing_zeros());
+                        bits &= bits - 1;
+                    }
+                }
             }
         }
 
         StaticInfo {
-            def_count,
             unredefined_param_k,
             cut_stores,
             prop_store_seeds,
@@ -310,22 +352,6 @@ pub fn cha_targets(program: &Program, cs: &csc_ir::CallSite) -> Vec<MethodId> {
     }
 }
 
-/// Restricted-domain map equality for rebase-compatibility checks: `old`
-/// and `new` must agree exactly on every key in the base entity domain
-/// (`in_base`); `new` may add entries outside it freely.
-pub(crate) fn map_restricted_eq<K, V>(
-    old: &HashMap<K, V>,
-    new: &HashMap<K, V>,
-    in_base: impl Fn(&K) -> bool,
-) -> bool
-where
-    K: Eq + std::hash::Hash,
-    V: PartialEq,
-{
-    old.iter().all(|(k, v)| new.get(k) == Some(v))
-        && new.keys().all(|k| !in_base(k) || old.contains_key(k))
-}
-
 impl StaticInfo {
     /// Whether `new` (computed on a patched, additions-only extension of
     /// the base program) agrees with `self` (computed on the base) on the
@@ -334,35 +360,27 @@ impl StaticInfo {
     /// freshly computed tables (old tables would index out of bounds on
     /// appended sites).
     ///
-    /// Every solve-time-consulted field is compared over the base ids:
-    /// `cut_stores` / `qualifying_ret_load` / `unredefined_param_k` as
-    /// prefixes, the method- and variable-keyed maps and sets restricted to
-    /// base ids in both directions (an added pattern entry *on a base
-    /// method* means existing call edges missed its obligations — not
-    /// rebasable). `def_count` is compile-time-only input and is deliberately
-    /// excluded: an added redefinition that matters surfaces through
+    /// Every solve-time-consulted table is compared. `self`'s tables cover
+    /// exactly the base ids, so each comparison is a prefix check: every
+    /// base id keeps its entry, no base id gains one (an added pattern
+    /// entry *on a base method* means existing call edges missed its
+    /// obligations — not rebasable), and appended ids are free. The
+    /// definition counts are compile-time-only input and are not kept: an
+    /// added redefinition that matters surfaces through
     /// `unredefined_param_k` or the derived tables.
-    pub fn compatible_extension(&self, new: &StaticInfo, base: &csc_ir::EntityCounts) -> bool {
-        let in_m = |m: &MethodId| m.index() < base.methods;
-        self.cut_stores[..] == new.cut_stores[..self.cut_stores.len()]
-            && self.qualifying_ret_load[..]
-                == new.qualifying_ret_load[..self.qualifying_ret_load.len()]
-            && self.unredefined_param_k[..]
-                == new.unredefined_param_k[..self.unredefined_param_k.len()]
-            && map_restricted_eq(&self.prop_store_seeds, &new.prop_store_seeds, in_m)
-            && map_restricted_eq(&self.prop_load_seeds, &new.prop_load_seeds, in_m)
-            && map_restricted_eq(&self.lflow, &new.lflow, in_m)
-            && self
-                .cut_load_returns
-                .iter()
-                .all(|m| new.cut_load_returns.contains(m))
+    pub fn compatible_extension(&self, new: &StaticInfo) -> bool {
+        new.cut_stores.starts_with(&self.cut_stores)
             && new
-                .cut_load_returns
-                .iter()
-                .all(|m| !in_m(m) || self.cut_load_returns.contains(m))
-            && map_restricted_eq(&self.ret_var_owner, &new.ret_var_owner, |v: &VarId| {
-                v.index() < base.vars
-            })
+                .qualifying_ret_load
+                .starts_with(&self.qualifying_ret_load)
+            && new
+                .unredefined_param_k
+                .starts_with(&self.unredefined_param_k)
+            && new.prop_store_seeds.starts_with(&self.prop_store_seeds)
+            && new.prop_load_seeds.starts_with(&self.prop_load_seeds)
+            && new.cut_load_returns.starts_with(&self.cut_load_returns)
+            && new.lflow.starts_with(&self.lflow)
+            && new.ret_var_owner.starts_with(&self.ret_var_owner)
     }
 }
 
@@ -392,7 +410,7 @@ mod tests {
         assert!(info.is_cut_store(StoreId::new(0)));
         let set = p.method_by_qualified_name("Carton.setItem").unwrap();
         assert_eq!(
-            info.prop_store_seeds[&set],
+            info.prop_store_seeds[set.index()],
             vec![(0, p.stores()[0].field(), 1)]
         );
     }
@@ -444,10 +462,10 @@ mod tests {
         );
         let get = p2.method_by_qualified_name("Carton.getItem").unwrap();
         assert!(
-            info2.cut_load_returns.contains(&get),
+            info2.cut_load_returns[get.index()],
             "direct `return this.item` must be a level-0 ret-load cut"
         );
-        assert!(info2.prop_load_seeds.contains_key(&get));
+        assert!(!info2.prop_load_seeds[get.index()].is_empty());
     }
 
     #[test]
@@ -469,7 +487,7 @@ mod tests {
         // static method: no `this`, so params are k=1,2... wait: static
         // methods have no param 0; param_k(0) is None and declared params
         // start at k=1.
-        assert_eq!(info.lflow[&sel], vec![1, 2]);
+        assert_eq!(info.lflow[sel.index()], vec![1, 2]);
     }
 
     #[test]
@@ -489,7 +507,7 @@ mod tests {
             "#,
         );
         let pick = p.method_by_qualified_name("Main.pick").unwrap();
-        assert!(!info.lflow.contains_key(&pick));
+        assert!(info.lflow[pick.index()].is_empty());
     }
 
     #[test]
@@ -503,7 +521,7 @@ mod tests {
             "#,
         );
         let m = p.method_by_qualified_name("A.self").unwrap();
-        assert_eq!(info.lflow[&m], vec![0]);
+        assert_eq!(info.lflow[m.index()], vec![0]);
     }
 
     #[test]
@@ -520,11 +538,27 @@ mod tests {
         );
         let direct = p.method_by_qualified_name("Box.getDirect").unwrap();
         let get = p.method_by_qualified_name("Box.get").unwrap();
-        assert!(info.cut_load_returns.contains(&direct));
+        assert!(info.cut_load_returns[direct.index()]);
         assert!(
-            info.cut_load_returns.contains(&get),
+            info.cut_load_returns[get.index()],
             "nested call closure must cut the wrapper too"
         );
+    }
+
+    #[test]
+    fn local_flow_past_64_parameter_indices() {
+        let params: Vec<String> = (1..=70).map(|i| format!("A p{i}")).collect();
+        let args = vec!["new A()"; 70].join(", ");
+        let (p, info) = prep(&format!(
+            "class A {{ }}
+            class Main {{
+                static A pick({}) {{ return p66; }}
+                static void main() {{ A x = pick({args}); }}
+            }}",
+            params.join(", ")
+        ));
+        let pick = p.method_by_qualified_name("Main.pick").unwrap();
+        assert_eq!(info.lflow[pick.index()], vec![66]);
     }
 
     #[test]

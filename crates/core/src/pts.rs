@@ -4,12 +4,12 @@
 //! objects, [`crate::solver::CsObjId`]) with a *hybrid* representation:
 //! small sets are sorted vectors (cache-friendly, cheap to clone while the
 //! vast majority of pointers stay small), and sets that grow past
-//! [`SMALL_MAX`] elements promote to a **chunked** representation whose
+//! `SMALL_MAX` (64) elements promote to a **chunked** representation whose
 //! footprint is proportional to the id *ranges* the set actually touches,
 //! not to the global id space: elements are keyed by their high bits
 //! (`id >> 12`) into fixed-width chunks of 4096 ids each, and every chunk
 //! is itself hybrid — a sorted vector of 16-bit low halves below
-//! [`SPARSE_MAX`] elements, a fixed 64-word dense block above it.
+//! `SPARSE_MAX` (128) elements, a fixed 64-word dense block above it.
 //!
 //! Dense blocks are shared copy-on-write via [`Arc`]: cloning a set (or
 //! unioning a set into one that lacks the chunk entirely — the shape of

@@ -10,9 +10,17 @@
 //! This module provides the algorithmic core, shared by the solver and by
 //! the property-test harness:
 //!
+//! * [`Csr`] — the digraph an epoch condenses, in compressed sparse row
+//!   form: one offsets array and one targets array, so building it
+//!   allocates nothing per node;
 //! * [`condense`] — an iterative (explicit-stack) Tarjan SCC pass over a
-//!   dense adjacency list, assigning component ids in reverse topological
-//!   order;
+//!   [`Csr`], assigning component ids in reverse topological order;
+//! * [`merge_groups`] — an epoch's merge plan: the components with two or
+//!   more representatives, in component order (reverse topological), each
+//!   with its members ascending and the smallest id, the leader, first.
+//!   The order is fixed because the merges replay deltas in this order,
+//!   and the propagation counts depend on it. Singleton components, nearly
+//!   one per pointer, are counted and skipped without an allocation;
 //! * [`UnionFind`] — the representative index. Lookups are read-only (no
 //!   path compression on `find`), because the solver reads representatives
 //!   from `&self` contexts; instead, [`UnionFind::flatten`] re-canonicalizes
@@ -41,6 +49,44 @@ pub fn epoch_threshold(edges: u64) -> u32 {
     u32::try_from((edges / 2).max(4096)).unwrap_or(u32::MAX)
 }
 
+/// A digraph over nodes `0..len()` in compressed sparse row form: the
+/// successors of node `u` are `targets[offsets[u]..offsets[u + 1]]`. Built
+/// row by row: [`push`](Csr::push) the successors of the next node, then
+/// [`end_row`](Csr::end_row).
+#[derive(Clone, Debug)]
+pub struct Csr {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// An empty graph with room for `n` rows.
+    pub fn with_nodes(n: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            targets: Vec::new(),
+        }
+    }
+
+    /// Adds `t` to the successors of the row being built.
+    pub fn push(&mut self, t: u32) {
+        self.targets.push(t);
+    }
+
+    /// Ends the row being built: it becomes node `len() - 1`.
+    pub fn end_row(&mut self) {
+        let end = u32::try_from(self.targets.len()).expect("too many edges");
+        self.offsets.push(end);
+    }
+
+    /// Number of nodes (finished rows).
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
 /// The result of [`condense`]: a component id per node, ids dense in
 /// `0..num_comps`, assigned in reverse topological order of the
 /// condensation (every edge goes from a higher to a lower component id,
@@ -53,31 +99,19 @@ pub struct Condensation {
     pub num_comps: u32,
 }
 
-impl Condensation {
-    /// Groups nodes by component: `groups[c]` lists the members of
-    /// component `c` in ascending node order.
-    pub fn groups(&self) -> Vec<Vec<u32>> {
-        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); self.num_comps as usize];
-        for (u, &c) in self.comp.iter().enumerate() {
-            groups[c as usize].push(u as u32);
-        }
-        groups
-    }
-}
-
-/// Computes the strongly connected components of the digraph given as a
-/// dense adjacency list (`adj[u]` holds the successors of node `u`; every
-/// target must be `< adj.len()`). Iterative Tarjan — no recursion, so
-/// million-node pointer graphs cannot overflow the thread stack.
-pub fn condense(adj: &[Vec<u32>]) -> Condensation {
+/// Computes the strongly connected components of `adj` (every target must
+/// be `< adj.len()`). Iterative Tarjan — no recursion, so million-node
+/// pointer graphs cannot overflow the thread stack.
+pub fn condense(adj: &Csr) -> Condensation {
     let n = adj.len();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut comp = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
-    // (node, next successor position) — the explicit DFS call stack.
-    let mut call: Vec<(u32, usize)> = Vec::new();
+    // (node, next successor position in `adj.targets`) — the explicit
+    // DFS call stack.
+    let mut call: Vec<(u32, u32)> = Vec::new();
     let mut next_index = 0u32;
     let mut num_comps = 0u32;
 
@@ -106,11 +140,11 @@ pub fn condense(adj: &[Vec<u32>]) -> Condensation {
             &mut stack,
             &mut next_index,
         );
-        call.push((root, 0));
+        call.push((root, adj.offsets[root as usize]));
         while let Some(&(v, pos)) = call.last() {
-            if pos < adj[v as usize].len() {
+            if pos < adj.offsets[v as usize + 1] {
                 call.last_mut().expect("frame exists").1 += 1;
-                let w = adj[v as usize][pos];
+                let w = adj.targets[pos as usize];
                 debug_assert!((w as usize) < n, "edge target out of range");
                 if index[w as usize] == UNVISITED {
                     visit(
@@ -121,7 +155,7 @@ pub fn condense(adj: &[Vec<u32>]) -> Condensation {
                         &mut stack,
                         &mut next_index,
                     );
-                    call.push((w, 0));
+                    call.push((w, adj.offsets[w as usize]));
                 } else if on_stack[w as usize] {
                     lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
                 }
@@ -149,24 +183,42 @@ pub fn condense(adj: &[Vec<u32>]) -> Condensation {
 
 /// One condensation epoch's merge plan: groups the live representatives
 /// of `uf` by the SCCs of `adj` (canonical adjacency over representatives;
-/// entries of non-representatives are ignored) and returns every component
+/// rows of non-representatives are ignored) and returns every component
 /// with at least two members as an ascending member list — `group[0]` is
 /// the elected leader (smallest id). Groups come out in deterministic
 /// (reverse topological) component order.
 ///
+/// Members are counted per component first, so only the groups returned
+/// are allocated.
+///
 /// This is the shared epoch core: both the solver's `collapse_cycles` and
-/// [`OnlineScc::recondense`] merge exactly the groups this returns, so the
-/// property tests on [`OnlineScc`] exercise the same election logic the
-/// solver runs.
-pub fn merge_groups(uf: &UnionFind, adj: &[Vec<u32>]) -> Vec<Vec<u32>> {
+/// [`OnlineScc`]'s re-condensation merge exactly the groups this returns,
+/// so the property tests on [`OnlineScc`] exercise the same election logic
+/// the solver runs.
+pub fn merge_groups(uf: &UnionFind, adj: &Csr) -> Vec<Vec<u32>> {
     let cond = condense(adj);
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); cond.num_comps as usize];
-    for u in 0..adj.len() as u32 {
-        if uf.is_rep(u) {
-            groups[cond.comp[u as usize] as usize].push(u);
+    let reps = || (0..adj.len() as u32).filter(|&u| uf.is_rep(u));
+    // Per component: its representative count, then its index in `groups`
+    // (`UNVISITED` for a singleton).
+    let mut slot = vec![0u32; cond.num_comps as usize];
+    for u in reps() {
+        slot[cond.comp[u as usize] as usize] += 1;
+    }
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for s in &mut slot {
+        if *s >= 2 {
+            groups.push(Vec::with_capacity(*s as usize));
+            *s = (groups.len() - 1) as u32;
+        } else {
+            *s = UNVISITED;
         }
     }
-    groups.retain(|g| g.len() >= 2);
+    for u in reps() {
+        let s = slot[cond.comp[u as usize] as usize];
+        if s != UNVISITED {
+            groups[s as usize].push(u);
+        }
+    }
     groups
 }
 
@@ -327,19 +379,17 @@ impl OnlineScc {
     fn recondense(&mut self) {
         self.dirty = false;
         let n = self.adj.len();
-        let mut g: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut g = Csr::with_nodes(n);
         for u in 0..n as u32 {
-            if !self.uf.is_rep(u) {
-                continue;
-            }
-            let mut out: Vec<u32> = Vec::with_capacity(self.adj[u as usize].len());
-            for &t in &self.adj[u as usize] {
-                let c = self.uf.find(t);
-                if c != u {
-                    out.push(c);
+            if self.uf.is_rep(u) {
+                for &t in &self.adj[u as usize] {
+                    let c = self.uf.find(t);
+                    if c != u {
+                        g.push(c);
+                    }
                 }
             }
-            g[u as usize] = out;
+            g.end_row();
         }
         for group in merge_groups(&self.uf, &g) {
             let leader = group[0];
@@ -357,10 +407,29 @@ impl OnlineScc {
 mod tests {
     use super::*;
 
+    fn csr(rows: &[&[u32]]) -> Csr {
+        let mut g = Csr::with_nodes(rows.len());
+        for row in rows {
+            for &t in *row {
+                g.push(t);
+            }
+            g.end_row();
+        }
+        g
+    }
+
+    fn singletons(n: usize) -> UnionFind {
+        let mut uf = UnionFind::new();
+        for _ in 0..n {
+            uf.push();
+        }
+        uf
+    }
+
     #[test]
     fn condense_simple_cycle_and_tail() {
         // 0 -> 1 -> 2 -> 0, 2 -> 3
-        let adj = vec![vec![1], vec![2], vec![0, 3], vec![]];
+        let adj = csr(&[&[1], &[2], &[0, 3], &[]]);
         let c = condense(&adj);
         assert_eq!(c.comp[0], c.comp[1]);
         assert_eq!(c.comp[1], c.comp[2]);
@@ -372,11 +441,18 @@ mod tests {
 
     #[test]
     fn condense_dag_has_singleton_comps() {
-        let adj = vec![vec![1, 2], vec![2], vec![]];
+        let adj = csr(&[&[1, 2], &[2], &[]]);
         let c = condense(&adj);
         assert_eq!(c.num_comps, 3);
-        let g = c.groups();
-        assert!(g.iter().all(|grp| grp.len() == 1));
+        assert!(merge_groups(&singletons(3), &adj).is_empty());
+    }
+
+    #[test]
+    fn merge_groups_in_component_order_with_leader_first() {
+        // Two cycles, {4, 1} feeding {3, 0, 2}, and the sink 5 alone.
+        let adj = csr(&[&[2], &[4], &[3, 5], &[0], &[1, 0], &[]]);
+        let groups = merge_groups(&singletons(6), &adj);
+        assert_eq!(groups, vec![vec![0, 2, 3], vec![1, 4]]);
     }
 
     #[test]

@@ -1097,22 +1097,21 @@ impl<'p> SolverState<'p> {
         self.copy_edges_since_collapse = 0;
         self.stats.scc_runs += 1;
         let n = self.ptr_keys.len();
-        // Canonical unfiltered adjacency over representatives.
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Canonical unfiltered adjacency over representatives, one CSR row
+        // per pointer (empty for a non-representative).
+        let mut adj = crate::scc::Csr::with_nodes(n);
         for u in 0..n as u32 {
-            if !self.reps.is_rep(u) {
-                continue;
-            }
-            let mut out: Vec<u32> = Vec::new();
-            for (t, filter) in self.slots.succ_iter(u) {
-                if filter.is_none() {
-                    let c = self.reps.find(t.0);
-                    if c != u {
-                        out.push(c);
+            if self.reps.is_rep(u) {
+                for (t, filter) in self.slots.succ_iter(u) {
+                    if filter.is_none() {
+                        let c = self.reps.find(t.0);
+                        if c != u {
+                            adj.push(c);
+                        }
                     }
                 }
             }
-            adj[u as usize] = out;
+            adj.end_row();
         }
         let mut catchups: Vec<(u32, PointsToSet)> = Vec::new();
         let mut flush_reps: Vec<u32> = Vec::new();

@@ -84,10 +84,7 @@ impl ZipperE {
         let spec = ContainerSpec::mini_jdk().resolve(program);
         let is_container_method = |m: MethodId| -> bool {
             let class = program.method(m).class();
-            spec.is_host_class(program, class)
-                || spec.entrances.contains_key(&m)
-                || spec.exits.contains_key(&m)
-                || spec.transfers.contains(&m)
+            spec.is_host_class(class) || spec.has_role(m)
         };
 
         let mut candidates: HashSet<MethodId> = HashSet::new();
@@ -97,19 +94,19 @@ impl ZipperE {
                 continue;
             }
             // Direct (unwrapped) flow: parameters reach the return value.
-            if info.lflow.contains_key(&m) {
+            if !info.lflow[m.index()].is_empty() {
                 candidates.insert(m);
             }
             // Wrapped flow in: a parameter is stored into a parameter's
             // field (setters, constructors).
-            if info.prop_store_seeds.contains_key(&m) {
+            if !info.prop_store_seeds[m.index()].is_empty() {
                 candidates.insert(m);
             }
             // Wrapped flow out: a parameter's field is loaded into the
             // return value (getters), or more generally the method loads a
             // parameter's field and returns a reference — Zipper's object
             // flow graph reaches these through the class's OUT methods.
-            if info.prop_load_seeds.contains_key(&m) || info.cut_load_returns.contains(&m) {
+            if !info.prop_load_seeds[m.index()].is_empty() || info.cut_load_returns[m.index()] {
                 candidates.insert(m);
             }
             if method.ret_ty().is_reference()

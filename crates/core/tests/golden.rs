@@ -21,15 +21,26 @@
 //! pinned: `table_main` prints it as a reproduction, and
 //! `benchmark/run.py` measures it.
 //!
+//! *Cut-Shortcut counters* (`golden/csc_stats.txt`): one line per suite
+//! program under each Cut-Shortcut analysis (`csc`, `csc-doop`,
+//! `csc-hybrid`) with every `CscStats` counter: cut sites, the five
+//! shortcut-edge kinds, temp stores and loads, and involved methods. They
+//! read the plugin's static tables directly, so a table change that keeps
+//! the solver's counters but shifts a pattern classification fails here.
+//! Like the suite counters, the full 30-row matrix is `#[ignore]`d and a
+//! fast leg checks hsqldb's and findbugs's rows in every test run.
+//!
 //! Bless new snapshots with `CSC_UPDATE_GOLDEN=1 cargo test --release -p
 //! csc-core --test golden -- --include-ignored` after verifying a change
-//! is intentional. Only the full suite leg writes `suite_counters.txt`.
+//! is intentional. Only the full suite legs write `suite_counters.txt` and
+//! `csc_stats.txt`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use csc_core::{
-    run_analysis, run_analysis_opts, Analysis, Budget, PrecisionMetrics, PtaResult, SolverOptions,
+    run_analysis, run_analysis_opts, Analysis, AnalysisOutcome, Budget, PrecisionMetrics,
+    PtaResult, SolverOptions,
 };
 use csc_ir::{Program, VarId};
 
@@ -162,39 +173,49 @@ fn golden_projections_are_engine_invariant() {
     }
 }
 
-/// Solves each named suite program under every CLI analysis
-/// ([`Analysis::names`]) with an unlimited budget and renders one line
-/// per row: the program, the analysis's CLI name, then the six exact
-/// counters.
-fn suite_rows(programs: &[&str]) -> String {
+/// Solves each named suite program under each named analysis with an
+/// unlimited budget and renders one line per row: the program, the
+/// analysis's CLI name, then `counters` of the outcome.
+fn render_rows(
+    programs: &[&str],
+    analyses: &[&str],
+    counters: impl Fn(&AnalysisOutcome<'_>) -> String,
+) -> String {
     let mut out = String::new();
     for name in programs {
         let program = csc_workloads::by_name(name)
             .expect("suite program")
             .compile();
-        for analysis in Analysis::names() {
+        for analysis in analyses {
             let outcome = run_analysis(
                 &program,
                 Analysis::from_name(analysis).expect("listed name parses"),
                 Budget::unlimited(),
             );
             assert!(outcome.completed(), "{name}/{analysis} did not complete");
-            let stats = &outcome.result.state.stats;
-            let m = PrecisionMetrics::compute(&outcome.result);
-            let _ = writeln!(
-                out,
-                "{name:<9} {analysis:<10} propagations={} pts_bytes={} fail_casts={} \
-                 reach_methods={} poly_calls={} call_edges={}",
-                stats.propagations,
-                stats.pts_bytes,
-                m.fail_casts,
-                m.reach_methods,
-                m.poly_calls,
-                m.call_edges
-            );
+            let _ = writeln!(out, "{name:<9} {analysis:<10} {}", counters(&outcome));
         }
     }
     out
+}
+
+/// Every CLI analysis ([`Analysis::names`]) with the six exact counters.
+fn suite_rows(programs: &[&str]) -> String {
+    let analyses: Vec<&str> = Analysis::names().collect();
+    render_rows(programs, &analyses, |outcome| {
+        let stats = &outcome.result.state.stats;
+        let m = PrecisionMetrics::compute(&outcome.result);
+        format!(
+            "propagations={} pts_bytes={} fail_casts={} reach_methods={} poly_calls={} \
+             call_edges={}",
+            stats.propagations,
+            stats.pts_bytes,
+            m.fail_casts,
+            m.reach_methods,
+            m.poly_calls,
+            m.call_edges
+        )
+    })
 }
 
 /// The exact gate over the whole evaluation matrix: 10 programs x 8
@@ -207,20 +228,64 @@ fn suite_counters_are_exact() {
 }
 
 /// The fast leg of [`suite_counters_are_exact`]: hsqldb's and findbugs's
-/// 16 rows, each checked against its line of the committed file. It never
-/// writes the file (a partial render would truncate it), so under
-/// `CSC_UPDATE_GOLDEN` it leaves re-blessing to the full leg.
+/// 16 rows, each checked against its line of the committed file.
 #[test]
 fn suite_counters_fast_leg() {
+    check_rows("suite_counters", &suite_rows(&["hsqldb", "findbugs"]));
+}
+
+/// Every Cut-Shortcut analysis with every `CscStats` counter.
+fn csc_stats_rows(programs: &[&str]) -> String {
+    render_rows(programs, &["csc", "csc-doop", "csc-hybrid"], |outcome| {
+        let s = outcome.csc.as_ref().expect("a Cut-Shortcut outcome");
+        format!(
+            "cut_store_sites={} cut_return_methods={} shortcut_store_edges={} \
+             shortcut_load_edges={} relay_edges={} container_edges={} local_flow_edges={} \
+             temp_stores={} temp_loads={} involved_methods={}",
+            s.cut_store_sites,
+            s.cut_return_methods,
+            s.shortcut_store_edges,
+            s.shortcut_load_edges,
+            s.relay_edges,
+            s.container_edges,
+            s.local_flow_edges,
+            s.temp_stores,
+            s.temp_loads,
+            s.involved_methods.len()
+        )
+    })
+}
+
+/// The exact gate over the plugin's counters: 10 programs x the three
+/// Cut-Shortcut analyses.
+#[test]
+#[ignore = "solves 30 suite rows; run in release"]
+fn csc_stats_are_exact() {
+    let programs: Vec<&str> = csc_workloads::suite().iter().map(|b| b.name).collect();
+    check_golden("csc_stats", &csc_stats_rows(&programs));
+}
+
+/// The fast leg of [`csc_stats_are_exact`]: hsqldb's and findbugs's six
+/// rows, each checked against its line of the committed file.
+#[test]
+fn csc_stats_fast_leg() {
+    check_rows("csc_stats", &csc_stats_rows(&["hsqldb", "findbugs"]));
+}
+
+/// Checks each rendered row against the line of golden file `name` with
+/// the same program and analysis. It never writes the file (a partial
+/// render would truncate it), so under `CSC_UPDATE_GOLDEN` it leaves
+/// re-blessing to the full leg.
+fn check_rows(name: &str, rows: &str) {
     if std::env::var("CSC_UPDATE_GOLDEN").is_ok() {
         return;
     }
-    let want = read_golden("suite_counters");
+    let want = read_golden(name);
     fn key(line: &str) -> Vec<&str> {
         line.split_whitespace().take(2).collect()
     }
     let mut diff = String::new();
-    for got in suite_rows(&["hsqldb", "findbugs"]).lines() {
+    for got in rows.lines() {
         match want.lines().find(|w| key(w) == key(got)) {
             Some(w) if w == got => {}
             Some(w) => {
@@ -233,7 +298,7 @@ fn suite_counters_fast_leg() {
     }
     assert!(
         diff.is_empty(),
-        "suite counters drifted (re-bless with CSC_UPDATE_GOLDEN=1 and \
+        "{name} drifted (re-bless with CSC_UPDATE_GOLDEN=1 and \
          --include-ignored in release if intentional):\n{diff}"
     );
 }

@@ -205,13 +205,16 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    /// Advances past one byte, tracking the line and column.
+    /// Advances past one byte, tracking the line and the column. Columns
+    /// count characters: a UTF-8 continuation byte does not advance one.
     fn bump(&mut self) {
-        if self.src.as_bytes()[self.i] == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+        match self.src.as_bytes()[self.i] {
+            b'\n' => {
+                self.line += 1;
+                self.col = 1;
+            }
+            b if b & 0xC0 == 0x80 => {}
+            _ => self.col += 1,
         }
         self.i += 1;
     }
@@ -327,10 +330,13 @@ impl<'s> Lexer<'s> {
                     };
                     return Ok(Token { tok, pos });
                 }
-                other => {
+                _ => {
+                    // Tokens and comments end on ASCII bytes, so `self.i`
+                    // starts a character here.
+                    let other = src[self.i..].chars().next().expect("a byte is left");
                     return Err(FrontendError::new(
                         pos,
-                        format!("unexpected character `{}`", other as char),
+                        format!("unexpected character `{other}`"),
                     ));
                 }
             };

@@ -197,6 +197,18 @@ fn lexical_error_wins_over_earlier_syntax_error() {
 }
 
 #[test]
+fn non_ascii_character_is_named_whole() {
+    let e = err("class Main { static void main() { int café = 1; } }");
+    assert_eq!(e, "1:42: unexpected character `é`");
+}
+
+#[test]
+fn columns_count_characters_not_bytes() {
+    let e = err("/* é */ &");
+    assert_eq!(e, "1:9: unexpected character `&`");
+}
+
+#[test]
 fn unterminated_comment_wins_over_earlier_syntax_error() {
     let e = err("class { }\nclass B { } /* never closed");
     assert_eq!(e, "2:13: unterminated block comment");

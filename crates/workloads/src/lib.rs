@@ -9,7 +9,7 @@
 //! * [`examples`] — the paper's Figures 1, 3, 4, 5 as MiniJava programs;
 //! * [`gen`] — a seeded synthetic benchmark generator mixing the paper's
 //!   imprecision patterns at configurable scale;
-//! * [`suite`] — the ten-program evaluation suite named after the paper's
+//! * [`mod@suite`] — the ten-program evaluation suite named after the paper's
 //!   subjects.
 //!
 //! ```
