@@ -21,6 +21,10 @@
 //!   panic guard (the solve paths through `run_analysis_guarded` /
 //!   `resolve_analysis_guarded`, the dispatch itself behind one more
 //!   `catch_unwind`), so one bad request cannot take the daemon down.
+//!   A stack overflow is an abort that no guard can catch, so the
+//!   frontend bounds its own recursion: a `load` whose source nests
+//!   deeper than [`csc_frontend::MAX_DEPTH`] levels gets a `load` error
+//!   reply like any other frontend error.
 //!
 //! ## Protocol
 //!

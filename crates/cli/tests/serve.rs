@@ -257,6 +257,36 @@ fn serve_answers_bad_lines_and_keeps_serving() {
     assert!(status.success(), "daemon must exit cleanly at end of input");
 }
 
+/// Source nested deeper than the frontend accepts is a `load` error, not
+/// a stack overflow that would abort the daemon: 10,000 parentheses (a
+/// 20 KB request, well under the line cap) get an error reply, and the
+/// daemon answers the next request.
+#[test]
+fn serve_rejects_too_deep_source_and_keeps_serving() {
+    let mut d = Daemon::spawn();
+    let n = 10_000;
+    let src = format!(
+        "class Main {{ static void main() {{ int x = {}1{}; }} }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let r = d.roundtrip(&format!(r#"{{"cmd":"load","source":"{src}"}}"#));
+    has(&r, r#""ok":false"#);
+    has(&r, r#""kind":"load""#);
+    has(
+        &r,
+        &format!("nesting deeper than {} levels", csc_frontend::MAX_DEPTH),
+    );
+
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""ok":true"#);
+    has(&r, r#""requests":2"#);
+
+    drop(d.stdin);
+    let status = d.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon must exit cleanly at end of input");
+}
+
 /// `load` and `stats` name a session's analysis by its CLI name, so
 /// `csc-doop` is told apart from `csc`.
 #[test]

@@ -45,7 +45,6 @@ pub mod clients;
 pub mod context;
 pub mod csc;
 pub mod fault;
-pub mod fx;
 pub mod mem;
 pub mod pts;
 pub mod results;
@@ -67,6 +66,7 @@ pub use context::{
     ObjSelector, SelectiveSelector, TypeSelector,
 };
 pub use csc::{pattern_methods, rebase_compatible, CscConfig, CscStats, CutShortcut};
+pub use csc_ir::fx;
 pub use fault::{FaultMode, FaultPoint};
 pub use pts::PointsToSet;
 pub use results::SolvedSummary;

@@ -1,12 +1,24 @@
 //! Hand-written lexer for MiniJava.
+//!
+//! The lexer interns identifiers as it scans them: each distinct name is
+//! copied once into the file's [`Names`], and every occurrence becomes a
+//! [`Sym`], so a token is `Copy` and scanning allocates nothing per
+//! token. The interning map is keyed by slices of the source and lives
+//! only as long as the lexer. It keeps std's randomly keyed hasher: its
+//! keys are source text, which `csc serve` takes from its clients, so a
+//! fixed hash such as Fx would let a crafted source make every name
+//! collide. Everything downstream is keyed by [`Sym`].
 
+use std::collections::HashMap;
+
+use crate::ast::{Names, Sym};
 use crate::error::{FrontendError, Pos, Result};
 
 /// A lexical token kind.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Tok {
     /// Identifier (class/method/field/variable name).
-    Ident(String),
+    Ident(Sym),
     /// Integer literal.
     Int(i64),
     /// Keyword `class`.
@@ -80,10 +92,11 @@ pub(crate) enum Tok {
 }
 
 impl Tok {
-    /// Short printable description for error messages.
-    pub fn describe(&self) -> String {
-        match self {
-            Tok::Ident(s) => format!("identifier `{s}`"),
+    /// Short printable description for error messages; an identifier's
+    /// text is read back from `names`.
+    pub fn describe(&self, names: &Names) -> String {
+        match *self {
+            Tok::Ident(s) => format!("identifier `{}`", names.get(s)),
             Tok::Int(v) => format!("integer `{v}`"),
             Tok::Eof => "end of input".to_owned(),
             other => format!("`{}`", other.lexeme()),
@@ -131,7 +144,7 @@ impl Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Token {
     /// The token kind.
     pub tok: Tok,
@@ -150,6 +163,10 @@ pub(crate) struct Lexer<'s> {
     line: u32,
     col: u32,
     error: Option<FrontendError>,
+    /// The names interned so far.
+    names: Names,
+    /// Each interned name's symbol, by its text.
+    syms: HashMap<&'s str, Sym>,
 }
 
 impl<'s> Lexer<'s> {
@@ -161,7 +178,17 @@ impl<'s> Lexer<'s> {
             line: 1,
             col: 1,
             error: None,
+            names: Names::default(),
+            syms: Sym::PREDEFINED
+                .iter()
+                .map(|&(sym, name)| (name, sym))
+                .collect(),
         }
+    }
+
+    /// The names interned so far.
+    pub fn names(&self) -> &Names {
+        &self.names
     }
 
     /// The next token; [`Tok::Eof`] at the end of input, and from the
@@ -179,23 +206,29 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    /// Settles the result of parsing this lexer's tokens. The first
-    /// lexical error anywhere in the source wins over `parsed`, even over
-    /// a syntax error before it, as if the whole source had been lexed
-    /// before parsing began: on a parse error the rest of the source is
-    /// lexed to look for one.
+    /// Settles the result of parsing this lexer's tokens, and hands over
+    /// the source's names. The first lexical error anywhere in the source
+    /// wins over `parsed`, even over a syntax error before it, as if the
+    /// whole source had been lexed before parsing began: on a parse error
+    /// the rest of the source is lexed to look for one.
     ///
     /// # Errors
     ///
     /// Returns the first lexical error, else `parsed`'s error.
-    pub fn finish<T>(mut self, parsed: Result<T>) -> Result<T> {
+    pub fn finish(mut self, parsed: Result<()>) -> Result<Names> {
         if parsed.is_err() {
             while self.next_token().tok != Tok::Eof {}
         }
         match self.error {
             Some(e) => Err(e),
-            None => parsed,
+            None => parsed.map(|()| self.names),
         }
+    }
+
+    /// The symbol of `word`, interning it on its first occurrence.
+    fn intern(&mut self, word: &'s str) -> Sym {
+        let names = &mut self.names;
+        *self.syms.entry(word).or_insert_with(|| names.push(word))
     }
 
     fn pos(&self) -> Pos {
@@ -326,7 +359,7 @@ impl<'s> Lexer<'s> {
                         "null" => Tok::Null,
                         "true" => Tok::True,
                         "false" => Tok::False,
-                        word => Tok::Ident(word.to_owned()),
+                        word => Tok::Ident(self.intern(word)),
                     };
                     return Ok(Token { tok, pos });
                 }
@@ -351,35 +384,36 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
-    /// Every token of `src`, ending with [`Tok::Eof`], or its first
-    /// lexical error.
-    fn lex(src: &str) -> Result<Vec<Token>> {
+    /// Every token of `src`, ending with [`Tok::Eof`], and the names, or
+    /// the first lexical error.
+    fn lex(src: &str) -> Result<(Vec<Token>, Names)> {
         let mut lexer = Lexer::new(src);
         let mut toks = Vec::new();
         loop {
             let t = lexer.next_token();
-            let eof = t.tok == Tok::Eof;
             toks.push(t);
-            if eof {
-                return lexer.finish(Ok(toks));
+            if t.tok == Tok::Eof {
+                return lexer.finish(Ok(())).map(|names| (toks, names));
             }
         }
     }
 
-    fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+    /// The tokens of `src`, identifiers spelled out.
+    fn kinds(src: &str) -> Vec<String> {
+        let (toks, names) = lex(src).unwrap();
+        toks.iter().map(|t| t.tok.describe(&names)).collect()
     }
 
     #[test]
     fn lex_keywords_and_idents() {
         assert_eq!(
             kinds("class Foo extends Bar"),
-            vec![
-                Tok::Class,
-                Tok::Ident("Foo".into()),
-                Tok::Extends,
-                Tok::Ident("Bar".into()),
-                Tok::Eof
+            [
+                "`class`",
+                "identifier `Foo`",
+                "`extends`",
+                "identifier `Bar`",
+                "end of input"
             ]
         );
     }
@@ -388,17 +422,17 @@ mod tests {
     fn lex_operators() {
         assert_eq!(
             kinds("= == != < <= + - * %"),
-            vec![
-                Tok::Assign,
-                Tok::EqEq,
-                Tok::NotEq,
-                Tok::Lt,
-                Tok::Le,
-                Tok::Plus,
-                Tok::Minus,
-                Tok::Star,
-                Tok::Percent,
-                Tok::Eof
+            [
+                "`=`",
+                "`==`",
+                "`!=`",
+                "`<`",
+                "`<=`",
+                "`+`",
+                "`-`",
+                "`*`",
+                "`%`",
+                "end of input"
             ]
         );
     }
@@ -407,18 +441,30 @@ mod tests {
     fn lex_comments() {
         assert_eq!(
             kinds("a // line\n b /* block\n comment */ c"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
+            [
+                "identifier `a`",
+                "identifier `b`",
+                "identifier `c`",
+                "end of input"
             ]
         );
     }
 
     #[test]
+    fn identifiers_are_interned_once() {
+        let (toks, names) = lex("a b a Object main b").unwrap();
+        let syms: Vec<Tok> = toks.iter().map(|t| t.tok).collect();
+        assert_eq!(syms[0], syms[2]);
+        assert_eq!(syms[1], syms[5]);
+        assert_ne!(syms[0], syms[1]);
+        assert_eq!(syms[3], Tok::Ident(Sym::OBJECT));
+        assert_eq!(syms[4], Tok::Ident(Sym::MAIN));
+        assert_eq!(names.len(), Sym::PREDEFINED.len() + 2, "a and b added");
+    }
+
+    #[test]
     fn positions_track_lines() {
-        let toks = lex("a\n  b").unwrap();
+        let (toks, _) = lex("a\n  b").unwrap();
         assert_eq!(toks[0].pos, Pos { line: 1, col: 1 });
         assert_eq!(toks[1].pos, Pos { line: 2, col: 3 });
     }
@@ -436,7 +482,7 @@ mod tests {
 
     #[test]
     fn int_literals() {
-        assert_eq!(kinds("42"), vec![Tok::Int(42), Tok::Eof]);
+        assert_eq!(kinds("42"), ["integer `42`", "end of input"]);
         assert!(lex("99999999999999999999999").is_err());
     }
 }

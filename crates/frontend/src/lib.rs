@@ -36,12 +36,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
+mod ast;
 mod error;
 mod lexer;
 mod lower;
 mod parser;
 
+pub use ast::SourceProgram;
 pub use error::{FrontendError, Pos, Result};
 pub use lower::{compile, lower};
-pub use parser::parse;
+pub use parser::{parse, MAX_DEPTH};

@@ -8,25 +8,47 @@
 //! 2. resolve superclasses (with cycle detection);
 //! 3. declare fields and method signatures;
 //! 4. lower method bodies to three-address IR statements.
+//!
+//! Names resolve by [`Sym`], never by text: classes through a vector
+//! indexed by symbol, each class's fields and methods through Fx maps,
+//! and local variables through [`Scopes`], a per-symbol table with an
+//! undo log, so entering and leaving a block allocates nothing. Text is
+//! read only where the IR builder takes a name (a class, field, method or
+//! variable, or the `Class@line` label of a `new`) and where an error
+//! message is formatted.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
+use csc_ir::fx::FxHashMap;
 use csc_ir::{
     BinOp, CallKind, ClassId, FieldId, MethodBuilder, MethodId, MethodKind, Program,
     ProgramBuilder, Type, VarId,
 };
 
-use crate::ast::{ABinOp, AStmt, Expr, SourceProgram, Target, TypeName};
+use crate::ast::{ABinOp, AStmt, Expr, ExprId, List, Names, SourceProgram, StmtId, Sym, TypeName};
 use crate::error::{FrontendError, Pos, Result};
 
 /// Per-class symbol information.
 struct ClassSym {
     id: ClassId,
-    name: String,
+    name: Sym,
     superclass: Option<usize>,
     is_abstract: bool,
-    fields: HashMap<String, (FieldId, Type)>,
-    methods: HashMap<String, MethodSym>,
+    fields: FxHashMap<Sym, (FieldId, Type)>,
+    methods: FxHashMap<Sym, MethodSym>,
+}
+
+impl ClassSym {
+    fn new(id: ClassId, name: Sym, superclass: Option<usize>, is_abstract: bool) -> Self {
+        ClassSym {
+            id,
+            name,
+            superclass,
+            is_abstract,
+            fields: FxHashMap::default(),
+            methods: FxHashMap::default(),
+        }
+    }
 }
 
 /// Per-method symbol information.
@@ -37,16 +59,22 @@ struct MethodSym {
     ret: Type,
 }
 
-struct SymTab {
+struct SymTab<'a> {
+    names: &'a Names,
     /// Indexed by [`ClassId`]: the builder numbers classes in declaration
     /// order, `Object` first, and so does this table.
     classes: Vec<ClassSym>,
-    by_name: HashMap<String, usize>,
+    /// Indexed by [`Sym`]: the class of that name.
+    by_name: Vec<Option<usize>>,
 }
 
-impl SymTab {
-    fn class(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+impl SymTab<'_> {
+    fn class(&self, name: Sym) -> Option<usize> {
+        self.by_name[name.index()]
+    }
+
+    fn class_name(&self, c: usize) -> &str {
+        self.names.get(self.classes[c].name)
     }
 
     /// Inclusive ancestor chain indices, self first.
@@ -54,14 +82,28 @@ impl SymTab {
         std::iter::successors(Some(c), |&c| self.classes[c].superclass)
     }
 
-    fn resolve_field(&self, class: usize, name: &str) -> Option<(FieldId, Type)> {
+    fn resolve_field(&self, class: usize, name: Sym) -> Option<(FieldId, Type)> {
         self.ancestors(class)
-            .find_map(|c| self.classes[c].fields.get(name).copied())
+            .find_map(|c| self.classes[c].fields.get(&name).copied())
     }
 
-    fn resolve_method(&self, class: usize, name: &str) -> Option<&MethodSym> {
+    fn resolve_method(&self, class: usize, name: Sym) -> Option<&MethodSym> {
         self.ancestors(class)
-            .find_map(|c| self.classes[c].methods.get(name))
+            .find_map(|c| self.classes[c].methods.get(&name))
+    }
+
+    fn resolve_ty(&self, ty: TypeName, pos: Pos) -> Result<Type> {
+        match ty {
+            TypeName::Int => Ok(Type::Int),
+            TypeName::Boolean => Ok(Type::Boolean),
+            TypeName::Void => Ok(Type::Void),
+            TypeName::Named(n) => self
+                .class(n)
+                .map(|i| Type::Class(self.classes[i].id))
+                .ok_or_else(|| {
+                    FrontendError::new(pos, format!("unknown type `{}`", self.names.get(n)))
+                }),
+        }
     }
 
     fn is_subclass(&self, sub: usize, sup: usize) -> bool {
@@ -93,10 +135,59 @@ impl SymTab {
             Type::Void => "void".into(),
             Type::Null => "null".into(),
             Type::Class(id) => match self.idx_of(id) {
-                Some(i) => self.classes[i].name.clone(),
+                Some(i) => self.class_name(i).to_owned(),
                 None => format!("{id}"),
             },
         }
+    }
+}
+
+/// The local variables in scope, by name: a table indexed by [`Sym`] with
+/// an undo log. Blocks nest; a name declared in a block shadows the same
+/// name outside it until the block closes.
+struct Scopes {
+    /// Per name: the variable it binds, and the block that bound it.
+    bound: Vec<Option<(VarId, usize)>>,
+    /// Per binding made in an open block, what it replaced, innermost last.
+    undo: Vec<(Sym, Option<(VarId, usize)>)>,
+    /// Per open block, where its bindings start in `undo`.
+    marks: Vec<usize>,
+}
+
+impl Scopes {
+    fn new(names: usize) -> Self {
+        Scopes {
+            bound: vec![None; names],
+            undo: Vec::new(),
+            marks: Vec::new(),
+        }
+    }
+
+    fn open(&mut self) {
+        self.marks.push(self.undo.len());
+    }
+
+    fn close(&mut self) {
+        let mark = self.marks.pop().expect("a block is open");
+        for (name, old) in self.undo.drain(mark..).rev() {
+            self.bound[name.index()] = old;
+        }
+    }
+
+    fn lookup(&self, name: Sym) -> Option<VarId> {
+        self.bound[name.index()].map(|(v, _)| v)
+    }
+
+    /// Whether the innermost open block binds `name`.
+    fn bound_here(&self, name: Sym) -> bool {
+        self.bound[name.index()].is_some_and(|(_, block)| block == self.marks.len())
+    }
+
+    /// Binds `name` to `v` in the innermost open block.
+    fn bind(&mut self, name: Sym, v: VarId) {
+        let slot = &mut self.bound[name.index()];
+        self.undo.push((name, *slot));
+        *slot = Some((v, self.marks.len()));
     }
 }
 
@@ -131,57 +222,50 @@ pub fn compile(src: &str) -> Result<Program> {
 /// Returns the first semantic error (unknown names, type mismatches, missing
 /// or ambiguous `main`, hierarchy cycles, …).
 pub fn lower(ast: &SourceProgram) -> Result<Program> {
+    let names = &ast.names;
     let mut pb = ProgramBuilder::new();
     let object = pb.object_class();
 
     // Pass 1: declare classes.
     let mut symtab = SymTab {
-        classes: vec![ClassSym {
-            id: object,
-            name: "Object".to_owned(),
-            superclass: None,
-            is_abstract: false,
-            fields: HashMap::new(),
-            methods: HashMap::new(),
-        }],
-        by_name: HashMap::from([("Object".to_owned(), 0usize)]),
+        names,
+        classes: vec![ClassSym::new(object, Sym::OBJECT, None, false)],
+        by_name: vec![None; names.len()],
     };
+    symtab.by_name[Sym::OBJECT.index()] = Some(0);
     for decl in &ast.classes {
-        if symtab.by_name.contains_key(&decl.name) {
+        let name = names.get(decl.name);
+        if symtab.class(decl.name).is_some() {
             return Err(FrontendError::new(
                 decl.pos,
-                format!("duplicate class `{}`", decl.name),
+                format!("duplicate class `{name}`"),
             ));
         }
         let id = if decl.is_abstract {
-            pb.add_abstract_class(&decl.name, None)
+            pb.add_abstract_class(name, None)
         } else {
-            pb.add_class(&decl.name, None)
+            pb.add_class(name, None)
         };
         debug_assert_eq!(
             id.index(),
             symtab.classes.len(),
             "class ids are table indices"
         );
+        symtab.by_name[decl.name.index()] = Some(symtab.classes.len());
         symtab
-            .by_name
-            .insert(decl.name.clone(), symtab.classes.len());
-        symtab.classes.push(ClassSym {
-            id,
-            name: decl.name.clone(),
-            superclass: Some(0),
-            is_abstract: decl.is_abstract,
-            fields: HashMap::new(),
-            methods: HashMap::new(),
-        });
+            .classes
+            .push(ClassSym::new(id, decl.name, Some(0), decl.is_abstract));
     }
 
     // Pass 2: superclasses + cycle detection.
     for decl in &ast.classes {
-        let idx = symtab.class(&decl.name).expect("declared in pass 1");
-        if let Some(sup_name) = &decl.superclass {
+        let idx = symtab.class(decl.name).expect("declared in pass 1");
+        if let Some(sup_name) = decl.superclass {
             let sup = symtab.class(sup_name).ok_or_else(|| {
-                FrontendError::new(decl.pos, format!("unknown superclass `{sup_name}`"))
+                FrontendError::new(
+                    decl.pos,
+                    format!("unknown superclass `{}`", names.get(sup_name)),
+                )
             })?;
             symtab.classes[idx].superclass = Some(sup);
             pb.set_superclass(symtab.classes[idx].id, symtab.classes[sup].id);
@@ -196,34 +280,19 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
             if steps > symtab.classes.len() {
                 return Err(FrontendError::new(
                     Pos::default(),
-                    format!(
-                        "class hierarchy cycle involving `{}`",
-                        symtab.classes[i].name
-                    ),
+                    format!("class hierarchy cycle involving `{}`", symtab.class_name(i)),
                 ));
             }
         }
     }
 
-    let resolve_ty = |symtab: &SymTab, ty: &TypeName, pos: Pos| -> Result<Type> {
-        match ty {
-            TypeName::Int => Ok(Type::Int),
-            TypeName::Boolean => Ok(Type::Boolean),
-            TypeName::Void => Ok(Type::Void),
-            TypeName::Named(n) => symtab
-                .class(n)
-                .map(|i| Type::Class(symtab.classes[i].id))
-                .ok_or_else(|| FrontendError::new(pos, format!("unknown type `{n}`"))),
-        }
-    };
-
     // Pass 3: fields and method signatures.
     let mut bodies: Vec<(usize, MethodId, &crate::ast::MethodDecl)> = Vec::new();
     for decl in &ast.classes {
-        let idx = symtab.class(&decl.name).expect("declared");
+        let idx = symtab.class(decl.name).expect("declared");
         let class_id = symtab.classes[idx].id;
-        for field in &decl.fields {
-            let ty = resolve_ty(&symtab, &field.ty, field.pos)?;
+        for field in ast.fields_of(decl) {
+            let ty = symtab.resolve_ty(field.ty, field.pos)?;
             if ty == Type::Void {
                 return Err(FrontendError::new(
                     field.pos,
@@ -233,32 +302,30 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
             if symtab.classes[idx].fields.contains_key(&field.name) {
                 return Err(FrontendError::new(
                     field.pos,
-                    format!("duplicate field `{}`", field.name),
+                    format!("duplicate field `{}`", names.get(field.name)),
                 ));
             }
-            let fid = pb.add_field(class_id, &field.name, ty);
-            symtab.classes[idx]
-                .fields
-                .insert(field.name.clone(), (fid, ty));
+            let fid = pb.add_field(class_id, names.get(field.name), ty);
+            symtab.classes[idx].fields.insert(field.name, (fid, ty));
         }
-        for method in &decl.methods {
-            let ret = resolve_ty(&symtab, &method.ret, method.pos)?;
+        for method in ast.methods_of(decl) {
+            let ret = symtab.resolve_ty(method.ret, method.pos)?;
             let mut param_tys = Vec::new();
             let mut params: Vec<(&str, Type)> = Vec::new();
-            for (ty, name) in &method.params {
-                let t = resolve_ty(&symtab, ty, method.pos)?;
+            for param in ast.params_of(method) {
+                let t = symtab.resolve_ty(param.ty, method.pos)?;
                 if t == Type::Void {
                     return Err(FrontendError::new(method.pos, "parameters cannot be void"));
                 }
                 param_tys.push(t);
-                params.push((name.as_str(), t));
+                params.push((names.get(param.name), t));
             }
             if symtab.classes[idx].methods.contains_key(&method.name) {
                 return Err(FrontendError::new(
                     method.pos,
                     format!(
                         "duplicate method `{}` (overloading is not supported)",
-                        method.name
+                        names.get(method.name)
                     ),
                 ));
             }
@@ -269,14 +336,15 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
             } else {
                 MethodKind::Instance
             };
+            let name = names.get(method.name);
             let mid = if method.is_abstract {
-                pb.add_abstract_method(class_id, &method.name, &params, ret)
+                pb.add_abstract_method(class_id, name, &params, ret)
             } else {
-                let mb = pb.begin_method(class_id, &method.name, kind, &params, ret);
+                let mb = pb.begin_method(class_id, name, kind, &params, ret);
                 mb.finish()
             };
             symtab.classes[idx].methods.insert(
-                method.name.clone(),
+                method.name,
                 MethodSym {
                     id: mid,
                     is_static: method.is_static,
@@ -291,32 +359,36 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
     }
 
     // Pass 4: bodies.
+    let mut scopes = Scopes::new(names.len());
     for (class_idx, mid, method) in bodies {
         let mb = pb.resume_method(mid);
         let mut ctx = BodyCtx {
+            ast,
             symtab: &symtab,
             class_idx,
-            ret: resolve_ty(&symtab, &method.ret, method.pos)?,
+            ret: symtab.resolve_ty(method.ret, method.pos)?,
             is_ctor: method.is_ctor,
             mb,
-            scopes: vec![HashMap::new()],
+            scopes: &mut scopes,
             tmp_count: 0,
+            tmp_name: String::new(),
         };
-        for (i, (_, name)) in method.params.iter().enumerate() {
+        ctx.scopes.open();
+        for (i, param) in ast.params_of(method).iter().enumerate() {
             let v = ctx.mb.param(i);
-            ctx.scopes[0].insert(name.clone(), v);
+            ctx.scopes.bind(param.name, v);
         }
-        let body = method.body.as_ref().expect("collected only with body");
-        for stmt in body {
+        for stmt in ast.block(method.body.expect("collected only with body")) {
             ctx.stmt(stmt)?;
         }
+        ctx.scopes.close();
         ctx.mb.finish();
     }
 
     // Entry point: prefer `Main.main`, else a unique `static void main()`.
     let mut mains: Vec<(usize, MethodId)> = Vec::new();
     for (i, class) in symtab.classes.iter().enumerate() {
-        if let Some(m) = class.methods.get("main") {
+        if let Some(m) = class.methods.get(&Sym::MAIN) {
             if m.is_static && m.params.is_empty() && m.ret == Type::Void {
                 mains.push((i, m.id));
             }
@@ -332,7 +404,7 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
         1 => mains[0].1,
         _ => mains
             .iter()
-            .find(|&&(i, _)| symtab.classes[i].name == "Main")
+            .find(|&&(i, _)| symtab.classes[i].name == Sym::MAIN_CLASS)
             .map(|&(_, m)| m)
             .ok_or_else(|| {
                 FrontendError::new(Pos::default(), "multiple `main` methods and none in `Main`")
@@ -345,23 +417,28 @@ pub fn lower(ast: &SourceProgram) -> Result<Program> {
 }
 
 struct BodyCtx<'a, 'p> {
-    symtab: &'a SymTab,
+    ast: &'a SourceProgram,
+    symtab: &'a SymTab<'a>,
     class_idx: usize,
     ret: Type,
     is_ctor: bool,
     mb: MethodBuilder<'p>,
-    scopes: Vec<HashMap<String, VarId>>,
+    scopes: &'a mut Scopes,
     tmp_count: u32,
+    /// The last temporary's name, reused for the next one.
+    tmp_name: String,
 }
 
-impl BodyCtx<'_, '_> {
-    fn lookup(&self, name: &str) -> Option<VarId> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
+impl<'a> BodyCtx<'a, '_> {
+    fn name(&self, s: Sym) -> &str {
+        self.ast.name(s)
     }
 
     fn fresh(&mut self, ty: Type) -> VarId {
         self.tmp_count += 1;
-        self.mb.local(&format!("$t{}", self.tmp_count), ty)
+        self.tmp_name.clear();
+        let _ = write!(self.tmp_name, "$t{}", self.tmp_count);
+        self.mb.local(&self.tmp_name, ty)
     }
 
     fn this_var(&self, pos: Pos) -> Result<VarId> {
@@ -401,90 +478,95 @@ impl BodyCtx<'_, '_> {
         }
     }
 
+    /// The field `name` of class `class` or an ancestor.
+    fn field_of(&self, class: usize, name: Sym, pos: Pos) -> Result<(FieldId, Type)> {
+        self.symtab.resolve_field(class, name).ok_or_else(|| {
+            FrontendError::new(
+                pos,
+                format!(
+                    "class `{}` has no field `{}`",
+                    self.symtab.class_name(class),
+                    self.name(name)
+                ),
+            )
+        })
+    }
+
     // ---- statements -----------------------------------------------------
 
-    fn stmt(&mut self, s: &AStmt) -> Result<()> {
-        match s {
+    /// Lowers the statements of a nested block in a scope of their own.
+    fn block(&mut self, block: List) -> Result<()> {
+        self.scopes.open();
+        let ast = self.ast;
+        for s in ast.block(block) {
+            self.stmt(s)?;
+        }
+        self.scopes.close();
+        Ok(())
+    }
+
+    fn stmt(&mut self, s: StmtId) -> Result<()> {
+        match self.ast.stmt(s) {
             AStmt::Decl {
                 ty,
                 name,
                 init,
                 pos,
             } => {
-                let ty = self.resolve_ty(ty, *pos)?;
-                if self
-                    .scopes
-                    .last()
-                    .expect("scope stack non-empty")
-                    .contains_key(name)
-                {
+                let ty = self.symtab.resolve_ty(ty, pos)?;
+                if self.scopes.bound_here(name) {
                     return Err(FrontendError::new(
-                        *pos,
-                        format!("duplicate variable `{name}`"),
+                        pos,
+                        format!("duplicate variable `{}`", self.name(name)),
                     ));
                 }
-                let v = self.mb.local(name, ty);
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(name.clone(), v);
+                let v = self.mb.local(self.ast.name(name), ty);
+                self.scopes.bind(name, v);
                 if let Some(init) = init {
                     self.expr_into(v, ty, init)?;
                 }
                 Ok(())
             }
-            AStmt::Assign { target, value, pos } => match target {
-                Target::Var(name, vpos) => {
-                    if let Some(v) = self.lookup(name) {
+            AStmt::Assign { target, value, pos } => match self.ast.expr(target) {
+                Expr::Var(name, vpos) => {
+                    if let Some(v) = self.scopes.lookup(name) {
                         self.expr_into(v, self.mb.var_ty(v), value)?;
                         Ok(())
                     } else if let Some((fid, fty)) = self.symtab.resolve_field(self.class_idx, name)
                     {
                         // Implicit `this.name = value`.
-                        let this = self.this_var(*vpos)?;
+                        let this = self.this_var(vpos)?;
                         let (rv, rt) = self.expr(value)?;
-                        self.check_assign(fty, rt, *pos)?;
+                        self.check_assign(fty, rt, pos)?;
                         self.mb.store(this, fid, rv);
                         Ok(())
                     } else {
                         Err(FrontendError::new(
-                            *vpos,
-                            format!("unknown variable `{name}`"),
+                            vpos,
+                            format!("unknown variable `{}`", self.name(name)),
                         ))
                     }
                 }
-                Target::Field { base, name, pos } => {
+                Expr::Field { base, name, pos } => {
                     let (bv, bt) = self.expr(base)?;
-                    let bclass = self.class_of(bt, *pos)?;
-                    let (fid, fty) = self.symtab.resolve_field(bclass, name).ok_or_else(|| {
-                        FrontendError::new(
-                            *pos,
-                            format!(
-                                "class `{}` has no field `{name}`",
-                                self.symtab.classes[bclass].name
-                            ),
-                        )
-                    })?;
+                    let bclass = self.class_of(bt, pos)?;
+                    let (fid, fty) = self.field_of(bclass, name, pos)?;
                     let (rv, rt) = self.expr(value)?;
-                    self.check_assign(fty, rt, *pos)?;
+                    self.check_assign(fty, rt, pos)?;
                     self.mb.store(bv, fid, rv);
                     Ok(())
                 }
+                other => unreachable!("the parser admits no assignment to {other:?}"),
             },
             AStmt::ExprStmt(e) => {
-                match e {
+                match self.ast.expr(e) {
                     Expr::Call { .. } => {
                         self.call_expr(e, CallDst::Discard)?;
                     }
                     Expr::New { .. } => {
                         self.expr(e)?;
                     }
-                    other => {
-                        return Err(FrontendError::new(
-                            other.pos(),
-                            "only calls and allocations may be used as statements",
-                        ))
-                    }
+                    other => unreachable!("the parser admits no statement {other:?}"),
                 }
                 Ok(())
             }
@@ -496,21 +578,13 @@ impl BodyCtx<'_, '_> {
             } => {
                 let (cv, ct) = self.expr(cond)?;
                 if ct != Type::Boolean {
-                    return Err(FrontendError::new(*pos, "condition must be boolean"));
+                    return Err(FrontendError::new(pos, "condition must be boolean"));
                 }
                 self.mb.push_block();
-                self.scopes.push(HashMap::new());
-                for s in then_branch {
-                    self.stmt(s)?;
-                }
-                self.scopes.pop();
+                self.block(then_branch)?;
                 let then_stmts = self.mb.pop_block();
                 self.mb.push_block();
-                self.scopes.push(HashMap::new());
-                for s in else_branch {
-                    self.stmt(s)?;
-                }
-                self.scopes.pop();
+                self.block(else_branch)?;
                 let else_stmts = self.mb.pop_block();
                 self.mb.emit_if(cv, then_stmts, else_stmts);
                 Ok(())
@@ -520,14 +594,10 @@ impl BodyCtx<'_, '_> {
                 let (cv, ct) = self.expr(cond)?;
                 let cond_stmts = self.mb.pop_block();
                 if ct != Type::Boolean {
-                    return Err(FrontendError::new(*pos, "condition must be boolean"));
+                    return Err(FrontendError::new(pos, "condition must be boolean"));
                 }
                 self.mb.push_block();
-                self.scopes.push(HashMap::new());
-                for s in body {
-                    self.stmt(s)?;
-                }
-                self.scopes.pop();
+                self.block(body)?;
                 let body_stmts = self.mb.pop_block();
                 self.mb.emit_while(cond_stmts, cv, body_stmts);
                 Ok(())
@@ -536,17 +606,14 @@ impl BodyCtx<'_, '_> {
                 match (value, self.ret) {
                     (None, Type::Void) => self.mb.ret(None),
                     (None, _) => {
-                        return Err(FrontendError::new(*pos, "missing return value"));
+                        return Err(FrontendError::new(pos, "missing return value"));
                     }
                     (Some(_), Type::Void) => {
-                        return Err(FrontendError::new(
-                            *pos,
-                            "void method cannot return a value",
-                        ));
+                        return Err(FrontendError::new(pos, "void method cannot return a value"));
                     }
                     (Some(e), ret) => {
                         let (v, t) = self.expr(e)?;
-                        self.check_assign(ret, t, *pos)?;
+                        self.check_assign(ret, t, pos)?;
                         self.mb.ret(Some(v));
                     }
                 }
@@ -555,27 +622,22 @@ impl BodyCtx<'_, '_> {
             AStmt::SuperCall { args, pos } => {
                 if !self.is_ctor {
                     return Err(FrontendError::new(
-                        *pos,
+                        pos,
                         "`super(..)` is only allowed in constructors",
                     ));
                 }
-                let sup = self.symtab.classes[self.class_idx]
+                let symtab = self.symtab;
+                let sup = symtab.classes[self.class_idx]
                     .superclass
-                    .ok_or_else(|| FrontendError::new(*pos, "`Object` has no superclass"))?;
-                let ctor = self.symtab.classes[sup]
-                    .methods
-                    .get("<init>")
-                    .ok_or_else(|| {
-                        FrontendError::new(
-                            *pos,
-                            format!(
-                                "superclass `{}` has no constructor",
-                                self.symtab.classes[sup].name
-                            ),
-                        )
-                    })?;
-                let this = self.this_var(*pos)?;
-                let arg_vars = self.lower_args(&ctor.params, args, *pos)?;
+                    .ok_or_else(|| FrontendError::new(pos, "`Object` has no superclass"))?;
+                let ctor = symtab.classes[sup].methods.get(&Sym::INIT).ok_or_else(|| {
+                    FrontendError::new(
+                        pos,
+                        format!("superclass `{}` has no constructor", symtab.class_name(sup)),
+                    )
+                })?;
+                let this = self.this_var(pos)?;
+                let arg_vars = self.lower_args(&ctor.params, args, pos)?;
                 self.mb
                     .call(CallKind::Special, None, Some(this), ctor.id, &arg_vars);
                 Ok(())
@@ -583,20 +645,7 @@ impl BodyCtx<'_, '_> {
         }
     }
 
-    fn resolve_ty(&self, ty: &TypeName, pos: Pos) -> Result<Type> {
-        match ty {
-            TypeName::Int => Ok(Type::Int),
-            TypeName::Boolean => Ok(Type::Boolean),
-            TypeName::Void => Ok(Type::Void),
-            TypeName::Named(n) => self
-                .symtab
-                .class(n)
-                .map(|i| Type::Class(self.symtab.classes[i].id))
-                .ok_or_else(|| FrontendError::new(pos, format!("unknown type `{n}`"))),
-        }
-    }
-
-    fn lower_args(&mut self, param_tys: &[Type], args: &[Expr], pos: Pos) -> Result<Vec<VarId>> {
+    fn lower_args(&mut self, param_tys: &[Type], args: List, pos: Pos) -> Result<Vec<VarId>> {
         if param_tys.len() != args.len() {
             return Err(FrontendError::new(
                 pos,
@@ -608,9 +657,10 @@ impl BodyCtx<'_, '_> {
             ));
         }
         let mut vars = Vec::with_capacity(args.len());
-        for (arg, &pt) in args.iter().zip(param_tys) {
+        let ast = self.ast;
+        for (arg, &pt) in ast.args(args).zip(param_tys) {
             let (v, t) = self.expr(arg)?;
-            self.check_assign(pt, t, arg.pos())?;
+            self.check_assign(pt, t, ast.expr(arg).pos())?;
             vars.push(v);
         }
         Ok(vars)
@@ -623,106 +673,88 @@ impl BodyCtx<'_, '_> {
     /// calls, casts, literals, arithmetic). This mirrors Tai-e's IR — e.g.
     /// `r = this.f;` is a single load statement with `r` as its target —
     /// which is what the Cut-Shortcut pattern rules match on.
-    fn expr_into(&mut self, dst: VarId, dst_ty: Type, e: &Expr) -> Result<()> {
-        match e {
+    fn expr_into(&mut self, dst: VarId, dst_ty: Type, e: ExprId) -> Result<()> {
+        match self.ast.expr(e) {
             Expr::Field { base, name, pos } => {
                 let (bv, bt) = self.expr(base)?;
-                let bclass = self.class_of(bt, *pos)?;
-                let (fid, fty) = self.symtab.resolve_field(bclass, name).ok_or_else(|| {
-                    FrontendError::new(
-                        *pos,
-                        format!(
-                            "class `{}` has no field `{name}`",
-                            self.symtab.classes[bclass].name
-                        ),
-                    )
-                })?;
-                self.check_assign(dst_ty, fty, *pos)?;
+                let bclass = self.class_of(bt, pos)?;
+                let (fid, fty) = self.field_of(bclass, name, pos)?;
+                self.check_assign(dst_ty, fty, pos)?;
                 self.mb.load(dst, bv, fid);
                 Ok(())
             }
             Expr::Call { pos, .. } => {
                 let (_, rt) = self.call_expr(e, CallDst::Into(dst))?;
-                self.check_assign(dst_ty, rt, *pos)?;
+                self.check_assign(dst_ty, rt, pos)?;
                 Ok(())
             }
             Expr::Cast { ty, expr, pos } => {
-                let target = self
-                    .symtab
-                    .class(ty)
-                    .map(|i| Type::Class(self.symtab.classes[i].id))
-                    .ok_or_else(|| FrontendError::new(*pos, format!("unknown type `{ty}`")))?;
+                let target = self.symtab.resolve_ty(TypeName::Named(ty), pos)?;
                 let (v, t) = self.expr(expr)?;
                 if !t.is_reference() {
-                    return Err(FrontendError::new(*pos, "only object casts are supported"));
+                    return Err(FrontendError::new(pos, "only object casts are supported"));
                 }
-                self.check_assign(dst_ty, target, *pos)?;
+                self.check_assign(dst_ty, target, pos)?;
                 self.mb.cast(dst, target, v);
                 Ok(())
             }
             Expr::Int(v, pos) => {
-                self.check_assign(dst_ty, Type::Int, *pos)?;
-                self.mb.const_int(dst, *v);
+                self.check_assign(dst_ty, Type::Int, pos)?;
+                self.mb.const_int(dst, v);
                 Ok(())
             }
             Expr::Bool(v, pos) => {
-                self.check_assign(dst_ty, Type::Boolean, *pos)?;
-                self.mb.const_bool(dst, *v);
+                self.check_assign(dst_ty, Type::Boolean, pos)?;
+                self.mb.const_bool(dst, v);
                 Ok(())
             }
             Expr::Null(pos) => {
-                self.check_assign(dst_ty, Type::Null, *pos)?;
+                self.check_assign(dst_ty, Type::Null, pos)?;
                 self.mb.const_null(dst);
                 Ok(())
             }
-            Expr::Bin { .. } => {
+            // Arithmetic produces a fresh temp anyway, so it folds into a
+            // copy, as do `this`, variables, and `new` (whose constructor
+            // arguments may mention the destination).
+            other => {
                 let (v, t) = self.expr(e)?;
-                // Arithmetic produces a fresh temp anyway; fold the copy.
-                self.check_assign(dst_ty, t, e.pos())?;
-                self.mb.assign(dst, v);
-                Ok(())
-            }
-            // `this`, variables, and `new` (whose constructor arguments may
-            // mention the destination) go through a plain copy.
-            _ => {
-                let (v, t) = self.expr(e)?;
-                self.check_assign(dst_ty, t, e.pos())?;
+                self.check_assign(dst_ty, t, other.pos())?;
                 self.mb.assign(dst, v);
                 Ok(())
             }
         }
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(VarId, Type)> {
-        match e {
+    fn expr(&mut self, e: ExprId) -> Result<(VarId, Type)> {
+        match self.ast.expr(e) {
             Expr::This(pos) => {
-                let v = self.this_var(*pos)?;
+                let v = self.this_var(pos)?;
                 Ok((v, self.mb.var_ty(v)))
             }
             Expr::Var(name, pos) => {
-                if let Some(v) = self.lookup(name) {
+                if let Some(v) = self.scopes.lookup(name) {
                     Ok((v, self.mb.var_ty(v)))
                 } else if let Some((fid, fty)) = self.symtab.resolve_field(self.class_idx, name) {
                     // Implicit `this.name`.
-                    let this = self.this_var(*pos)?;
+                    let this = self.this_var(pos)?;
                     let t = self.fresh(fty);
                     self.mb.load(t, this, fid);
                     Ok((t, fty))
                 } else {
                     Err(FrontendError::new(
-                        *pos,
-                        format!("unknown variable `{name}`"),
+                        pos,
+                        format!("unknown variable `{}`", self.name(name)),
                     ))
                 }
             }
             Expr::Int(v, _) => {
                 let t = self.fresh(Type::Int);
-                self.mb.const_int(t, *v);
+                self.mb.const_int(t, v);
                 Ok((t, Type::Int))
             }
             Expr::Bool(v, _) => {
                 let t = self.fresh(Type::Boolean);
-                self.mb.const_bool(t, *v);
+                self.mb.const_bool(t, v);
                 Ok((t, Type::Boolean))
             }
             Expr::Null(_) => {
@@ -731,34 +763,34 @@ impl BodyCtx<'_, '_> {
                 Ok((t, Type::Null))
             }
             Expr::New { class, args, pos } => {
-                let idx = self
-                    .symtab
-                    .class(class)
-                    .ok_or_else(|| FrontendError::new(*pos, format!("unknown class `{class}`")))?;
-                let sym = &self.symtab.classes[idx];
+                let symtab = self.symtab;
+                let idx = symtab.class(class).ok_or_else(|| {
+                    FrontendError::new(pos, format!("unknown class `{}`", self.name(class)))
+                })?;
+                let sym = &symtab.classes[idx];
                 if sym.is_abstract {
                     return Err(FrontendError::new(
-                        *pos,
-                        format!("cannot instantiate abstract class `{class}`"),
+                        pos,
+                        format!("cannot instantiate abstract class `{}`", self.name(class)),
                     ));
                 }
                 let class_id = sym.id;
                 let ty = Type::Class(class_id);
                 let v = self.fresh(ty);
-                self.mb
-                    .new_obj(v, class_id, &format!("{class}@{}", pos.line));
+                let label = format!("{}@{}", self.ast.name(class), pos.line);
+                self.mb.new_obj(v, class_id, &label);
                 // Constructors are not inherited: resolve in the exact class.
-                match self.symtab.classes[idx].methods.get("<init>") {
+                match sym.methods.get(&Sym::INIT) {
                     Some(ctor) => {
-                        let arg_vars = self.lower_args(&ctor.params, args, *pos)?;
+                        let arg_vars = self.lower_args(&ctor.params, args, pos)?;
                         self.mb
                             .call(CallKind::Special, None, Some(v), ctor.id, &arg_vars);
                     }
-                    None if args.is_empty() => {}
+                    None if args.len() == 0 => {}
                     None => {
                         return Err(FrontendError::new(
-                            *pos,
-                            format!("class `{class}` has no constructor"),
+                            pos,
+                            format!("class `{}` has no constructor", self.name(class)),
                         ));
                     }
                 }
@@ -766,16 +798,8 @@ impl BodyCtx<'_, '_> {
             }
             Expr::Field { base, name, pos } => {
                 let (bv, bt) = self.expr(base)?;
-                let bclass = self.class_of(bt, *pos)?;
-                let (fid, fty) = self.symtab.resolve_field(bclass, name).ok_or_else(|| {
-                    FrontendError::new(
-                        *pos,
-                        format!(
-                            "class `{}` has no field `{name}`",
-                            self.symtab.classes[bclass].name
-                        ),
-                    )
-                })?;
+                let bclass = self.class_of(bt, pos)?;
+                let (fid, fty) = self.field_of(bclass, name, pos)?;
                 let t = self.fresh(fty);
                 self.mb.load(t, bv, fid);
                 Ok((t, fty))
@@ -785,14 +809,10 @@ impl BodyCtx<'_, '_> {
                 Ok((v.expect("value requested"), t))
             }
             Expr::Cast { ty, expr, pos } => {
-                let target = self
-                    .symtab
-                    .class(ty)
-                    .map(|i| Type::Class(self.symtab.classes[i].id))
-                    .ok_or_else(|| FrontendError::new(*pos, format!("unknown type `{ty}`")))?;
+                let target = self.symtab.resolve_ty(TypeName::Named(ty), pos)?;
                 let (v, t) = self.expr(expr)?;
                 if !t.is_reference() {
-                    return Err(FrontendError::new(*pos, "only object casts are supported"));
+                    return Err(FrontendError::new(pos, "only object casts are supported"));
                 }
                 let dst = self.fresh(target);
                 self.mb.cast(dst, target, v);
@@ -818,7 +838,7 @@ impl BodyCtx<'_, '_> {
                 let ref_ok = both_ref && matches!(irop, BinOp::EqRef | BinOp::NeRef);
                 if !both_int && !ref_ok {
                     return Err(FrontendError::new(
-                        *pos,
+                        pos,
                         "arithmetic requires int operands; `==`/`!=` require two ints or two references",
                     ));
                 }
@@ -829,115 +849,112 @@ impl BodyCtx<'_, '_> {
         }
     }
 
+    /// The method `name` of class `class` or an ancestor, which must not be
+    /// static: the target of a virtual call.
+    fn virtual_method(&self, class: usize, name: Sym, pos: Pos) -> Result<&'a MethodSym> {
+        let symtab = self.symtab;
+        let m = symtab.resolve_method(class, name).ok_or_else(|| {
+            FrontendError::new(
+                pos,
+                format!(
+                    "class `{}` has no method `{}`",
+                    self.symtab.class_name(class),
+                    self.name(name)
+                ),
+            )
+        })?;
+        if m.is_static {
+            return Err(FrontendError::new(
+                pos,
+                format!("static method `{}` called on an instance", self.name(name)),
+            ));
+        }
+        Ok(m)
+    }
+
     /// Lowers a call expression into the requested destination.
-    fn call_expr(&mut self, e: &Expr, dst: CallDst) -> Result<(Option<VarId>, Type)> {
+    fn call_expr(&mut self, e: ExprId, dst: CallDst) -> Result<(Option<VarId>, Type)> {
         let Expr::Call {
             base,
             name,
             args,
             pos,
-        } = e
+        } = self.ast.expr(e)
         else {
             unreachable!("call_expr invoked on non-call");
         };
+        let symtab = self.symtab;
 
         // Resolve the callee: static vs virtual, explicit vs implicit recv.
         let (kind, recv, target): (CallKind, Option<VarId>, &MethodSym) = match base {
-            Some(b) => {
+            Some(b) => match self.ast.expr(b) {
                 // `Name.m(..)` where `Name` is not a variable is a static call.
-                if let Expr::Var(n, npos) = &**b {
-                    if self.lookup(n).is_none()
-                        && self.symtab.resolve_field(self.class_idx, n).is_none()
-                    {
-                        let cidx = self.symtab.class(n).ok_or_else(|| {
-                            FrontendError::new(*npos, format!("unknown variable or class `{n}`"))
-                        })?;
-                        let m = self.symtab.resolve_method(cidx, name).ok_or_else(|| {
-                            FrontendError::new(*pos, format!("class `{n}` has no method `{name}`"))
-                        })?;
-                        if !m.is_static {
-                            return Err(FrontendError::new(
-                                *pos,
-                                format!("method `{n}.{name}` is not static"),
-                            ));
-                        }
-                        (CallKind::Static, None, m)
-                    } else {
-                        let (bv, bt) = self.expr(b)?;
-                        let bclass = self.class_of(bt, *pos)?;
-                        let m = self.symtab.resolve_method(bclass, name).ok_or_else(|| {
-                            FrontendError::new(
-                                *pos,
-                                format!(
-                                    "class `{}` has no method `{name}`",
-                                    self.symtab.classes[bclass].name
-                                ),
-                            )
-                        })?;
-                        if m.is_static {
-                            return Err(FrontendError::new(
-                                *pos,
-                                format!("static method `{name}` called on an instance"),
-                            ));
-                        }
-                        (CallKind::Virtual, Some(bv), m)
-                    }
-                } else {
-                    let (bv, bt) = self.expr(b)?;
-                    let bclass = self.class_of(bt, *pos)?;
-                    let m = self.symtab.resolve_method(bclass, name).ok_or_else(|| {
+                Expr::Var(n, npos)
+                    if self.scopes.lookup(n).is_none()
+                        && symtab.resolve_field(self.class_idx, n).is_none() =>
+                {
+                    let cidx = symtab.class(n).ok_or_else(|| {
                         FrontendError::new(
-                            *pos,
+                            npos,
+                            format!("unknown variable or class `{}`", self.name(n)),
+                        )
+                    })?;
+                    let m = symtab.resolve_method(cidx, name).ok_or_else(|| {
+                        FrontendError::new(
+                            pos,
                             format!(
-                                "class `{}` has no method `{name}`",
-                                self.symtab.classes[bclass].name
+                                "class `{}` has no method `{}`",
+                                self.name(n),
+                                self.name(name)
                             ),
                         )
                     })?;
-                    if m.is_static {
+                    if !m.is_static {
                         return Err(FrontendError::new(
-                            *pos,
-                            format!("static method `{name}` called on an instance"),
+                            pos,
+                            format!(
+                                "method `{}.{}` is not static",
+                                self.name(n),
+                                self.name(name)
+                            ),
                         ));
                     }
-                    (CallKind::Virtual, Some(bv), m)
+                    (CallKind::Static, None, m)
                 }
-            }
+                _ => {
+                    let (bv, bt) = self.expr(b)?;
+                    let bclass = self.class_of(bt, pos)?;
+                    (
+                        CallKind::Virtual,
+                        Some(bv),
+                        self.virtual_method(bclass, name, pos)?,
+                    )
+                }
+            },
             None => {
-                let m = self
-                    .symtab
-                    .resolve_method(self.class_idx, name)
-                    .ok_or_else(|| FrontendError::new(*pos, format!("unknown method `{name}`")))?;
+                let m = symtab.resolve_method(self.class_idx, name).ok_or_else(|| {
+                    FrontendError::new(pos, format!("unknown method `{}`", self.name(name)))
+                })?;
                 if m.is_static {
                     (CallKind::Static, None, m)
                 } else {
-                    let this = self.this_var(*pos)?;
+                    let this = self.this_var(pos)?;
                     (CallKind::Virtual, Some(this), m)
                 }
             }
         };
 
-        let arg_vars = self.lower_args(&target.params, args, *pos)?;
+        let arg_vars = self.lower_args(&target.params, args, pos)?;
         let lhs = match dst {
             CallDst::Discard => None,
-            CallDst::Fresh => {
-                if target.ret == Type::Void {
-                    return Err(FrontendError::new(
-                        *pos,
-                        format!("void method `{name}` used as a value"),
-                    ));
-                }
-                Some(self.fresh(target.ret))
+            CallDst::Fresh | CallDst::Into(_) if target.ret == Type::Void => {
+                return Err(FrontendError::new(
+                    pos,
+                    format!("void method `{}` used as a value", self.name(name)),
+                ));
             }
-            CallDst::Into(v) => {
-                if target.ret == Type::Void {
-                    return Err(FrontendError::new(
-                        *pos,
-                        format!("void method `{name}` used as a value"),
-                    ));
-                }
-                Some(v)
-            }
+            CallDst::Fresh => Some(self.fresh(target.ret)),
+            CallDst::Into(v) => Some(v),
         };
         self.mb.call(kind, lhs, recv, target.id, &arg_vars);
         Ok((lhs, target.ret))

@@ -8,14 +8,14 @@
 //! ([`ProgramBuilder::set_superclass`]), which lets frontends resolve
 //! forward references with a simple two-pass scheme.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
 use crate::ids::{CallSiteId, CastId, ClassId, FieldId, LoadId, MethodId, ObjId, StoreId, VarId};
 use crate::program::{
     CallSite, CastSite, Class, Field, LoadSite, Method, MethodKind, ObjInfo, Program, SigId,
-    StoreSite, VarInfo,
+    StoreSite, VTable, VarInfo,
 };
 use crate::stmt::{BinOp, CallKind, Stmt};
 use crate::ty::Type;
@@ -89,6 +89,8 @@ pub struct ProgramBuilder {
     stores: Vec<StoreSite>,
     casts: Vec<CastSite>,
     sigs: Vec<(String, Vec<Type>)>,
+    /// Keyed by source text, so it keeps std's randomly keyed hasher: a
+    /// fixed hash would let crafted names collide.
     sig_map: HashMap<(String, Vec<Type>), SigId>,
     object_class: ClassId,
     entry: Option<MethodId>,
@@ -356,21 +358,22 @@ impl ProgramBuilder {
         }
 
         // Duplicate-member checks.
+        let mut seen: HashSet<&str> = HashSet::new();
         for class in &self.classes {
-            let mut seen = HashMap::new();
+            seen.clear();
             for &m in &class.methods {
                 let name = &self.methods[m.index()].name;
-                if seen.insert(name.clone(), ()).is_some() {
+                if !seen.insert(name.as_str()) {
                     return Err(BuildError::DuplicateMethod(
                         class.name.clone(),
                         name.clone(),
                     ));
                 }
             }
-            let mut seen = HashMap::new();
+            seen.clear();
             for &f in &class.fields {
                 let name = &self.fields[f.index()].name;
-                if seen.insert(name.clone(), ()).is_some() {
+                if !seen.insert(name.as_str()) {
                     return Err(BuildError::DuplicateField(class.name.clone(), name.clone()));
                 }
             }
@@ -380,11 +383,11 @@ impl ProgramBuilder {
         // topological handle: process by increasing chain length).
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&c| ancestors[c].len());
-        let mut vtables: Vec<HashMap<SigId, MethodId>> = vec![HashMap::new(); n];
+        let mut vtables: Vec<VTable> = vec![VTable::default(); n];
         for &c in &order {
             let mut table = match self.classes[c].superclass {
                 Some(sup) => vtables[sup.index()].clone(),
-                None => HashMap::new(),
+                None => VTable::default(),
             };
             for &m in &self.classes[c].methods {
                 let method = &self.methods[m.index()];

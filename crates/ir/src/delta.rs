@@ -33,7 +33,7 @@ use std::fmt;
 use crate::ids::{CallSiteId, CastId, ClassId, FieldId, LoadId, MethodId, ObjId, StoreId, VarId};
 use crate::program::{
     CallSite, CastSite, Class, Field, LoadSite, Method, MethodKind, ObjInfo, Program, StoreSite,
-    VarInfo,
+    VTable, VarInfo,
 };
 use crate::stmt::{CallKind, Stmt};
 use crate::ty::Type;
@@ -627,12 +627,11 @@ fn rebuild_vtables(p: &mut Program) {
     let n = p.classes.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&c| p.ancestors[c].len());
-    let mut vtables: Vec<std::collections::HashMap<crate::program::SigId, MethodId>> =
-        vec![std::collections::HashMap::new(); n];
+    let mut vtables: Vec<VTable> = vec![VTable::default(); n];
     for &c in &order {
         let mut table = match p.classes[c].superclass {
             Some(sup) => vtables[sup.index()].clone(),
-            None => std::collections::HashMap::new(),
+            None => VTable::default(),
         };
         for &m in &p.classes[c].methods {
             let method = &p.methods[m.index()];

@@ -1,7 +1,9 @@
-//! A non-cryptographic, rustc-style multiplicative hasher for the solver's
-//! residual hash tables.
+//! A non-cryptographic, rustc-style multiplicative hasher for the
+//! workspace's hash tables: the frontend's identifier interner, the IR
+//! builder's signature table and dispatch tables, and the solver's
+//! residual tables (`csc_core::fx` re-exports this module).
 //!
-//! The solver's hot keys are small tuples of dense u32 ids; `std`'s
+//! Their keys are small tuples of dense u32 ids or short names; `std`'s
 //! SipHash spends more time hashing than the table spends probing. This is
 //! the `FxHasher` construction used by rustc (rotate, xor, multiply by a
 //! mixing constant), implemented locally because the build runs offline.

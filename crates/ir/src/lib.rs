@@ -50,6 +50,7 @@
 mod builder;
 mod delta;
 mod display;
+pub mod fx;
 mod ids;
 mod program;
 mod stmt;

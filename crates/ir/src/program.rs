@@ -1,8 +1,7 @@
 //! The whole-program IR: entity tables, the class hierarchy, and
 //! signature-based virtual dispatch.
 
-use std::collections::HashMap;
-
+use crate::fx::FxHashMap;
 use crate::ids::{CallSiteId, CastId, ClassId, FieldId, LoadId, MethodId, ObjId, StoreId, VarId};
 use crate::stmt::{CallKind, Stmt};
 use crate::ty::Type;
@@ -13,6 +12,9 @@ use crate::ty::Type;
 /// overriding relationship; virtual dispatch resolves by signature.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SigId(pub(crate) u32);
+
+/// One class's dispatch table: signature → concrete method.
+pub(crate) type VTable = FxHashMap<SigId, MethodId>;
 
 /// A class declaration.
 #[derive(Clone, Debug, PartialEq)]
@@ -368,7 +370,7 @@ pub struct Program {
     pub(crate) object_class: ClassId,
     /// Per class: full (inherited + declared) dispatch table, signature →
     /// concrete method.
-    pub(crate) vtables: Vec<HashMap<SigId, MethodId>>,
+    pub(crate) vtables: Vec<VTable>,
     /// Per class: inclusive ancestor chain, self first, `Object` last.
     pub(crate) ancestors: Vec<Vec<ClassId>>,
 }

@@ -7,9 +7,14 @@
 //! label or id of the lowered IR moves the digest, so a lexer, parser or
 //! lowering rewrite can show here that it emits the same IR.
 //!
-//! The full ten-program leg is `#[ignore]`d for release mode; a fast leg
-//! checks hsqldb's and findbugs's lines against the same file in every
-//! test run. Bless with `CSC_UPDATE_GOLDEN=1 cargo test --release -p
+//! Below the suite's lines, the file pins inputs the suite does not
+//! reach: the paper's figures from [`csc_workloads::examples`], and
+//! hsqldb and findbugs generated with another seed (`hsqldb@7`,
+//! `findbugs@7`).
+//!
+//! The full leg (all of them) is `#[ignore]`d for release mode; a fast
+//! leg checks the lines of hsqldb, findbugs and every extra input against
+//! the same file in every test run. Bless with `CSC_UPDATE_GOLDEN=1 cargo test --release -p
 //! csc-workloads --test ir_golden -- --include-ignored`, only after a
 //! change to the IR is intended; only the full leg writes the file.
 
@@ -30,13 +35,47 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Compiles each named suite program and renders its golden line.
-fn ir_rows(programs: &[&str]) -> String {
+/// Seed of the re-generated suite programs among [`extra_inputs`].
+const OTHER_SEED: u64 = 7;
+
+/// The named suite programs' (name, source) pairs.
+fn suite_inputs(programs: &[&str]) -> Vec<(String, String)> {
+    programs
+        .iter()
+        .map(|name| {
+            let bench = csc_workloads::by_name(name).expect("suite program");
+            ((*name).to_owned(), bench.source())
+        })
+        .collect()
+}
+
+/// The inputs pinned besides the suite: the paper's figures, and two
+/// suite programs generated with [`OTHER_SEED`].
+fn extra_inputs() -> Vec<(String, String)> {
+    use csc_workloads::examples;
+    let mut inputs = vec![
+        ("figure1".to_owned(), examples::FIGURE1.to_owned()),
+        ("figure3".to_owned(), examples::FIGURE3.to_owned()),
+        ("figure4".to_owned(), examples::figure4()),
+        ("figure5".to_owned(), examples::FIGURE5.to_owned()),
+        ("map_views".to_owned(), examples::map_views()),
+    ];
+    for name in ["hsqldb", "findbugs"] {
+        let mut config = csc_workloads::by_name(name).expect("suite program").config;
+        config.seed = OTHER_SEED;
+        inputs.push((
+            format!("{name}@{OTHER_SEED}"),
+            csc_workloads::generate(&config),
+        ));
+    }
+    inputs
+}
+
+/// Compiles each input and renders its golden line.
+fn ir_rows(inputs: &[(String, String)]) -> String {
     let mut out = String::new();
-    for name in programs {
-        let program = csc_workloads::by_name(name)
-            .expect("suite program")
-            .compile();
+    for (name, src) in inputs {
+        let program = csc_frontend::compile(src).expect("input compiles");
         let _ = writeln!(
             out,
             "{name:<9} stmts={} vars={} objs={} call_sites={} dump_ir_fnv1a64={:016x}",
@@ -81,12 +120,15 @@ fn read_golden() -> String {
         .unwrap_or_else(|e| panic!("missing IR golden {}: {e}", path.display()))
 }
 
-/// All ten suite programs: about 2.5 s in debug, under 1 s in release.
+/// All ten suite programs and the extra inputs: about 2.5 s in debug,
+/// under 1 s in release.
 #[test]
 #[ignore = "lowers all ten suite programs; run in release"]
 fn suite_ir_is_exact() {
     let programs: Vec<&str> = csc_workloads::suite().iter().map(|b| b.name).collect();
-    let got = ir_rows(&programs);
+    let mut inputs = suite_inputs(&programs);
+    inputs.extend(extra_inputs());
+    let got = ir_rows(&inputs);
     if std::env::var("CSC_UPDATE_GOLDEN").is_ok() {
         let path = golden_path();
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
@@ -104,8 +146,9 @@ fn suite_ir_is_exact() {
     );
 }
 
-/// The fast leg of [`suite_ir_is_exact`]: hsqldb's and findbugs's lines,
-/// each checked against its line of the committed file. It never writes
+/// The fast leg of [`suite_ir_is_exact`]: the lines of hsqldb, findbugs
+/// and the extra inputs, each checked against its line of the committed
+/// file. It never writes
 /// the file, so under `CSC_UPDATE_GOLDEN` it leaves re-blessing to the
 /// full leg.
 #[test]
@@ -113,7 +156,9 @@ fn suite_ir_fast_leg() {
     if std::env::var("CSC_UPDATE_GOLDEN").is_ok() {
         return;
     }
-    let diff = drift(&read_golden(), &ir_rows(&["hsqldb", "findbugs"]));
+    let mut inputs = suite_inputs(&["hsqldb", "findbugs"]);
+    inputs.extend(extra_inputs());
+    let diff = drift(&read_golden(), &ir_rows(&inputs));
     assert!(
         diff.is_empty(),
         "lowered IR drifted (re-bless with CSC_UPDATE_GOLDEN=1 and \
