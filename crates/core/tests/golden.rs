@@ -30,19 +30,33 @@
 //! Like the suite counters, the full 30-row matrix is `#[ignore]`d and a
 //! fast leg checks hsqldb's and findbugs's rows in every test run.
 //!
+//! *Resolve counters* (`golden/resolve_counters.txt`): what an incremental
+//! re-solve does, beyond the projections the differential harness
+//! compares. Each suite program under `ci`, `csc`, `zipper` and
+//! `csc-hybrid` runs two chains of three seeded deltas (6 actions each):
+//! a monotone one (seed `0xadd0`) and a mixed add/remove one (seed
+//! `0xde1e`), the fast legs' seeds of `differential_incremental.rs`. One
+//! line per step gives the resolve's mode (`incremental` or
+//! `fallback:<reason>`), its propagation count, removal cone, pointer,
+//! edge and points-to-byte counts, and the four precision metrics. A
+//! delta that does not apply is written as `apply-error`, and the chain
+//! continues from the program before it. The full 240-line matrix is
+//! `#[ignore]`d; a fast leg checks hsqldb's and findbugs's lines.
+//!
 //! Bless new snapshots with `CSC_UPDATE_GOLDEN=1 cargo test --release -p
 //! csc-core --test golden -- --include-ignored` after verifying a change
-//! is intentional. Only the full suite legs write `suite_counters.txt` and
-//! `csc_stats.txt`.
+//! is intentional. Only the full suite legs write `suite_counters.txt`,
+//! `csc_stats.txt` and `resolve_counters.txt`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use csc_core::{
-    run_analysis, run_analysis_opts, Analysis, AnalysisOutcome, Budget, PrecisionMetrics,
-    PtaResult, SolverOptions,
+    resolve_analysis, run_analysis, run_analysis_opts, Analysis, AnalysisOutcome, Budget,
+    PrecisionMetrics, PtaResult, SolverOptions,
 };
-use csc_ir::{Program, VarId};
+use csc_ir::{DeltaEffects, Program, VarId};
+use csc_workloads::{generate_delta, DeltaGenConfig};
 
 /// Renders every projection of a result as a deterministic text snapshot.
 fn render(program: &Program, result: &PtaResult<'_>) -> String {
@@ -270,6 +284,118 @@ fn csc_stats_are_exact() {
 #[test]
 fn csc_stats_fast_leg() {
     check_rows("csc_stats", &csc_stats_rows(&["hsqldb", "findbugs"]));
+}
+
+/// The delta chains of [`resolve_rows`]: label, first seed (step `i`
+/// uses `seed + i`) and whether the deltas may remove statements.
+const CHAINS: [(&str, u64, bool); 2] = [("monotone", 0xadd0, false), ("mixed", 0xde1e, true)];
+
+/// Deltas per chain.
+const CHAIN_STEPS: u64 = 3;
+
+/// Applies [`CHAIN_STEPS`] seeded deltas in turn, starting from `base`.
+/// Returns the programs (`base` first, then one per delta that applied)
+/// and each step's effects, `None` where the delta did not apply and the
+/// chain went on from the program before it.
+fn delta_chain(
+    base: &Program,
+    seed: u64,
+    removals: bool,
+) -> (Vec<Program>, Vec<Option<DeltaEffects>>) {
+    let mut programs = vec![base.clone()];
+    let mut effects = Vec::new();
+    for step in 0..CHAIN_STEPS {
+        let cfg = DeltaGenConfig {
+            seed: seed.wrapping_add(step),
+            actions: 6,
+            removals,
+        };
+        let current = programs.last().expect("the chain starts at the base");
+        match generate_delta(current, &cfg).apply(current) {
+            Ok((patched, fx)) => {
+                programs.push(patched);
+                effects.push(Some(fx));
+            }
+            Err(_) => effects.push(None),
+        }
+    }
+    (programs, effects)
+}
+
+/// Resolves both [`CHAINS`] of each named suite program under the four
+/// configurations of `differential_incremental.rs`, one line per step.
+fn resolve_rows(programs: &[&str]) -> String {
+    let mut out = String::new();
+    for name in programs {
+        let base = csc_workloads::by_name(name)
+            .expect("suite program")
+            .compile();
+        let chains: Vec<_> = CHAINS
+            .iter()
+            .map(|&(label, seed, removals)| (label, delta_chain(&base, seed, removals)))
+            .collect();
+        for analysis in ["ci", "csc", "zipper", "csc-hybrid"] {
+            let parse = || Analysis::from_name(analysis).expect("listed name parses");
+            for (chain, (programs, effects)) in &chains {
+                let mut outcome = run_analysis(&programs[0], parse(), Budget::unlimited());
+                assert!(
+                    outcome.completed(),
+                    "{name}/{analysis} base did not complete"
+                );
+                let mut at = 0;
+                for (step, fx) in effects.iter().enumerate() {
+                    let key = format!("{name:<9} {analysis}/{chain}/{step}");
+                    let Some(fx) = fx else {
+                        let _ = writeln!(out, "{key} apply-error");
+                        continue;
+                    };
+                    at += 1;
+                    outcome =
+                        resolve_analysis(outcome, &programs[at], fx, parse(), Budget::unlimited());
+                    assert!(outcome.completed(), "{key} did not complete");
+                    let stats = &outcome.result.state.stats;
+                    let mode = stats
+                        .incr_fallback_reason
+                        .map_or_else(|| "incremental".to_owned(), |r| format!("fallback:{r}"));
+                    let m = PrecisionMetrics::compute(&outcome.result);
+                    let _ = writeln!(
+                        out,
+                        "{key} {mode} propagations={} incr_cone_ptrs={} incr_cone_call_edges={} \
+                         pointers={} edges={} pts_bytes={} fail_casts={} reach_methods={} \
+                         poly_calls={} call_edges={}",
+                        stats.propagations,
+                        stats.incr_cone_ptrs,
+                        stats.incr_cone_call_edges,
+                        stats.pointers,
+                        stats.edges,
+                        stats.pts_bytes,
+                        m.fail_casts,
+                        m.reach_methods,
+                        m.poly_calls,
+                        m.call_edges
+                    );
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The exact gate over incremental re-solves: 10 programs x 4 analyses x
+/// 2 chains x 3 steps.
+#[test]
+#[ignore = "resolves 240 suite steps; run in release"]
+fn resolve_counters_are_exact() {
+    let programs: Vec<&str> = csc_workloads::suite().iter().map(|b| b.name).collect();
+    check_golden("resolve_counters", &resolve_rows(&programs));
+}
+
+/// The fast leg of [`resolve_counters_are_exact`]: hsqldb's and
+/// findbugs's 48 lines, each checked against its line of the committed
+/// file.
+#[test]
+fn resolve_counters_fast_leg() {
+    check_rows("resolve_counters", &resolve_rows(&["hsqldb", "findbugs"]));
 }
 
 /// Checks each rendered row against the line of golden file `name` with
