@@ -50,7 +50,7 @@ use csc_core::{
     SolverOptions,
 };
 use csc_interp::{execute, InterpConfig};
-use csc_ir::Program;
+use csc_ir::{ObjId, Program, VarId};
 
 fn usage() -> ExitCode {
     let names = Analysis::names().collect::<Vec<_>>().join("|");
@@ -137,42 +137,52 @@ fn report(
         print_metrics(out, &PrecisionMetrics::compute(&outcome.result))?;
     }
     if let Some(q) = pt_query {
-        let parts: Vec<&str> = q.split('.').collect();
-        let [class, method, var] = parts[..] else {
-            eprintln!("  --pt expects Class.method.var");
-            return Ok(ExitCode::FAILURE);
-        };
-        let Some(m) = program.method_by_qualified_name(&format!("{class}.{method}")) else {
-            eprintln!("  unknown method {class}.{method}");
-            return Ok(ExitCode::FAILURE);
-        };
-        let Some(v) = program
-            .method(m)
-            .vars()
-            .iter()
-            .copied()
-            .find(|&v| program.var(v).name() == var)
-        else {
-            eprintln!("  unknown variable {var} in {class}.{method}");
-            return Ok(ExitCode::FAILURE);
-        };
-        let mut pt: Vec<String> = outcome
-            .result
-            .state
-            .pt_var_projected(v)
-            .into_iter()
-            .map(|o| {
-                format!(
-                    "{} ({})",
-                    program.obj(o).label(),
-                    program.class(program.obj(o).class()).name()
-                )
-            })
-            .collect();
-        pt.sort();
-        writeln!(out, "  pt({q}) = {pt:#?}")?;
+        let pt = |v| outcome.result.state.pt_var_projected(v);
+        match points_to(program, q, "--pt", pt) {
+            Ok(pt) => writeln!(out, "  pt({q}) = {pt:#?}")?,
+            Err(e) => {
+                eprintln!("  {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The points-to query of `csc analyze --pt` and `csc serve`: finds the
+/// variable a `Class.method.var` name denotes in `program` and renders the
+/// objects `pt` gives for it as sorted `label (Class)` strings. On a name
+/// that is malformed or names nothing, the error says why; `arg` names the
+/// argument that held it.
+fn points_to<I: IntoIterator<Item = ObjId>>(
+    program: &Program,
+    name: &str,
+    arg: &str,
+    pt: impl FnOnce(VarId) -> I,
+) -> Result<Vec<String>, String> {
+    let parts: Vec<&str> = name.split('.').collect();
+    let [class, method, var] = parts[..] else {
+        return Err(format!("{arg} expects Class.method.var"));
+    };
+    let m = program
+        .method_by_qualified_name(&format!("{class}.{method}"))
+        .ok_or_else(|| format!("unknown method {class}.{method}"))?;
+    let v = program
+        .method(m)
+        .vars()
+        .iter()
+        .copied()
+        .find(|&v| program.var(v).name() == var)
+        .ok_or_else(|| format!("unknown variable {var} in {class}.{method}"))?;
+    let mut objs: Vec<String> = pt(v)
+        .into_iter()
+        .map(|o| {
+            let obj = program.obj(o);
+            format!("{} ({})", obj.label(), program.class(obj.class()).name())
+        })
+        .collect();
+    objs.sort();
+    Ok(objs)
 }
 
 /// Prints one metrics line.
@@ -302,7 +312,7 @@ fn resolve_cmd(
         outcome.result.state.reachable_methods_projected().len(),
         outcome.result.state.call_edges_projected().len(),
         stats.propagations,
-        stats.incr_resolves,
+        stats.incr_resolves - stats.incr_fallbacks,
         stats.incr_fallbacks,
     )?;
     if metrics {
@@ -540,5 +550,61 @@ fn run(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
             Ok(ExitCode::SUCCESS)
         }
         _ => Ok(usage()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The paper's Figure 1, with `item1` and `item2` allocated on lines
+    /// 10 and 14.
+    const FIGURE1: &str = r#"class Carton {
+    Item item;
+    void setItem(Item item) { this.item = item; }
+    Item getItem() { Item r; r = this.item; return r; }
+}
+class Item { }
+class Main {
+    static void main() {
+        Carton c1 = new Carton();
+        Item item1 = new Item();
+        c1.setItem(item1);
+        Item result1 = c1.getItem();
+        Carton c2 = new Carton();
+        Item item2 = new Item();
+        c2.setItem(item2);
+        Item result2 = c2.getItem();
+    }
+}
+"#;
+
+    /// What `csc analyze --pt` and `csc serve`'s points-to query answer,
+    /// and the message for each way a name can fail.
+    #[test]
+    fn points_to_answers_or_says_why_not() {
+        let program = csc_frontend::compile(FIGURE1).expect("compiles");
+        let outcome = run_analysis_opts(
+            &program,
+            Analysis::Ci,
+            Budget::unlimited(),
+            SolverOptions::default(),
+        );
+        let query = |name: &str| {
+            points_to(&program, name, "--pt", |v| {
+                outcome.result.state.pt_var_projected(v)
+            })
+        };
+        let items = vec!["Item@10 (Item)".to_owned(), "Item@14 (Item)".to_owned()];
+        assert_eq!(query("Main.main.result1"), Ok(items.clone()));
+        assert_eq!(query("Carton.getItem.r"), Ok(items));
+        let shape = Err("--pt expects Class.method.var".to_owned());
+        assert_eq!(query("Main.main"), shape);
+        assert_eq!(query("a.b.c.d"), shape);
+        assert_eq!(query("Main.nope.x"), Err("unknown method Main.nope".into()));
+        assert_eq!(
+            query("Main.main.zz"),
+            Err("unknown variable zz in Main.main".into())
+        );
     }
 }

@@ -82,7 +82,7 @@ use csc_core::{
     decode_delta_guarded, resolve_analysis_guarded, run_analysis_guarded, Analysis,
     AnalysisOutcome, Budget, SolveError, SolvedSummary, SolverOptions,
 };
-use csc_ir::Program;
+use csc_ir::{Program, VarId};
 
 // ---- minimal JSON (the protocol is flat: string/number/bool values) ----
 
@@ -769,37 +769,11 @@ impl Server {
                 let Some(q) = req.get("var").and_then(Val::as_str) else {
                     return Reply::err("bad-request", "points-to needs `var`");
                 };
-                let parts: Vec<&str> = q.split('.').collect();
-                let [class, method, var] = parts[..] else {
-                    return Reply::err("bad-request", "`var` expects Class.method.var");
+                let pt = |v: VarId| snap.pts[v.index()].iter().copied();
+                let objs = match crate::points_to(sess.program, q, "`var`", pt) {
+                    Ok(objs) => objs,
+                    Err(e) => return Reply::err("bad-request", &e),
                 };
-                let program = sess.program;
-                let Some(m) = program.method_by_qualified_name(&format!("{class}.{method}")) else {
-                    return Reply::err("bad-request", &format!("unknown method {class}.{method}"));
-                };
-                let Some(v) = program
-                    .method(m)
-                    .vars()
-                    .iter()
-                    .copied()
-                    .find(|&v| program.var(v).name() == var)
-                else {
-                    return Reply::err(
-                        "bad-request",
-                        &format!("unknown variable {var} in {class}.{method}"),
-                    );
-                };
-                let mut objs: Vec<String> = snap.pts[v.index()]
-                    .iter()
-                    .map(|&o| {
-                        format!(
-                            "{} ({})",
-                            program.obj(o).label(),
-                            program.class(program.obj(o).class()).name()
-                        )
-                    })
-                    .collect();
-                objs.sort();
                 r.push_str("var", q);
                 r.push_str_list("objects", &objs);
             }
@@ -827,8 +801,8 @@ impl Server {
             Some(sess) => {
                 r.push_bool("loaded", true);
                 r.push_bool("degraded", sess.degraded);
+                r.push_str("analysis", sess.name);
                 if let Some(snap) = &sess.snapshot {
-                    r.push_str("analysis", sess.name);
                     r.push_num("vars", snap.pts.len() as u64);
                     r.push_num("reachable", snap.reachable.len() as u64);
                 }
@@ -918,6 +892,7 @@ mod tests {
         }
         let stats = send(&mut server, r#"{"cmd":"stats"}"#);
         assert_eq!(stats["loaded"], Val::Bool(true));
+        assert_eq!(stats["analysis"], Val::Str("ci".into()));
         assert!(!stats.contains_key("vars"), "no snapshot to count");
 
         let r = send(&mut server, r#"{"cmd":"resolve","seed":42}"#);

@@ -1,7 +1,8 @@
 //! End-to-end run of `csc resolve`: a seeded delta chain over a built-in
 //! benchmark, solved and re-solved in a fresh process each time. Two
 //! runs of the same command must print the same answer, and both must
-//! actually propagate.
+//! actually propagate. The final line must count fallbacks apart from
+//! incremental re-solves.
 
 use std::process::Command;
 
@@ -10,8 +11,15 @@ const DELTAS: usize = 2;
 /// Runs `csc resolve hsqldb --analysis ci --gen-deltas 2 --metrics` and
 /// returns its stdout.
 fn run() -> String {
+    run_with(&["--analysis", "ci", "--metrics"])
+}
+
+/// Runs `csc resolve hsqldb --gen-deltas 2` with `args` and returns its
+/// stdout.
+fn run_with(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_csc"))
-        .args(["resolve", "hsqldb", "--analysis", "ci", "--metrics"])
+        .args(["resolve", "hsqldb"])
+        .args(args)
         .args(["--gen-deltas", &DELTAS.to_string()])
         .env_remove("CSC_FAULT")
         .output()
@@ -63,4 +71,21 @@ fn resolve_solves_the_chain_on_every_run() {
             "the two runs disagree"
         );
     }
+}
+
+/// The final line counts a fallback once, as a fallback: under `csc` both
+/// generated deltas remove statements, which the Cut-Shortcut plugin
+/// cannot rebase, so both steps are full solves.
+#[test]
+fn resolve_counts_fallbacks_apart_from_incremental_steps() {
+    let stdout = run_with(&["--analysis", "csc"]);
+    for i in 0..DELTAS {
+        let line = line_with(&stdout, &format!("delta {i}:"));
+        assert!(line.contains("fallback (csc-obligations)"), "{line}");
+    }
+    let final_line = line_with(&stdout, ": final (");
+    assert!(
+        final_line.ends_with("0 incremental re-solves, 2 fallbacks)"),
+        "{final_line}"
+    );
 }

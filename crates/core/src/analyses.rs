@@ -1,5 +1,13 @@
 //! High-level analysis driver: one entry point for every analysis of the
 //! paper's evaluation matrix.
+//!
+//! A full run and an incremental resolve share one pipeline: a full run
+//! ([`run_analysis_opts`]) is a resolve ([`resolve_analysis_opts`]) without
+//! a base outcome. Each analysis is written once, and each of its solves
+//! takes one step that solves afresh without a base and, with one, tries
+//! [`Solver::resolve`] and solves afresh when that declines.
+//! [`AnalysisOutcome::total_time`] is timed from the call's entry to its
+//! return either way.
 
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -12,9 +20,10 @@ use crate::context::{
 use crate::csc::{CscConfig, CscStats, CutShortcut};
 use crate::solver::incr::Resolved;
 use crate::solver::{
-    Budget, FallbackReason, NoPlugin, PtaResult, SolveError, Solver, SolverOptions, SolverStats,
+    Budget, FallbackReason, NoPlugin, Plugin, PtaResult, SolveError, Solver, SolverOptions,
+    SolverStats,
 };
-use crate::zipper::{ZipperE, ZipperOptions};
+use crate::zipper::ZipperE;
 
 /// The analyses compared in the paper's evaluation (§5).
 #[derive(Clone, Debug)]
@@ -104,10 +113,10 @@ impl Analysis {
 pub struct AnalysisOutcome<'p> {
     /// The main analysis result.
     pub result: PtaResult<'p>,
-    /// Total wall-clock time. From [`run_analysis_opts`], the whole call:
-    /// Zipper-e's pre-analysis and selection, the Cut-Shortcut plugin's
-    /// static pre-pass and solver set-up included. From
-    /// [`resolve_analysis_opts`], the solves' own clocks.
+    /// Total wall-clock time of the [`run_analysis_opts`] or
+    /// [`resolve_analysis_opts`] call, from entry to return: Zipper-e's
+    /// pre-analysis and selection, the Cut-Shortcut plugin's static
+    /// pre-pass and solver set-up included.
     pub total_time: Duration,
     /// Pre-analysis time (Zipper-e only).
     pub pre_time: Option<Duration>,
@@ -123,10 +132,32 @@ pub struct AnalysisOutcome<'p> {
     pre_result: Option<PtaResult<'p>>,
 }
 
-impl AnalysisOutcome<'_> {
+impl<'p> AnalysisOutcome<'p> {
     /// Whether the analysis ran to completion within its budget.
     pub fn completed(&self) -> bool {
         self.result.status == crate::solver::SolveStatus::Completed
+    }
+
+    /// An outcome of `result` alone.
+    fn of(result: PtaResult<'p>) -> Self {
+        AnalysisOutcome {
+            result,
+            total_time: Duration::ZERO,
+            pre_time: None,
+            csc: None,
+            selected: None,
+            plugin: None,
+            pre_result: None,
+        }
+    }
+
+    /// Keeps the Cut-Shortcut plugin the main solve returned, with its
+    /// statistics, and names the result `analysis`.
+    fn with_plugin(mut self, analysis: &str, plugin: CutShortcut) -> Self {
+        self.result.analysis = analysis.to_owned();
+        self.csc = Some(plugin.stats().clone());
+        self.plugin = Some(plugin);
+        self
     }
 }
 
@@ -146,136 +177,13 @@ pub fn run_analysis<'p>(
 /// spawns (including Zipper-e's and the hybrid's pre-analysis) runs under
 /// the same options, so a differential comparison toggling
 /// [`SolverOptions::collapse_sccs`] covers the whole pipeline.
-///
-/// [`AnalysisOutcome::total_time`] is timed from entry to return.
 pub fn run_analysis_opts<'p>(
     program: &'p Program,
     analysis: Analysis,
     budget: Budget,
     opts: SolverOptions,
 ) -> AnalysisOutcome<'p> {
-    let start = Instant::now();
-    let mut outcome = run_phases(program, analysis, budget, opts);
-    outcome.total_time = start.elapsed();
-    outcome
-}
-
-/// The phases of [`run_analysis_opts`], which stamps `total_time` over
-/// all of them.
-fn run_phases<'p>(
-    program: &'p Program,
-    analysis: Analysis,
-    budget: Budget,
-    opts: SolverOptions,
-) -> AnalysisOutcome<'p> {
-    match analysis {
-        Analysis::Ci => plain_outcome(
-            Solver::with_options(program, CiSelector, NoPlugin, budget, opts)
-                .solve()
-                .0,
-        ),
-        Analysis::KObj(k) => plain_outcome(
-            Solver::with_options(program, ObjSelector::new(k), NoPlugin, budget, opts)
-                .solve()
-                .0,
-        ),
-        Analysis::KType(k) => plain_outcome(
-            Solver::with_options(program, TypeSelector::new(k), NoPlugin, budget, opts)
-                .solve()
-                .0,
-        ),
-        Analysis::KCallSite(k) => plain_outcome(
-            Solver::with_options(program, CallSiteSelector::new(k), NoPlugin, budget, opts)
-                .solve()
-                .0,
-        ),
-        Analysis::ZipperE => {
-            let zopts = ZipperOptions::default();
-            let (pre, _) =
-                Solver::with_options(program, CiSelector, NoPlugin, budget, opts).solve();
-            let pre_time = pre.elapsed;
-            let zipper = ZipperE::select(program, &pre, zopts);
-            let selected = zipper.selected.clone();
-            let main_budget = Budget {
-                time: budget.time.map(|t| t.saturating_sub(pre_time)),
-                max_propagations: budget.max_propagations,
-            };
-            let selector =
-                SelectiveSelector::new(ObjSelector::new(zopts.k), zipper.selected, "Zipper-e");
-            let (mut result, _) =
-                Solver::with_options(program, selector, NoPlugin, main_budget, opts).solve();
-            // Fold the pre-analysis solve's time into the reported stats,
-            // so coordinator_secs covers both solves of a two-phase
-            // analysis (modulo the selection step between them).
-            result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            AnalysisOutcome {
-                result,
-                total_time: Duration::ZERO,
-                pre_time: Some(pre_time),
-                csc: None,
-                selected: Some(selected),
-                plugin: None,
-                pre_result: Some(pre),
-            }
-        }
-        Analysis::CutShortcut => run_phases(
-            program,
-            Analysis::CutShortcutWith(CscConfig::all()),
-            budget,
-            opts,
-        ),
-        Analysis::CutShortcutWith(cfg) => {
-            let plugin = CutShortcut::new(program, cfg);
-            let (mut result, plugin) =
-                Solver::with_options(program, CiSelector, plugin, budget, opts).solve();
-            result.analysis = "csc".to_owned();
-            AnalysisOutcome {
-                result,
-                total_time: Duration::ZERO,
-                pre_time: None,
-                csc: Some(plugin.stats().clone()),
-                selected: None,
-                plugin: Some(plugin),
-                pre_result: None,
-            }
-        }
-        Analysis::CscHybrid => {
-            // Phase 1: CI pre-analysis + Zipper-e selection, as usual.
-            let zopts = ZipperOptions::default();
-            let (pre, _) =
-                Solver::with_options(program, CiSelector, NoPlugin, budget, opts).solve();
-            let pre_time = pre.elapsed;
-            let zipper = ZipperE::select(program, &pre, zopts);
-            // Phase 2: subtract the methods Cut-Shortcut already handles
-            // (the paper's §3.4 suggestion) and run the plugin together
-            // with the restricted selective selector.
-            let cfg = CscConfig::all();
-            let covered = crate::csc::pattern_methods(program, &cfg);
-            let selected: HashSet<MethodId> =
-                zipper.selected.difference(&covered).copied().collect();
-            let main_budget = Budget {
-                time: budget.time.map(|t| t.saturating_sub(pre_time)),
-                max_propagations: budget.max_propagations,
-            };
-            let selector =
-                SelectiveSelector::new(ObjSelector::new(zopts.k), selected.clone(), "CSC+sel");
-            let plugin = CutShortcut::new(program, cfg);
-            let (mut result, plugin) =
-                Solver::with_options(program, selector, plugin, main_budget, opts).solve();
-            result.analysis = "csc-hybrid".to_owned();
-            // As for Zipper-e: coordinator_secs covers both solves.
-            result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            AnalysisOutcome {
-                result,
-                total_time: Duration::ZERO,
-                pre_time: Some(pre_time),
-                csc: Some(plugin.stats().clone()),
-                selected: Some(selected.clone()),
-                plugin: Some(plugin),
-                pre_result: Some(pre),
-            }
-        }
-    }
+    pipeline(program, None, analysis, budget, opts)
 }
 
 /// [`resolve_analysis_opts`] with default [`SolverOptions`].
@@ -321,188 +229,181 @@ pub fn resolve_analysis_opts<'p>(
     budget: Budget,
     opts: SolverOptions,
 ) -> AnalysisOutcome<'p> {
-    match analysis {
-        Analysis::Ci => {
-            let (result, _) = resolve_plain(prev.result, patched, fx, || CiSelector, budget, opts);
-            plain_outcome(result)
-        }
-        Analysis::KObj(k) => {
-            let (result, _) = resolve_plain(
-                prev.result,
-                patched,
-                fx,
-                || ObjSelector::new(k),
-                budget,
-                opts,
-            );
-            plain_outcome(result)
-        }
-        Analysis::KType(k) => {
-            let (result, _) = resolve_plain(
-                prev.result,
-                patched,
-                fx,
-                || TypeSelector::new(k),
-                budget,
-                opts,
-            );
-            plain_outcome(result)
-        }
-        Analysis::KCallSite(k) => {
-            let (result, _) = resolve_plain(
-                prev.result,
-                patched,
-                fx,
-                || CallSiteSelector::new(k),
-                budget,
-                opts,
-            );
-            plain_outcome(result)
-        }
-        Analysis::ZipperE => {
-            let zopts = ZipperOptions::default();
-            let prev_selected = prev
-                .selected
-                .expect("Zipper-e outcome retains its selection");
-            let pre_prev = prev
-                .pre_result
-                .expect("Zipper-e outcome retains its pre-analysis");
-            let (pre, _) = resolve_plain(pre_prev, patched, fx, || CiSelector, budget, opts);
-            let pre_time = pre.elapsed;
-            let zipper = ZipperE::select(patched, &pre, zopts);
-            let selected = zipper.selected.clone();
-            let main_budget = Budget {
-                time: budget.time.map(|t| t.saturating_sub(pre_time)),
-                max_propagations: budget.max_propagations,
-            };
-            let mk =
-                || SelectiveSelector::new(ObjSelector::new(zopts.k), selected.clone(), "Zipper-e");
-            let (mut result, _) = if selected != prev_selected {
-                let prior = prev.result.state.stats;
-                let (mut res, _) =
-                    Solver::with_options(patched, mk(), NoPlugin, main_budget, opts).solve();
-                stamp_fallback(&mut res, &prior, FallbackReason::PreanalysisChanged);
-                (res, Some(FallbackReason::PreanalysisChanged))
-            } else {
-                resolve_plain(prev.result, patched, fx, mk, main_budget, opts)
-            };
-            result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            result.state.stats.resolve_secs += pre.state.stats.resolve_secs;
-            let total_time = pre_time + result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: Some(pre_time),
-                csc: None,
-                selected: Some(selected),
-                plugin: None,
-                pre_result: Some(pre),
-            }
-        }
-        Analysis::CutShortcut => resolve_analysis_opts(
-            prev,
-            patched,
-            fx,
-            Analysis::CutShortcutWith(CscConfig::all()),
-            budget,
-            opts,
-        ),
-        Analysis::CutShortcutWith(cfg) => {
-            let plugin = prev.plugin.expect("CSC outcome retains its plugin");
-            let prior = prev.result.state.stats;
-            let (mut result, plugin) =
-                match Solver::resolve(prev.result, patched, fx, CiSelector, plugin, budget) {
-                    Resolved::Incremental(res, plugin) => (res, plugin),
-                    // The returned plugin may hold state derived from the
-                    // base program; a fallback solve needs a fresh one.
-                    Resolved::Fallback(reason, _stale) => {
-                        let plugin = CutShortcut::new(patched, cfg);
-                        let (mut res, plugin) =
-                            Solver::with_options(patched, CiSelector, plugin, budget, opts).solve();
-                        stamp_fallback(&mut res, &prior, reason);
-                        (res, plugin)
-                    }
-                };
-            result.analysis = "csc".to_owned();
-            let total_time = result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: None,
-                csc: Some(plugin.stats().clone()),
-                selected: None,
-                plugin: Some(plugin),
-                pre_result: None,
-            }
-        }
-        Analysis::CscHybrid => {
-            let zopts = ZipperOptions::default();
-            let cfg = CscConfig::all();
-            let prev_selected = prev.selected.expect("hybrid outcome retains its selection");
-            let pre_prev = prev
-                .pre_result
-                .expect("hybrid outcome retains its pre-analysis");
-            let plugin = prev.plugin.expect("hybrid outcome retains its plugin");
-            let (pre, _) = resolve_plain(pre_prev, patched, fx, || CiSelector, budget, opts);
-            let pre_time = pre.elapsed;
-            let zipper = ZipperE::select(patched, &pre, zopts);
-            let covered = crate::csc::pattern_methods(patched, &cfg);
-            let selected: HashSet<MethodId> =
-                zipper.selected.difference(&covered).copied().collect();
-            let main_budget = Budget {
-                time: budget.time.map(|t| t.saturating_sub(pre_time)),
-                max_propagations: budget.max_propagations,
-            };
-            let mk =
-                || SelectiveSelector::new(ObjSelector::new(zopts.k), selected.clone(), "CSC+sel");
-            let prior = prev.result.state.stats;
-            let (mut result, plugin) = if selected != prev_selected {
-                let plugin = CutShortcut::new(patched, cfg);
-                let (mut res, plugin) =
-                    Solver::with_options(patched, mk(), plugin, main_budget, opts).solve();
-                stamp_fallback(&mut res, &prior, FallbackReason::PreanalysisChanged);
-                (res, plugin)
-            } else {
-                match Solver::resolve(prev.result, patched, fx, mk(), plugin, main_budget) {
-                    Resolved::Incremental(res, plugin) => (res, plugin),
-                    Resolved::Fallback(reason, _stale) => {
-                        let plugin = CutShortcut::new(patched, cfg);
-                        let (mut res, plugin) =
-                            Solver::with_options(patched, mk(), plugin, main_budget, opts).solve();
-                        stamp_fallback(&mut res, &prior, reason);
-                        (res, plugin)
-                    }
-                }
-            };
-            result.analysis = "csc-hybrid".to_owned();
-            result.state.stats.coordinator_secs += pre.state.stats.coordinator_secs;
-            result.state.stats.resolve_secs += pre.state.stats.resolve_secs;
-            let total_time = pre_time + result.elapsed;
-            AnalysisOutcome {
-                result,
-                total_time,
-                pre_time: Some(pre_time),
-                csc: Some(plugin.stats().clone()),
-                selected: Some(selected),
-                plugin: Some(plugin),
-                pre_result: Some(pre),
-            }
-        }
-    }
+    pipeline(patched, Some((prev, fx)), analysis, budget, opts)
 }
 
-/// Wraps a plugin-free result, timed by the solve's own clock.
-fn plain_outcome(result: PtaResult<'_>) -> AnalysisOutcome<'_> {
-    let total_time = result.elapsed;
-    AnalysisOutcome {
-        result,
-        total_time,
-        pre_time: None,
-        csc: None,
-        selected: None,
-        plugin: None,
-        pre_result: None,
+/// What a resolve extends: the base outcome and the delta's effects.
+type Base<'a, 'b> = Option<(AnalysisOutcome<'a>, &'b DeltaEffects)>;
+
+/// The one analysis pipeline: a full run is the case without a [`Base`].
+/// Every solve in it goes through [`solve_or_resolve`], and
+/// [`AnalysisOutcome::total_time`] is timed from entry to return.
+fn pipeline<'p>(
+    program: &'p Program,
+    base: Base<'_, '_>,
+    analysis: Analysis,
+    budget: Budget,
+    opts: SolverOptions,
+) -> AnalysisOutcome<'p> {
+    let start = Instant::now();
+    let mut outcome = match analysis {
+        Analysis::Ci => plain(program, base, || CiSelector, budget, opts),
+        Analysis::KObj(k) => plain(program, base, || ObjSelector::new(k), budget, opts),
+        Analysis::KType(k) => plain(program, base, || TypeSelector::new(k), budget, opts),
+        Analysis::KCallSite(k) => plain(program, base, || CallSiteSelector::new(k), budget, opts),
+        Analysis::ZipperE => {
+            let base = base.map(|(prev, fx)| (prev, NoPlugin, fx));
+            let none = HashSet::new();
+            two_phase(program, base, "Zipper-e", none, || NoPlugin, budget, opts).0
+        }
+        Analysis::CutShortcut => cut_shortcut(program, base, CscConfig::all(), budget, opts),
+        Analysis::CutShortcutWith(cfg) => cut_shortcut(program, base, cfg, budget, opts),
+        Analysis::CscHybrid => {
+            let base = base.map(|(mut prev, fx)| {
+                let plugin = prev
+                    .plugin
+                    .take()
+                    .expect("a hybrid outcome keeps its plugin");
+                (prev, plugin, fx)
+            });
+            // The paper's §3.4 suggestion: Cut-Shortcut handles the
+            // methods its patterns cover, contexts only the rest.
+            let cfg = CscConfig::all();
+            let covered = crate::csc::pattern_methods(program, &cfg);
+            let csc = || CutShortcut::new(program, cfg);
+            let (outcome, plugin) = two_phase(program, base, "CSC+sel", covered, csc, budget, opts);
+            outcome.with_plugin("csc-hybrid", plugin)
+        }
+    };
+    outcome.total_time = start.elapsed();
+    outcome
+}
+
+/// A plugin-free analysis under one context selector.
+fn plain<'p, S: ContextSelector>(
+    program: &'p Program,
+    base: Base<'_, '_>,
+    selector: impl Fn() -> S,
+    budget: Budget,
+    opts: SolverOptions,
+) -> AnalysisOutcome<'p> {
+    let base = base.map(|(prev, fx)| (prev.result, NoPlugin, fx));
+    let (result, _) = solve_or_resolve(program, base, selector, || NoPlugin, budget, opts);
+    AnalysisOutcome::of(result)
+}
+
+/// Cut-Shortcut on its own: the context-insensitive solve with the plugin.
+fn cut_shortcut<'p>(
+    program: &'p Program,
+    base: Base<'_, '_>,
+    cfg: CscConfig,
+    budget: Budget,
+    opts: SolverOptions,
+) -> AnalysisOutcome<'p> {
+    let base = base.map(|(prev, fx)| {
+        let plugin = prev.plugin.expect("a CSC outcome keeps its plugin");
+        (prev.result, plugin, fx)
+    });
+    let csc = || CutShortcut::new(program, cfg);
+    let (result, plugin) = solve_or_resolve(program, base, || CiSelector, csc, budget, opts);
+    AnalysisOutcome::of(result).with_plugin("csc", plugin)
+}
+
+/// A two-phase analysis (Zipper-e, CSC+sel): a context-insensitive
+/// pre-analysis, Zipper-e's selection on it less the `covered` methods,
+/// then the main solve, object-sensitive in the selected methods only and
+/// with the plugin `plugin` makes. The budget covers both solves.
+///
+/// A resolve extends the pre-analysis and selects again. It extends the
+/// main solve only if the selection held: otherwise the base's main solve
+/// ran under other contexts, and a fresh one is stamped
+/// [`FallbackReason::PreanalysisChanged`]. The pre-analysis's clocks are
+/// folded into the result's stats.
+fn two_phase<'p, P: Plugin>(
+    program: &'p Program,
+    base: Option<(AnalysisOutcome<'_>, P, &DeltaEffects)>,
+    name: &str,
+    covered: HashSet<MethodId>,
+    plugin: impl FnOnce() -> P,
+    budget: Budget,
+    opts: SolverOptions,
+) -> (AnalysisOutcome<'p>, P) {
+    let (pre_base, main_base) = base
+        .map(|(prev, plugin, fx)| {
+            let pre = prev
+                .pre_result
+                .expect("a two-phase outcome keeps its pre-analysis");
+            (
+                (pre, NoPlugin, fx),
+                (prev.result, prev.selected, plugin, fx),
+            )
+        })
+        .unzip();
+    let (pre, _) = solve_or_resolve(program, pre_base, || CiSelector, || NoPlugin, budget, opts);
+    let pre_time = pre.elapsed;
+    let mut selected = ZipperE::select(program, &pre).selected;
+    selected.retain(|m| !covered.contains(m));
+    let main_budget = Budget {
+        time: budget.time.map(|t| t.saturating_sub(pre_time)),
+        ..budget
+    };
+    let mut moved = None;
+    let main_base = main_base.and_then(|(result, was, plugin, fx)| {
+        if was.as_ref() == Some(&selected) {
+            Some((result, plugin, fx))
+        } else {
+            moved = Some(result.state.stats);
+            None
+        }
+    });
+    let selector =
+        || SelectiveSelector::new(ObjSelector::new(crate::zipper::K), selected.clone(), name);
+    let (mut result, plugin) =
+        solve_or_resolve(program, main_base, selector, plugin, main_budget, opts);
+    if let Some(prior) = moved {
+        stamp_fallback(&mut result, &prior, FallbackReason::PreanalysisChanged);
     }
+    // `coordinator_secs` covers both solves (modulo the selection step
+    // between them), and so does `resolve_secs` after a resolve.
+    let stats = &mut result.state.stats;
+    stats.coordinator_secs += pre.state.stats.coordinator_secs;
+    stats.resolve_secs += pre.state.stats.resolve_secs;
+    let outcome = AnalysisOutcome {
+        pre_time: Some(pre_time),
+        selected: Some(selected),
+        pre_result: Some(pre),
+        ..AnalysisOutcome::of(result)
+    };
+    (outcome, plugin)
+}
+
+/// The one solve-or-resolve step. Without a base it solves `program`
+/// afresh. With one (the base result, the plugin it returned and the
+/// delta's effects) it tries [`Solver::resolve`]; when that declines, it
+/// solves afresh with a fresh plugin (the base's may hold state derived
+/// from the base program) and stamps the fallback.
+fn solve_or_resolve<'p, S: ContextSelector, P: Plugin>(
+    program: &'p Program,
+    base: Option<(PtaResult<'_>, P, &DeltaEffects)>,
+    selector: impl Fn() -> S,
+    plugin: impl FnOnce() -> P,
+    budget: Budget,
+    opts: SolverOptions,
+) -> (PtaResult<'p>, P) {
+    let mut fallback = None;
+    if let Some((prev, base_plugin, fx)) = base {
+        let prior = prev.state.stats;
+        match Solver::resolve(prev, program, fx, selector(), base_plugin, budget) {
+            Resolved::Incremental(res, plugin) => return (res, plugin),
+            Resolved::Fallback(reason, _stale) => fallback = Some((prior, reason)),
+        }
+    }
+    let (mut res, plugin) =
+        Solver::with_options(program, selector(), plugin(), budget, opts).solve();
+    if let Some((prior, reason)) = fallback {
+        stamp_fallback(&mut res, &prior, reason);
+    }
+    (res, plugin)
 }
 
 /// Stamps incremental-resolve bookkeeping onto a fresh full-solve result
@@ -558,30 +459,6 @@ pub fn resolve_analysis_guarded<'p>(
 pub fn decode_delta_guarded(bytes: &[u8]) -> Result<csc_ir::ProgramDelta, String> {
     crate::fault::hit_io(crate::fault::FaultPoint::DeltaDecode).map_err(|e| e.to_string())?;
     csc_ir::ProgramDelta::from_bytes(bytes).map_err(|e| format!("{e:?}"))
-}
-
-/// Incremental re-solve for plugin-free analyses: try
-/// [`Solver::resolve`], fall back to a from-scratch solve under `opts`
-/// when it declines. Returns the fallback reason alongside the result
-/// (`None` when the incremental path succeeded).
-fn resolve_plain<'p, S: ContextSelector>(
-    prev: PtaResult<'_>,
-    patched: &'p Program,
-    fx: &DeltaEffects,
-    mk_selector: impl Fn() -> S,
-    budget: Budget,
-    opts: SolverOptions,
-) -> (PtaResult<'p>, Option<FallbackReason>) {
-    let prior = prev.state.stats;
-    match Solver::resolve(prev, patched, fx, mk_selector(), NoPlugin, budget) {
-        Resolved::Incremental(res, _) => (res, None),
-        Resolved::Fallback(reason, _) => {
-            let (mut res, _) =
-                Solver::with_options(patched, mk_selector(), NoPlugin, budget, opts).solve();
-            stamp_fallback(&mut res, &prior, reason);
-            (res, Some(reason))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -698,6 +575,42 @@ mod tests {
         assert!(
             out.total_time > out.result.elapsed,
             "{:?} must cover more than the solve's {:?}",
+            out.total_time,
+            out.result.elapsed
+        );
+    }
+
+    /// A resolve is timed from entry to return too: a Cut-Shortcut
+    /// fallback's `total_time` covers the declined resolve and the fresh
+    /// plugin's static pre-pass, which the fallback solve's clock misses.
+    #[test]
+    fn resolve_total_time_covers_the_fallback_pre_pass() {
+        let program = csc_workloads::by_name("hsqldb")
+            .expect("suite program")
+            .compile();
+        let base = run_analysis(&program, Analysis::CutShortcut, Budget::unlimited());
+        let cfg = csc_workloads::DeltaGenConfig {
+            seed: 0xde1e,
+            actions: 6,
+            removals: true,
+        };
+        let (patched, fx) = csc_workloads::generate_delta(&program, &cfg)
+            .apply(&program)
+            .expect("the delta applies");
+        let out = resolve_analysis(
+            base,
+            &patched,
+            &fx,
+            Analysis::CutShortcut,
+            Budget::unlimited(),
+        );
+        assert_eq!(
+            out.result.state.stats.incr_fallback_reason,
+            Some(FallbackReason::CscObligations)
+        );
+        assert!(
+            out.total_time > out.result.elapsed,
+            "{:?} must cover more than the fallback solve's {:?}",
             out.total_time,
             out.result.elapsed
         );

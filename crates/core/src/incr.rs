@@ -52,6 +52,12 @@
 //! fired again — the statements of the units the cone touches, the flows
 //! of surviving call edges into cone pointers, and the stores into cone
 //! field pointers — and the ordinary worklist drain re-derives the rest.
+//! As DRed prescribes, the replay rederives facts with the rules that
+//! first derived them: it picks the statements, the base objects to fire
+//! for and the conclusions that lie in the cone, then calls the solver's
+//! own rule methods (`[New]`, `[Assign]`/`[Cast]`, `[Load]`, `[Store]`,
+//! `[Param]`/`[Return]`). The replay of a delta's added statements calls
+//! the same methods, with each base's whole set.
 //! The passes that still span the whole state are linear scans that test
 //! dense cone flags (the PFG edge groups, filtered in place, and the call
 //! edges); no per-object work happens outside the cone. The statement
@@ -85,7 +91,7 @@ use std::time::Instant;
 use csc_ir::{CallKind, CallSiteId, DeltaEffects, MethodId, Program, Stmt, VarId};
 
 use super::{
-    Budget, CsObjId, EdgeKind, FallbackReason, Plugin, PtaResult, PtrId, PtrKey, SolveStatus,
+    copy_of, Budget, CsObjId, FallbackReason, Plugin, PtaResult, PtrId, PtrKey, SolveStatus,
     Solver, SolverState, ABSENT,
 };
 use crate::context::{CallInfo, ContextSelector, CtxId};
@@ -738,23 +744,11 @@ impl<'p> SolverState<'p> {
         // Part 2.
         for i in 0..self.call_edges.len() {
             let (cctx, site, ectx, callee) = self.call_edges[i];
+            self.rule_flows(plugin, (cctx, site, ectx, callee), |st, ctx, v| {
+                st.needs_var(cone, ctx, v)
+            });
             let cs = program.call_site(site);
-            let m = program.method(callee);
-            for (k, &param) in m.params().iter().enumerate() {
-                if self.needs_var(cone, ectx, param) {
-                    let s = self.var_ptr(cctx, cs.args()[k]);
-                    let t = self.var_ptr(ectx, param);
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Param);
-                }
-            }
-            if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
-                if !plugin.is_return_cut(callee) && self.needs_var(cone, cctx, lhs) {
-                    let s = self.var_ptr(ectx, ret);
-                    let t = self.var_ptr(cctx, lhs);
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Return(callee));
-                }
-            }
-            let (Some(recv), Some(this)) = (cs.recv(), m.this_var()) else {
+            let (Some(recv), Some(this)) = (cs.recv(), program.method(callee).this_var()) else {
                 continue;
             };
             let Some(t) = self
@@ -825,7 +819,7 @@ impl<'p> SolverState<'p> {
     /// Replays one reachable unit's statements (part 1 of the post-reset
     /// replay), each only where its conclusion lies in the cone: `[New]`,
     /// `[Assign]`/`[Cast]` and `[Load]` into a cone variable, and
-    /// `[Store]` into a cone field pointer.
+    /// `[Store]` into the cone field pointers of its base's objects.
     fn replay_unit<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
@@ -837,66 +831,35 @@ impl<'p> SolverState<'p> {
         let program = self.program;
         program.method(method).visit_stmts(|s| match *s {
             Stmt::New { lhs, obj } if self.needs_var(cone, ctx, lhs) => {
-                let hctx = selector.select_heap(program, &mut self.interner, ctx, obj);
-                let cs = self.cs_obj(hctx, obj);
-                let ptr = self.var_ptr(ctx, lhs);
-                self.enqueue_one(ptr, cs.0);
+                self.rule_new(selector, ctx, lhs, obj);
             }
-            Stmt::Assign { lhs, rhs } if self.needs_var(cone, ctx, lhs) => {
-                let s = self.var_ptr(ctx, rhs);
-                let t = self.var_ptr(ctx, lhs);
-                self.add_rule_edge(plugin, s, t, EdgeKind::Assign);
-            }
-            Stmt::Cast(id) => {
-                let c = program.cast(id);
-                if self.needs_var(cone, ctx, c.lhs()) {
-                    let s = self.var_ptr(ctx, c.rhs());
-                    let t = self.var_ptr(ctx, c.lhs());
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Cast(id));
-                }
-            }
-            Stmt::Load(id) => {
-                let site = program.load(id);
-                if !self.needs_var(cone, ctx, site.lhs()) {
-                    return;
-                }
-                let Some(b) = self.find_ptr(PtrKey::Var(ctx, site.base())) else {
-                    return;
-                };
-                let objs: Vec<u32> = self.pt(b).iter().collect();
-                let t = self.var_ptr(ctx, site.lhs());
-                for o in objs {
-                    let s = self.field_ptr(CsObjId(o), site.field());
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Load(id));
+            Stmt::Load(id) if self.needs_var(cone, ctx, program.load(id).lhs()) => {
+                if let Some(objs) = self.var_objs(ctx, program.load(id).base()) {
+                    self.rule_load(plugin, ctx, id, objs.iter());
                 }
             }
             Stmt::Store(id) => {
-                if plugin.is_store_cut(id) {
-                    return;
-                }
                 let site = program.store(id);
-                let Some(b) = self.find_ptr(PtrKey::Var(ctx, site.base())) else {
+                let Some(objs) = self.var_objs(ctx, site.base()) else {
                     return;
                 };
-                let field = site.field();
-                let objs: Vec<u32> = self
-                    .pt(b)
+                let objs: Vec<u32> = objs
                     .iter()
                     .filter(|&o| {
-                        self.find_ptr(PtrKey::Field(CsObjId(o), field))
+                        self.find_ptr(PtrKey::Field(CsObjId(o), site.field()))
                             .is_none_or(|p| cone.needs(p.0))
                     })
                     .collect();
-                if objs.is_empty() {
-                    return;
-                }
-                let s = self.var_ptr(ctx, site.rhs());
-                for o in objs {
-                    let t = self.field_ptr(CsObjId(o), field);
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Store(id));
+                if !objs.is_empty() {
+                    self.rule_store(plugin, ctx, id, objs);
                 }
             }
-            _ => {}
+            _ => match copy_of(program, s) {
+                Some((rhs, lhs, kind)) if self.needs_var(cone, ctx, lhs) => {
+                    self.rule_copy(plugin, ctx, rhs, lhs, kind);
+                }
+                _ => {}
+            },
         });
     }
 
@@ -923,7 +886,8 @@ impl<'p> SolverState<'p> {
     }
 
     /// Derives the facts one added statement seeds under one reachable
-    /// context, against the current (rebased) state.
+    /// context, against the current (rebased) state: a rule over a base
+    /// variable fires for the base's whole set.
     fn replay_one_stmt<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
@@ -933,78 +897,31 @@ impl<'p> SolverState<'p> {
     ) {
         let program = self.program;
         match *stmt {
-            Stmt::New { lhs, obj } => {
-                let hctx = selector.select_heap(program, &mut self.interner, ctx, obj);
-                let cs = self.cs_obj(hctx, obj);
-                let ptr = self.var_ptr(ctx, lhs);
-                self.enqueue_one(ptr, cs.0);
-            }
-            Stmt::Assign { lhs, rhs } => {
-                let s = self.var_ptr(ctx, rhs);
-                let t = self.var_ptr(ctx, lhs);
-                self.add_rule_edge(plugin, s, t, EdgeKind::Assign);
-            }
-            Stmt::Cast(id) => {
-                let c = program.cast(id);
-                let s = self.var_ptr(ctx, c.rhs());
-                let t = self.var_ptr(ctx, c.lhs());
-                self.add_rule_edge(plugin, s, t, EdgeKind::Cast(id));
-            }
+            Stmt::New { lhs, obj } => self.rule_new(selector, ctx, lhs, obj),
             Stmt::Load(id) => {
-                let site = program.load(id);
-                let (lhs, base, field) = (site.lhs(), site.base(), site.field());
-                let Some(b) = self.find_ptr(PtrKey::Var(ctx, base)) else {
-                    return;
-                };
-                let objs = self.slots.pts(self.reps.find(b.0)).clone();
-                let t = self.var_ptr(ctx, lhs);
-                for o in objs.iter() {
-                    let s = self.field_ptr(CsObjId(o), field);
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Load(id));
+                if let Some(objs) = self.var_objs(ctx, program.load(id).base()) {
+                    self.rule_load(plugin, ctx, id, objs.iter());
                 }
             }
             Stmt::Store(id) => {
-                if plugin.is_store_cut(id) {
-                    return;
+                if let Some(objs) = self.var_objs(ctx, program.store(id).base()) {
+                    self.rule_store(plugin, ctx, id, objs.iter());
                 }
-                let site = program.store(id);
-                let (rhs, base, field) = (site.rhs(), site.base(), site.field());
-                let Some(b) = self.find_ptr(PtrKey::Var(ctx, base)) else {
-                    return;
-                };
-                let objs = self.slots.pts(self.reps.find(b.0)).clone();
-                let s = self.var_ptr(ctx, rhs);
-                for o in objs.iter() {
-                    let t = self.field_ptr(CsObjId(o), field);
-                    self.add_rule_edge(plugin, s, t, EdgeKind::Store(id));
-                }
+            }
+            Stmt::Call(id) if program.call_site(id).kind() == CallKind::Static => {
+                self.rule_static_call(selector, plugin, ctx, id);
             }
             Stmt::Call(id) => {
-                let cs = program.call_site(id);
-                if cs.kind() == CallKind::Static {
-                    let callee = cs.target();
-                    let callee_ctx = selector.select_call(
-                        program,
-                        &mut self.interner,
-                        CallInfo {
-                            caller_ctx: ctx,
-                            site: id,
-                            callee,
-                            recv: None,
-                        },
-                    );
-                    self.add_call_edge(selector, plugin, ctx, id, callee_ctx, callee);
-                } else if let Some(recv) = cs.recv() {
-                    let Some(b) = self.find_ptr(PtrKey::Var(ctx, recv)) else {
-                        return;
-                    };
-                    let objs = self.slots.pts(self.reps.find(b.0)).clone();
-                    for o in objs.iter() {
-                        self.process_instance_call(selector, plugin, ctx, id, CsObjId(o));
-                    }
+                let recv = program.call_site(id).recv();
+                if let Some(objs) = recv.and_then(|r| self.var_objs(ctx, r)) {
+                    self.rule_call(selector, plugin, ctx, id, objs.iter());
                 }
             }
-            _ => {}
+            _ => {
+                if let Some((rhs, lhs, kind)) = copy_of(program, stmt) {
+                    self.rule_copy(plugin, ctx, rhs, lhs, kind);
+                }
+            }
         }
     }
 }

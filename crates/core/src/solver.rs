@@ -784,6 +784,9 @@ impl<'p> SolverState<'p> {
         true
     }
 
+    /// Marks `(ctx, method)` reachable and, if it is new, fires the rules
+    /// its body seeds: every `[New]`, then every `[Assign]`/`[Cast]`, then
+    /// every static `[Call]`.
     fn add_reachable<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
@@ -795,92 +798,210 @@ impl<'p> SolverState<'p> {
             return;
         }
         self.stats.reachable += 1;
-        let m = self.program.method(method);
+        let program = self.program;
         let mut news: Vec<(VarId, ObjId)> = Vec::new();
-        let mut assigns: Vec<(VarId, VarId, EdgeKind)> = Vec::new();
+        let mut copies: Vec<(VarId, VarId, EdgeKind)> = Vec::new();
         let mut static_calls: Vec<CallSiteId> = Vec::new();
-        m.visit_stmts(|s| match s {
-            Stmt::New { lhs, obj } => news.push((*lhs, *obj)),
-            Stmt::Assign { lhs, rhs } => assigns.push((*rhs, *lhs, EdgeKind::Assign)),
-            Stmt::Cast(id) => {
-                let c = self.program.cast(*id);
-                assigns.push((c.rhs(), c.lhs(), EdgeKind::Cast(*id)));
+        program.method(method).visit_stmts(|s| match *s {
+            Stmt::New { lhs, obj } => news.push((lhs, obj)),
+            Stmt::Call(id) if program.call_site(id).kind() == CallKind::Static => {
+                static_calls.push(id);
             }
-            Stmt::Call(id) if self.program.call_site(*id).kind() == CallKind::Static => {
-                static_calls.push(*id);
-            }
-            _ => {}
+            _ => copies.extend(copy_of(program, s)),
         });
         for (lhs, obj) in news {
-            let hctx = selector.select_heap(self.program, &mut self.interner, ctx, obj);
-            let cs = self.cs_obj(hctx, obj);
-            let ptr = self.var_ptr(ctx, lhs);
-            self.enqueue_one(ptr, cs.0);
+            self.rule_new(selector, ctx, lhs, obj);
         }
-        for (rhs, lhs, kind) in assigns {
-            let s = self.var_ptr(ctx, rhs);
-            let t = self.var_ptr(ctx, lhs);
-            self.add_rule_edge(plugin, s, t, kind);
+        for (rhs, lhs, kind) in copies {
+            self.rule_copy(plugin, ctx, rhs, lhs, kind);
         }
         for site in static_calls {
-            let callee = self.program.call_site(site).target();
-            let callee_ctx = selector.select_call(
-                self.program,
-                &mut self.interner,
-                CallInfo {
-                    caller_ctx: ctx,
-                    site,
-                    callee,
-                    recv: None,
-                },
-            );
-            self.add_call_edge(selector, plugin, ctx, site, callee_ctx, callee);
+            self.rule_static_call(selector, plugin, ctx, site);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    // ---- the statement rules of Fig. 7 ------------------------------------
+    //
+    // One method per rule, fired for a statement under a context; the
+    // incremental replays (`incr.rs`) fire the same methods. The rules over
+    // a base variable (`[Load]`, `[Store]`, instance `[Call]`) take the
+    // base's objects to fire for: a delta while solving; the whole set, or
+    // the objects whose conclusions a removal cone reset, in a replay.
+
+    /// `[New]` `lhs = new T()`: the object, under the heap context the
+    /// selector picks, flows into `lhs`.
+    fn rule_new<S: ContextSelector>(&mut self, selector: &S, ctx: CtxId, lhs: VarId, obj: ObjId) {
+        let hctx = selector.select_heap(self.program, &mut self.interner, ctx, obj);
+        let cs = self.cs_obj(hctx, obj);
+        let ptr = self.var_ptr(ctx, lhs);
+        self.enqueue_one(ptr, cs.0);
+    }
+
+    /// `[Assign]` and `[Cast]`: the edge `rhs -> lhs` ([`copy_of`]).
+    fn rule_copy<P: Plugin>(
+        &mut self,
+        plugin: &mut P,
+        ctx: CtxId,
+        rhs: VarId,
+        lhs: VarId,
+        kind: EdgeKind,
+    ) {
+        let s = self.var_ptr(ctx, rhs);
+        let t = self.var_ptr(ctx, lhs);
+        self.add_rule_edge(plugin, s, t, kind);
+    }
+
+    /// `[Load]` `lhs = base.f`: the edge `o.f -> lhs` for each object `o`
+    /// of `objs`.
+    fn rule_load<P: Plugin>(
+        &mut self,
+        plugin: &mut P,
+        ctx: CtxId,
+        l: LoadId,
+        objs: impl IntoIterator<Item = u32>,
+    ) {
+        let site = self.program.load(l);
+        let t = self.var_ptr(ctx, site.lhs());
+        for o in objs {
+            let s = self.field_ptr(CsObjId(o), site.field());
+            self.add_rule_edge(plugin, s, t, EdgeKind::Load(l));
+        }
+    }
+
+    /// `[Store]` `base.f = rhs`: the edge `rhs -> o.f` for each object `o`
+    /// of `objs`, unless the plugin cuts the store (`cutStores`).
+    fn rule_store<P: Plugin>(
+        &mut self,
+        plugin: &mut P,
+        ctx: CtxId,
+        st: StoreId,
+        objs: impl IntoIterator<Item = u32>,
+    ) {
+        if plugin.is_store_cut(st) {
+            return;
+        }
+        let site = self.program.store(st);
+        let s = self.var_ptr(ctx, site.rhs());
+        for o in objs {
+            let t = self.field_ptr(CsObjId(o), site.field());
+            self.add_rule_edge(plugin, s, t, EdgeKind::Store(st));
+        }
+    }
+
+    /// Static `[Call]`: the call edge to the site's target.
+    fn rule_static_call<S: ContextSelector, P: Plugin>(
+        &mut self,
+        selector: &S,
+        plugin: &mut P,
+        ctx: CtxId,
+        site: CallSiteId,
+    ) {
+        let callee = self.program.call_site(site).target();
+        self.add_call_edge(selector, plugin, ctx, site, callee, None);
+    }
+
+    /// Instance `[Call]` for each receiver object of `recvs`: the call
+    /// edge to the method the receiver dispatches to (none for a receiver
+    /// without a concrete implementation), then the receiver flows into
+    /// the callee's `this`.
+    fn rule_call<S: ContextSelector, P: Plugin>(
+        &mut self,
+        selector: &S,
+        plugin: &mut P,
+        caller_ctx: CtxId,
+        site: CallSiteId,
+        recvs: impl IntoIterator<Item = u32>,
+    ) {
+        let program = self.program;
+        let cs = program.call_site(site);
+        for recv in recvs {
+            let (heap_ctx, obj) = self.obj_key(CsObjId(recv));
+            let callee = match cs.kind() {
+                CallKind::Virtual => {
+                    match program.dispatch(program.obj(obj).class(), cs.target()) {
+                        Some(m) => m,
+                        None => continue, // no concrete impl: spurious receiver
+                    }
+                }
+                CallKind::Special => cs.target(),
+                CallKind::Static => unreachable!("static calls have no receiver"),
+            };
+            let recv_key = Some((heap_ctx, obj));
+            let callee_ctx =
+                self.add_call_edge(selector, plugin, caller_ctx, site, callee, recv_key);
+            if let Some(this) = program.method(callee).this_var() {
+                let t = self.var_ptr(callee_ctx, this);
+                self.enqueue_one(t, recv);
+            }
+        }
+    }
+
+    /// `[Param]` and `[Return]` for the call edge `edge`: an edge from each
+    /// argument to its parameter (the receiver is not one: `[Call]` hands
+    /// `this` its objects one by one), and from the callee's return
+    /// variable to the call's result unless the plugin cuts the callee's
+    /// returns (`cutReturns`). Only the edges whose target `ctx:v` passes
+    /// `fires(self, ctx, v)` are added.
+    fn rule_flows<P: Plugin>(
+        &mut self,
+        plugin: &mut P,
+        edge: (CtxId, CallSiteId, CtxId, MethodId),
+        fires: impl Fn(&Self, CtxId, VarId) -> bool,
+    ) {
+        let (caller_ctx, site, callee_ctx, callee) = edge;
+        let cs = self.program.call_site(site);
+        let m = self.program.method(callee);
+        for (&arg, &param) in cs.args().iter().zip(m.params()) {
+            if fires(self, callee_ctx, param) {
+                let s = self.var_ptr(caller_ctx, arg);
+                let t = self.var_ptr(callee_ctx, param);
+                self.add_rule_edge(plugin, s, t, EdgeKind::Param);
+            }
+        }
+        if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
+            if !plugin.is_return_cut(callee) && fires(self, caller_ctx, lhs) {
+                let s = self.var_ptr(callee_ctx, ret);
+                let t = self.var_ptr(caller_ctx, lhs);
+                self.add_rule_edge(plugin, s, t, EdgeKind::Return(callee));
+            }
+        }
+    }
+
+    /// Adds the call edge from `site` under `caller_ctx` to `callee`, under
+    /// the context the selector picks for the callee given the receiver
+    /// `recv` (none for a static call), and returns that context. A new
+    /// edge makes the callee unit reachable, adds its `[Param]`/`[Return]`
+    /// edges and is reported to the plugin.
     fn add_call_edge<S: ContextSelector, P: Plugin>(
         &mut self,
         selector: &S,
         plugin: &mut P,
         caller_ctx: CtxId,
         site: CallSiteId,
-        callee_ctx: CtxId,
         callee: MethodId,
-    ) {
-        if !self
-            .call_edge_set
-            .insert((caller_ctx, site, callee_ctx, callee))
-        {
-            return;
+        recv: Option<(CtxId, ObjId)>,
+    ) -> CtxId {
+        let call = CallInfo {
+            caller_ctx,
+            site,
+            callee,
+            recv,
+        };
+        let callee_ctx = selector.select_call(self.program, &mut self.interner, call);
+        let edge = (caller_ctx, site, callee_ctx, callee);
+        if !self.call_edge_set.insert(edge) {
+            return callee_ctx;
         }
-        self.call_edges.push((caller_ctx, site, callee_ctx, callee));
+        self.call_edges.push(edge);
         self.call_edges_by_callee
             .entry(callee)
             .or_default()
             .push((caller_ctx, site, callee_ctx));
         self.stats.call_edges += 1;
         self.add_reachable(selector, plugin, callee_ctx, callee);
-        let cs = self.program.call_site(site);
-        let m = self.program.method(callee);
-        // [Param]: argument -> parameter edges (excluding the receiver,
-        // which is populated object-by-object in [Call]).
-        for (k, &param) in m.params().iter().enumerate() {
-            let arg = cs.args()[k];
-            let s = self.var_ptr(caller_ctx, arg);
-            let t = self.var_ptr(callee_ctx, param);
-            self.add_rule_edge(plugin, s, t, EdgeKind::Param);
-        }
-        // [Return]: suppressed when the callee's return variable is in
-        // cutReturns.
-        if let (Some(lhs), Some(ret)) = (cs.lhs(), m.ret_var()) {
-            if !plugin.is_return_cut(callee) {
-                let s = self.var_ptr(callee_ctx, ret);
-                let t = self.var_ptr(caller_ctx, lhs);
-                self.add_rule_edge(plugin, s, t, EdgeKind::Return(callee));
-            }
-        }
+        self.rule_flows(plugin, edge, |_, _, _| true);
         plugin.on_new_call_edge(self, caller_ctx, site, callee_ctx, callee);
+        callee_ctx
     }
 
     /// Processes one worklist entry (always a representative — the queue is
@@ -987,77 +1108,24 @@ impl<'p> SolverState<'p> {
         v: VarId,
         delta: &PointsToSet,
     ) {
-        // [Load]
         for i in 0..self.stmts.loads_with_base[v.index()].len() {
             let l = self.stmts.loads_with_base[v.index()][i];
-            let site = self.program.load(l);
-            let (lhs, field) = (site.lhs(), site.field());
-            let t = self.var_ptr(ctx, lhs);
-            for o in delta.iter() {
-                let s = self.field_ptr(CsObjId(o), field);
-                self.add_rule_edge(plugin, s, t, EdgeKind::Load(l));
-            }
+            self.rule_load(plugin, ctx, l, delta.iter());
         }
-        // [Store] (cut-aware)
         for i in 0..self.stmts.stores_with_base[v.index()].len() {
             let st = self.stmts.stores_with_base[v.index()][i];
-            if plugin.is_store_cut(st) {
-                continue;
-            }
-            let site = self.program.store(st);
-            let (rhs, field) = (site.rhs(), site.field());
-            let s = self.var_ptr(ctx, rhs);
-            for o in delta.iter() {
-                let t = self.field_ptr(CsObjId(o), field);
-                self.add_rule_edge(plugin, s, t, EdgeKind::Store(st));
-            }
+            self.rule_store(plugin, ctx, st, delta.iter());
         }
-        // [Call]
         for i in 0..self.stmts.calls_with_recv[v.index()].len() {
             let site = self.stmts.calls_with_recv[v.index()][i];
-            for o in delta.iter() {
-                self.process_instance_call(selector, plugin, ctx, site, CsObjId(o));
-            }
+            self.rule_call(selector, plugin, ctx, site, delta.iter());
         }
     }
 
-    fn process_instance_call<S: ContextSelector, P: Plugin>(
-        &mut self,
-        selector: &S,
-        plugin: &mut P,
-        caller_ctx: CtxId,
-        site: CallSiteId,
-        recv: CsObjId,
-    ) {
-        let cs = self.program.call_site(site);
-        let (heap_ctx, obj) = self.obj_key(recv);
-        let callee = match cs.kind() {
-            CallKind::Virtual => {
-                let class = self.program.obj(obj).class();
-                match self.program.dispatch(class, cs.target()) {
-                    Some(m) => m,
-                    None => return, // no concrete impl: spurious receiver
-                }
-            }
-            CallKind::Special => cs.target(),
-            CallKind::Static => unreachable!("static calls have no receiver"),
-        };
-        let callee_ctx = selector.select_call(
-            self.program,
-            &mut self.interner,
-            CallInfo {
-                caller_ctx,
-                site,
-                callee,
-                recv: Some((heap_ctx, obj)),
-            },
-        );
-        self.add_call_edge(selector, plugin, caller_ctx, site, callee_ctx, callee);
-        // [Call]: the receiver object flows into the callee's `this`.
-        if let Some(this) = self.program.method(callee).this_var() {
-            let t = self.var_ptr(callee_ctx, this);
-            self.enqueue_one(t, recv.0);
-        }
+    /// A copy of `pt(ctx:v)`, or `None` when `ctx:v` is not interned.
+    fn var_objs(&self, ctx: CtxId, v: VarId) -> Option<PointsToSet> {
+        self.find_ptr(PtrKey::Var(ctx, v))
+            .map(|p| self.pt(p).clone())
     }
 
     // ---- SCC-collapsed propagation ----------------------------------------
@@ -1298,6 +1366,19 @@ impl<'p> SolverState<'p> {
             .iter()
             .map(|&(_, site, _, callee)| (site, callee))
             .collect()
+    }
+}
+
+/// The `(rhs, lhs, kind)` copy an `[Assign]` or `[Cast]` statement
+/// makes; `None` for any other statement.
+fn copy_of(program: &Program, s: &Stmt) -> Option<(VarId, VarId, EdgeKind)> {
+    match *s {
+        Stmt::Assign { lhs, rhs } => Some((rhs, lhs, EdgeKind::Assign)),
+        Stmt::Cast(id) => {
+            let c = program.cast(id);
+            Some((c.rhs(), c.lhs(), EdgeKind::Cast(id)))
+        }
+        _ => None,
     }
 }
 

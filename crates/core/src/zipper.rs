@@ -24,27 +24,15 @@ use csc_ir::{MethodId, MethodKind, Program};
 use crate::csc::{ContainerSpec, StaticInfo};
 use crate::solver::{PtaResult, PtrKey};
 
-/// Tuning knobs for selection.
-#[derive(Copy, Clone, Debug)]
-pub struct ZipperOptions {
-    /// Context depth of the main analysis (2 = the paper's configuration).
-    pub k: usize,
-    /// A method is deselected when its points-to volume exceeds
-    /// `threshold_factor` times the average volume of reachable methods.
-    pub threshold_factor: f64,
-    /// Lower bound for the deselection threshold.
-    pub min_threshold: usize,
-}
+/// Context depth of the main analysis (2 = the paper's configuration).
+pub(crate) const K: usize = 2;
 
-impl Default for ZipperOptions {
-    fn default() -> Self {
-        ZipperOptions {
-            k: 2,
-            threshold_factor: 8.0,
-            min_threshold: 64,
-        }
-    }
-}
+/// A method is deselected when its points-to volume exceeds
+/// `THRESHOLD_FACTOR` times the average volume of reachable methods.
+const THRESHOLD_FACTOR: f64 = 8.0;
+
+/// Lower bound for the deselection threshold.
+const MIN_THRESHOLD: usize = 64;
 
 /// The outcome of Zipper-e's selection phase.
 #[derive(Clone, Debug)]
@@ -59,7 +47,7 @@ pub struct ZipperE {
 
 impl ZipperE {
     /// Runs the selection phase on a finished pre-analysis result.
-    pub fn select(program: &Program, pre: &PtaResult<'_>, opts: ZipperOptions) -> ZipperE {
+    pub fn select(program: &Program, pre: &PtaResult<'_>) -> ZipperE {
         let info = StaticInfo::compute(program);
         let reachable = pre.state.reachable_methods_projected();
 
@@ -138,9 +126,7 @@ impl ZipperE {
         } else {
             total as f64 / reachable.len() as f64
         };
-        let threshold = (avg * opts.threshold_factor)
-            .max(opts.min_threshold as f64)
-            .ceil() as usize;
+        let threshold = (avg * THRESHOLD_FACTOR).max(MIN_THRESHOLD as f64).ceil() as usize;
         let n_candidates = candidates.len();
         let mut deselected = 0usize;
         let selected: HashSet<MethodId> = candidates
@@ -192,7 +178,7 @@ mod tests {
         )
         .unwrap();
         let (pre, _) = Solver::new(&program, CiSelector, NoPlugin, Budget::unlimited()).solve();
-        let z = ZipperE::select(&program, &pre, ZipperOptions::default());
+        let z = ZipperE::select(&program, &pre);
         let q = |n: &str| program.method_by_qualified_name(n).unwrap();
         assert!(z.selected.contains(&q("Box.set")));
         assert!(z.selected.contains(&q("Box.get")));
