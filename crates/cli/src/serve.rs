@@ -8,8 +8,14 @@
 //! snapshot (for queries) — and is built on the typed failure plane:
 //!
 //! * **Per-request budgets.** `load` and `resolve` accept `budget_ms`
-//!   (or inherit the `--budget-ms` default); budget exhaustion is a
-//!   degraded reply, not a dead daemon.
+//!   (or inherit the `--budget-ms` default), a non-negative integer; any
+//!   other value is a `bad-request` and changes nothing. A `load`'s
+//!   budget bounds its solve. A `resolve`'s covers the whole request
+//!   from its arrival: reading, decoding or generating the delta and
+//!   applying it count, and the re-solve gets what is left. A resolve
+//!   whose budget runs out before the re-solve starts gets a `timeout`
+//!   error and leaves the session as it was; one whose re-solve runs out
+//!   gets a degraded reply (below). Either way the daemon serves on.
 //! * **Graceful degradation.** `resolve` is transactional: a timed-out
 //!   or panicked re-solve leaves the resident program and the
 //!   last-good snapshot untouched, answers from that snapshot, and marks
@@ -44,6 +50,9 @@
 //! Every reply carries `"ok"`, `elapsed_ms` (the time spent handling the
 //! request) and, once a session exists, `"degraded"`. `load` and `stats`
 //! name the session's analysis by its CLI name (`"analysis":"csc-doop"`).
+//! While a solver outcome is resident, `stats` also reports its memory:
+//! `pts_bytes` (the points-to sets' heap bytes) and `edge_bytes` (the
+//! pointer-flow graph's), as `SolverStats` counts them at solve end.
 //! A successful
 //! `resolve` also reports its mode (`incremental`, `full`, or
 //! `fallback:<reason>`), `apply_ms` (applying the delta to the resident
@@ -56,9 +65,9 @@
 //! solve). Request lines are capped at [`MAX_REQUEST_BYTES`]; a longer or
 //! non-UTF-8 line gets a `bad-request` reply and the daemon reads on. A
 //! seeded `resolve` asks for at most [`MAX_RESOLVE_ACTIONS`] edit actions
-//! (default 8): the delta is generated before the request's budget
-//! applies, in time and memory linear in the count, so a larger `actions`
-//! is a `bad-request`.
+//! (default 8): the delta is generated in time and memory linear in the
+//! count, and a budget is only checked once it is built, so a larger
+//! `actions` is a `bad-request`.
 //!
 //! The snapshot is captured in full at `load` and advanced in place
 //! ([`SolvedSummary::advance`]) after every successful `resolve`, in time
@@ -66,8 +75,8 @@
 //!
 //! Programs are interned with `Box::leak`, because the resident session
 //! needs `'static` borrows. Every `load` leaks its program, and every
-//! `resolve` whose delta applies leaks the patched program, whether or
-//! not the solve then succeeds. None is reclaimed before process exit, so
+//! `resolve` whose delta applies with budget left for the re-solve leaks
+//! the patched program, whether or not the solve then succeeds. None is reclaimed before process exit, so
 //! the daemon grows by one program per `load` and per `resolve` (about
 //! 3.0 MB per resolve on the benchmark's jedit-scale `serve-edit`
 //! workload). The ROADMAP item "Own the program; a daemon in bounded
@@ -541,19 +550,24 @@ impl Server {
         }
     }
 
-    /// Per-request budget: `budget_ms` field, else the server default.
-    fn budget_of(&self, req: &BTreeMap<String, Val>) -> Budget {
-        match req
-            .get("budget_ms")
-            .and_then(Val::as_u64)
-            .or(self.default_budget_ms)
-        {
-            Some(ms) => Budget::with_time(Duration::from_millis(ms)),
-            None => Budget::unlimited(),
+    /// Per-request budget in milliseconds: the `budget_ms` field, else
+    /// the server default; `None` for no budget. A `budget_ms` that is
+    /// not a non-negative integer is a `bad-request` reply.
+    fn budget_ms_of(&self, req: &BTreeMap<String, Val>) -> Result<Option<u64>, Reply> {
+        match req.get("budget_ms") {
+            None => Ok(self.default_budget_ms),
+            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
+                Reply::err("bad-request", "`budget_ms` must be a non-negative integer")
+            }),
         }
     }
 
     fn load(&mut self, req: &BTreeMap<String, Val>) -> Reply {
+        let budget = match self.budget_ms_of(req) {
+            Ok(Some(ms)) => Budget::with_time(Duration::from_millis(ms)),
+            Ok(None) => Budget::unlimited(),
+            Err(r) => return r,
+        };
         let program = if let Some(name) = req.get("bench").and_then(Val::as_str) {
             match csc_workloads::by_name(name) {
                 Some(b) => b.compile(),
@@ -581,7 +595,6 @@ impl Server {
         };
         let analysis = Analysis::from_name(name).expect("a listed name parses");
         let program: &'static Program = Box::leak(Box::new(program));
-        let budget = self.budget_of(req);
         match run_analysis_guarded(program, analysis.clone(), budget, SolverOptions::default()) {
             Ok(out) if out.completed() => {
                 let snapshot = SolvedSummary::capture(program, &out.result);
@@ -609,7 +622,14 @@ impl Server {
     }
 
     fn resolve(&mut self, req: &BTreeMap<String, Val>) -> Reply {
-        let budget = self.budget_of(req);
+        // The budget covers the whole request: the delta's read, decode or
+        // generation and its application count against it, and the
+        // re-solve gets what is left.
+        let arrived = Instant::now();
+        let budget_ms = match self.budget_ms_of(req) {
+            Ok(ms) => ms,
+            Err(r) => return r,
+        };
         let Some(sess) = self.session.as_mut() else {
             return Reply::err("bad-request", "no session loaded");
         };
@@ -652,6 +672,16 @@ impl Server {
             Err(e) => return Reply::err("delta-apply", &e.to_string()),
         };
         let apply_time = t_apply.elapsed();
+        let budget = match budget_ms {
+            None => Budget::unlimited(),
+            Some(ms) => match Duration::from_millis(ms).checked_sub(arrived.elapsed()) {
+                Some(left) if !left.is_zero() => Budget::with_time(left),
+                // Nothing is left for the solve: the session stays as it
+                // was, outcome included, and the patched program is
+                // dropped.
+                _ => return Reply::err("timeout", "budget exhausted before the re-solve"),
+            },
+        };
         let patched: &'static Program = Box::leak(Box::new(patched));
         // The attempt consumes the resident outcome; a previous failure
         // left `None`, in which case the candidate is solved from scratch.
@@ -805,6 +835,11 @@ impl Server {
                 if let Some(snap) = &sess.snapshot {
                     r.push_num("vars", snap.pts.len() as u64);
                     r.push_num("reachable", snap.reachable.len() as u64);
+                }
+                if let Some(out) = &sess.outcome {
+                    let stats = &out.result.state.stats;
+                    r.push_num("pts_bytes", stats.pts_bytes);
+                    r.push_num("edge_bytes", stats.edge_bytes);
                 }
             }
             None => {

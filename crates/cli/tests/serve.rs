@@ -7,6 +7,7 @@
 //! that folds in the same edits with no fault must then answer the same.
 
 use std::io::{BufRead, BufReader, Write};
+use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -118,8 +119,8 @@ fn serve_survives_worker_panic_and_recovers() {
     let loaded = field(&r, "reachable").to_owned();
 
     // An absurd `actions` count is refused before any delta is generated
-    // (generation runs outside the request budget), promptly, and the
-    // session stays as loaded.
+    // (a budget is only checked once the delta is built), promptly, and
+    // the session stays as loaded.
     let t0 = Instant::now();
     let r = d.roundtrip(r#"{"cmd":"resolve","seed":1,"actions":1e12}"#);
     has(&r, r#""ok":false"#);
@@ -306,4 +307,97 @@ fn serve_names_the_analysis_by_its_cli_name() {
     drop(d.stdin);
     let status = d.child.wait().expect("daemon exits");
     assert!(status.success(), "daemon must exit cleanly at end of input");
+}
+
+/// A `budget_ms` that is not a non-negative integer is a `bad-request`
+/// for `load` and `resolve`, not "no budget", and leaves the session as
+/// it was. `stats` reports the resident outcome's memory once one is
+/// loaded.
+#[test]
+fn serve_rejects_malformed_budgets() {
+    let mut d = Daemon::spawn();
+    let malformed = [r#""fast""#, "-5", "1.5", "null"];
+    for budget in malformed {
+        let r = d.roundtrip(&format!(
+            r#"{{"cmd":"load","bench":"hsqldb","budget_ms":{budget}}}"#
+        ));
+        has(&r, r#""ok":false"#);
+        has(&r, r#""kind":"bad-request""#);
+        has(&r, "budget_ms");
+    }
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""loaded":false"#);
+    assert!(!r.contains("pts_bytes"), "no outcome to measure: {r}");
+
+    let r = d.roundtrip(r#"{"cmd":"load","bench":"hsqldb","budget_ms":60000}"#);
+    has(&r, r#""ok":true"#);
+    let loaded = d.roundtrip(r#"{"cmd":"stats"}"#);
+    for key in ["pts_bytes", "edge_bytes"] {
+        assert!(
+            non_negative(&loaded, key) > 0.0,
+            "`{key}` positive: {loaded}"
+        );
+    }
+    for budget in malformed {
+        let r = d.roundtrip(&format!(
+            r#"{{"cmd":"resolve","seed":42,"budget_ms":{budget}}}"#
+        ));
+        has(&r, r#""ok":false"#);
+        has(&r, r#""kind":"bad-request""#);
+    }
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""degraded":false"#);
+    has(&r, r#""resolves_ok":0"#);
+    has(&r, r#""resolves_failed":0"#);
+    for key in ["reachable", "vars", "pts_bytes", "edge_bytes"] {
+        assert_eq!(field(&r, key), field(&loaded, key), "session changed: {r}");
+    }
+    // The resident outcome is intact: the edit resolves incrementally.
+    let r = d.roundtrip(r#"{"cmd":"resolve","seed":42,"budget_ms":60000}"#);
+    has(&r, r#""ok":true"#);
+    has(&r, r#""resolve":"incremental""#);
+
+    drop(d.stdin);
+    let status = d.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon must exit cleanly at end of input");
+}
+
+/// A resolve's budget covers the whole request, not only the re-solve:
+/// a 5 ms delay injected into the delta's decode spends a 2 ms budget
+/// before the solve starts. The reply is a `timeout` error, and the
+/// session keeps its outcome and stays healthy.
+#[test]
+fn serve_budget_covers_the_whole_resolve() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("serve-empty-delta-{}.bin", std::process::id()));
+    std::fs::write(&path, csc_ir::ProgramDelta { ops: vec![] }.to_bytes())
+        .expect("write delta file");
+    let resolve = |budget: &str| {
+        format!(
+            r#"{{"cmd":"resolve","delta_file":"{}"{budget}}}"#,
+            path.display()
+        )
+    };
+    let mut d = Daemon::spawn();
+    let r = d.roundtrip(r#"{"cmd":"load","bench":"hsqldb"}"#);
+    has(&r, r#""ok":true"#);
+    let r = d.roundtrip(r#"{"cmd":"fault","spec":"delta-decode:1:delay"}"#);
+    has(&r, r#""ok":true"#);
+    let r = d.roundtrip(&resolve(r#","budget_ms":2"#));
+    has(&r, r#""ok":false"#);
+    has(&r, r#""kind":"timeout""#);
+
+    let r = d.roundtrip(r#"{"cmd":"stats"}"#);
+    has(&r, r#""degraded":false"#);
+    has(&r, r#""resolves_failed":0"#);
+    // The outcome was kept: the same edit resolves incrementally.
+    let r = d.roundtrip(&resolve(""));
+    has(&r, r#""ok":true"#);
+    has(&r, r#""degraded":false"#);
+    has(&r, r#""resolve":"incremental""#);
+
+    drop(d.stdin);
+    let status = d.child.wait().expect("daemon exits");
+    assert!(status.success(), "daemon must exit cleanly at end of input");
+    std::fs::remove_file(&path).expect("remove delta file");
 }

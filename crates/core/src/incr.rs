@@ -424,16 +424,16 @@ fn compute_cone(st: &SolverState<'_>, fx: &DeltaEffects) -> Cone {
             }
             // Statement fan-out.
             if let PtrKey::Var(ctx, v) = st.ptr_keys[p as usize] {
-                for &l in &st.stmts.loads_with_base[v.index()] {
+                for &l in st.stmts.loads.row(v) {
                     cone.push_key(st, PtrKey::Var(ctx, program.load(l).lhs()));
                 }
-                for &s in &st.stmts.stores_with_base[v.index()] {
+                for &s in st.stmts.stores.row(v) {
                     let field = program.store(s).field();
                     for o in st.pt(PtrId(p)).iter() {
                         cone.push_key(st, PtrKey::Field(CsObjId(o), field));
                     }
                 }
-                for &site in &st.stmts.calls_with_recv[v.index()] {
+                for &site in st.stmts.calls.row(v) {
                     for &e in calls.of_site(st, ctx, site) {
                         cone.push_edge(e);
                     }
@@ -614,10 +614,7 @@ impl<'p> SolverState<'p> {
             if !old.is_empty() {
                 reset_sets.insert(p, old);
             }
-            let pending = self.slots.pending_mut(p);
-            if !pending.is_empty() {
-                *pending = PointsToSet::new();
-            }
+            self.slots.take_pending(p);
         }
 
         // A removed edge from outside the cone into a field pointer is a

@@ -2,11 +2,16 @@
 //!
 //! The solver's footprint is dominated by two structures: the points-to
 //! sets ([`crate::pts::PointsToSet`] per pointer slot, plus the pending
-//! accumulators) and the pointer-flow-graph edge storage (the per-source
-//! successor arena and the edge-dedup pair sets). This module gives both a
-//! `bytes()`-style walk so `SolverStats` can report `pts_bytes` /
-//! `edge_bytes` per solve; the golden suite gate
+//! accumulators of the queued pointers) and the pointer-flow-graph edge
+//! storage (the per-source successor arena and the edge-dedup pair sets).
+//! This module gives both a `bytes()`-style walk so `SolverStats` can
+//! report `pts_bytes` / `edge_bytes` per solve; the golden suite gate
 //! (`crates/core/tests/golden.rs`) pins `pts_bytes` for every suite row.
+//!
+//! `pts_bytes` counts the heap bytes the sets own, not their 24 bytes in
+//! place: nothing for an inline set of up to three elements, the buffer
+//! of a sorted-vector set, and for a chunked set its box, its key and
+//! chunk arrays, its sparse chunks and its dense blocks.
 //!
 //! Accounting is *sharing-aware* for the chunked representation's
 //! copy-on-write dense blocks: each `Arc`-shared block is attributed to the

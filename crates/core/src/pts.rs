@@ -1,15 +1,26 @@
 //! Points-to sets.
 //!
 //! A [`PointsToSet`] is a set of dense u32 ids (context-sensitive abstract
-//! objects, [`crate::solver::CsObjId`]) with a *hybrid* representation:
-//! small sets are sorted vectors (cache-friendly, cheap to clone while the
-//! vast majority of pointers stay small), and sets that grow past
-//! `SMALL_MAX` (64) elements promote to a **chunked** representation whose
-//! footprint is proportional to the id *ranges* the set actually touches,
-//! not to the global id space: elements are keyed by their high bits
-//! (`id >> 12`) into fixed-width chunks of 4096 ids each, and every chunk
-//! is itself hybrid — a sorted vector of 16-bit low halves below
-//! `SPARSE_MAX` (128) elements, a fixed 64-word dense block above it.
+//! objects, [`crate::solver::CsObjId`]) with a *hybrid* representation,
+//! chosen by length and 24 bytes in place whichever it is:
+//!
+//! * up to `INLINE_MAX` (3) elements sit **inline**, sorted, with no heap
+//!   allocation — most pointers' sets (on the Cut-Shortcut analysis of
+//!   the `columba` suite program, 31,202 of 34,164 non-empty sets; 28,904
+//!   of those hold one object);
+//! * up to `SMALL_MAX` (64) elements are a **sorted vector** (a boxed
+//!   slice whose length is its capacity, the element count beside it);
+//! * larger sets promote to a boxed **chunked** representation whose
+//!   footprint is proportional to the id *ranges* the set actually
+//!   touches, not to the global id space: elements are keyed by their
+//!   high bits (`id >> 12`) into fixed-width chunks of 4096 ids each, and
+//!   every chunk is itself hybrid — a sorted vector of 16-bit low halves
+//!   below `SPARSE_MAX` (128) elements, a fixed 64-word dense block above
+//!   it.
+//!
+//! Each representation keeps the element count beside its storage, so
+//! [`PointsToSet::len`] and [`PointsToSet::is_empty`] (which the subset
+//! and no-op fast paths of every union ask first) never follow a pointer.
 //!
 //! Dense blocks are shared copy-on-write via [`Arc`]: cloning a set (or
 //! unioning a set into one that lacks the chunk entirely — the shape of
@@ -25,6 +36,10 @@
 
 use std::fmt;
 use std::sync::Arc;
+
+/// Elements a set holds inline. Three `u32`s and the count fill the 16
+/// bytes a boxed slice takes anyway, so the inline form costs no space.
+const INLINE_MAX: usize = 3;
 
 /// Elements before a small sorted vector promotes to the chunked
 /// representation.
@@ -205,14 +220,14 @@ impl Chunk {
 }
 
 /// The chunked large representation: parallel sorted chunk-key / chunk
-/// vectors plus a cached total element count.
+/// vectors. Its element count lives beside the box that holds it (see
+/// [`Repr::Chunked`]), so the methods that add elements return how many.
 #[derive(Clone, Default)]
 struct ChunkedSet {
     /// Sorted high halves (`id >> CHUNK_BITS`) of the occupied chunks.
     keys: Vec<u32>,
     /// Chunk payloads, parallel to `keys`.
     chunks: Vec<Chunk>,
-    len: u32,
 }
 
 impl ChunkedSet {
@@ -244,7 +259,6 @@ impl ChunkedSet {
             set.chunks.push(chunk);
             i = j;
         }
-        set.len = elems.len() as u32;
         set
     }
 
@@ -259,17 +273,10 @@ impl ChunkedSet {
         let key = e >> CHUNK_BITS;
         let low = (e & CHUNK_MASK) as u16;
         match self.keys.binary_search(&key) {
-            Ok(i) => {
-                let added = self.chunks[i].insert(low);
-                if added {
-                    self.len += 1;
-                }
-                added
-            }
+            Ok(i) => self.chunks[i].insert(low),
             Err(i) => {
                 self.keys.insert(i, key);
                 self.chunks.insert(i, Chunk::Sparse(vec![low]));
-                self.len += 1;
                 true
             }
         }
@@ -324,12 +331,12 @@ impl ChunkedSet {
     }
 
     /// Merges `other` in; pushes new elements (ascending) into `delta`
-    /// when supplied; returns whether the set changed. Chunks `other` has
+    /// when supplied; returns how many were added. Chunks `other` has
     /// and `self` lacks are *shared*, not copied: a dense block comes over
     /// as an `Arc` clone, which is what makes context-copied sets cost one
     /// refcount until they diverge.
-    fn union_from(&mut self, other: &ChunkedSet, mut delta: Option<&mut Vec<u32>>) -> bool {
-        let mut changed = false;
+    fn union_from(&mut self, other: &ChunkedSet, mut delta: Option<&mut Vec<u32>>) -> u32 {
+        let mut added = 0u32;
         let mut i = 0usize;
         for (j, &key) in other.keys.iter().enumerate() {
             while i < self.keys.len() && self.keys[i] < key {
@@ -337,29 +344,24 @@ impl ChunkedSet {
             }
             let base = key << CHUNK_BITS;
             if i < self.keys.len() && self.keys[i] == key {
-                let added = union_chunk(
+                added += union_chunk(
                     &mut self.chunks[i],
                     &other.chunks[j],
                     base,
                     delta.as_deref_mut(),
                 );
-                if added != 0 {
-                    self.len += added;
-                    changed = true;
-                }
             } else {
                 let chunk = other.chunks[j].clone();
                 if let Some(d) = delta.as_deref_mut() {
                     chunk.push_all(base, d);
                 }
-                self.len += chunk.len() as u32;
+                added += chunk.len() as u32;
                 self.keys.insert(i, key);
                 self.chunks.insert(i, chunk);
-                changed = true;
                 i += 1;
             }
         }
-        changed
+        added
     }
 
     /// Heap bytes owned (sharing-blind; see [`PointsToSet::account`]).
@@ -577,62 +579,177 @@ fn union_chunk(dst: &mut Chunk, other: &Chunk, base: u32, delta: Option<&mut Vec
     }
 }
 
-#[derive(Clone)]
+/// The three representations, each with the element count beside it so
+/// that [`PointsToSet::len`] never follows a pointer. Sets never shrink,
+/// so the representation is a function of the length: inline up to
+/// [`INLINE_MAX`] elements, a sorted vector up to [`SMALL_MAX`], chunked
+/// past it.
 enum Repr {
-    /// Sorted, deduplicated vector.
-    Small(Vec<u32>),
-    /// Chunked hybrid set with CoW dense blocks.
-    Chunked(ChunkedSet),
-}
-
-impl Default for Repr {
-    fn default() -> Self {
-        Repr::Small(Vec::new())
-    }
+    /// Sorted elements in `elems[..len]`, no heap allocation.
+    Inline { len: u32, elems: [u32; INLINE_MAX] },
+    /// Sorted elements in `buf[..len]`; `buf.len()` is the capacity.
+    Vector { len: u32, buf: Box<[u32]> },
+    /// Chunked hybrid set with CoW dense blocks, boxed: the few large sets
+    /// pay 8 bytes here instead of every set paying for two inline `Vec`s.
+    Chunked { len: u32, set: Box<ChunkedSet> },
 }
 
 /// A set of dense u32 ids with delta-union support and a hybrid
-/// sorted-vec / chunked representation.
-#[derive(Clone, Default)]
+/// inline / sorted-vec / chunked representation, 24 bytes in place.
 pub struct PointsToSet {
     repr: Repr,
 }
 
+impl Default for PointsToSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for PointsToSet {
+    fn clone(&self) -> Self {
+        let repr = match &self.repr {
+            Repr::Inline { len, elems } => Repr::Inline {
+                len: *len,
+                elems: *elems,
+            },
+            // A copy keeps no growth slack.
+            Repr::Vector { len, buf } => Repr::Vector {
+                len: *len,
+                buf: buf[..*len as usize].into(),
+            },
+            Repr::Chunked { len, set } => Repr::Chunked {
+                len: *len,
+                set: set.clone(),
+            },
+        };
+        PointsToSet { repr }
+    }
+}
+
+/// Calls `out` with every element of the union of two ascending,
+/// deduplicated slices, in order, and pushes the elements of `ov` that
+/// `sv` lacks into `delta` when one is supplied.
+fn merge_sorted(
+    sv: &[u32],
+    ov: &[u32],
+    mut delta: Option<&mut Vec<u32>>,
+    mut out: impl FnMut(u32),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < sv.len() && j < ov.len() {
+        match sv[i].cmp(&ov[j]) {
+            std::cmp::Ordering::Less => {
+                out(sv[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out(ov[j]);
+                if let Some(d) = delta.as_deref_mut() {
+                    d.push(ov[j]);
+                }
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out(sv[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for &e in &sv[i..] {
+        out(e);
+    }
+    for &e in &ov[j..] {
+        out(e);
+        if let Some(d) = delta.as_deref_mut() {
+            d.push(e);
+        }
+    }
+}
+
 impl PointsToSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        PointsToSet {
+            repr: Repr::Inline {
+                len: 0,
+                elems: [0; INLINE_MAX],
+            },
+        }
     }
 
     /// Creates a set holding a single element.
     pub fn singleton(e: u32) -> Self {
+        Self::inline(&[e])
+    }
+
+    /// Builds an inline set from at most [`INLINE_MAX`] sorted,
+    /// deduplicated elements.
+    fn inline(sorted: &[u32]) -> Self {
+        let mut elems = [0; INLINE_MAX];
+        elems[..sorted.len()].copy_from_slice(sorted);
         PointsToSet {
-            repr: Repr::Small(vec![e]),
+            repr: Repr::Inline {
+                len: sorted.len() as u32,
+                elems,
+            },
         }
     }
 
-    /// Builds a set from an already sorted, deduplicated vector.
+    /// Builds a set from an already sorted, deduplicated vector, in the
+    /// representation its length calls for.
     fn from_sorted(mut elems: Vec<u32>) -> Self {
-        if elems.len() <= SMALL_MAX {
-            // Deltas built by push can carry growth slack; keep persistent
-            // small sets trimmed.
-            if elems.capacity() > elems.len() + 16 {
-                elems.shrink_to_fit();
-            }
+        let len = elems.len();
+        if len <= INLINE_MAX {
+            return Self::inline(&elems);
+        }
+        if len > SMALL_MAX {
             return PointsToSet {
-                repr: Repr::Small(elems),
+                repr: Repr::Chunked {
+                    len: len as u32,
+                    set: Box::new(ChunkedSet::from_sorted(&elems)),
+                },
             };
         }
+        // Deltas built by push and merges sized for both sides can carry
+        // growth slack; persistent vector sets keep at most 16 slots of it.
+        if elems.capacity() > len + 16 {
+            elems.shrink_to_fit();
+        }
+        elems.resize(elems.capacity(), 0);
         PointsToSet {
-            repr: Repr::Chunked(ChunkedSet::from_sorted(&elems)),
+            repr: Repr::Vector {
+                len: len as u32,
+                buf: elems.into_boxed_slice(),
+            },
+        }
+    }
+
+    /// The sorted elements of an inline or vector set; `None` for a
+    /// chunked one.
+    fn small(&self) -> Option<&[u32]> {
+        match &self.repr {
+            Repr::Inline { len, elems } => Some(&elems[..*len as usize]),
+            Repr::Vector { len, buf } => Some(&buf[..*len as usize]),
+            Repr::Chunked { .. } => None,
+        }
+    }
+
+    /// The chunked representation, if the set has promoted to it.
+    fn chunked(&self) -> Option<&ChunkedSet> {
+        match &self.repr {
+            Repr::Chunked { set, .. } => Some(set),
+            _ => None,
         }
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
         match &self.repr {
-            Repr::Small(v) => v.len(),
-            Repr::Chunked(c) => c.len as usize,
+            Repr::Inline { len, .. } | Repr::Vector { len, .. } | Repr::Chunked { len, .. } => {
+                *len as usize
+            }
         }
     }
 
@@ -644,30 +761,63 @@ impl PointsToSet {
     /// Membership test.
     pub fn contains(&self, e: u32) -> bool {
         match &self.repr {
-            Repr::Small(v) => v.binary_search(&e).is_ok(),
-            Repr::Chunked(c) => c.contains(e),
+            Repr::Inline { len, elems } => elems[..*len as usize].contains(&e),
+            Repr::Vector { len, buf } => buf[..*len as usize].binary_search(&e).is_ok(),
+            Repr::Chunked { set, .. } => set.contains(e),
         }
     }
 
     /// Inserts one element; returns whether it was new.
     pub fn insert(&mut self, e: u32) -> bool {
         match &mut self.repr {
-            Repr::Small(v) => match v.binary_search(&e) {
-                Ok(_) => false,
-                Err(i) => {
-                    v.insert(i, e);
-                    self.maybe_promote();
-                    true
+            Repr::Inline { len, elems } => {
+                let n = *len as usize;
+                let Err(i) = elems[..n].binary_search(&e) else {
+                    return false;
+                };
+                if n < INLINE_MAX {
+                    elems.copy_within(i..n, i + 1);
+                    elems[i] = e;
+                    *len += 1;
+                } else {
+                    let mut buf = vec![0; 2 * INLINE_MAX].into_boxed_slice();
+                    buf[..i].copy_from_slice(&elems[..i]);
+                    buf[i] = e;
+                    buf[i + 1..=n].copy_from_slice(&elems[i..]);
+                    self.repr = Repr::Vector {
+                        len: n as u32 + 1,
+                        buf,
+                    };
                 }
-            },
-            Repr::Chunked(c) => c.insert(e),
-        }
-    }
-
-    fn maybe_promote(&mut self) {
-        if let Repr::Small(v) = &self.repr {
-            if v.len() > SMALL_MAX {
-                self.repr = Repr::Chunked(ChunkedSet::from_sorted(v));
+                true
+            }
+            Repr::Vector { len, buf } => {
+                let n = *len as usize;
+                let Err(i) = buf[..n].binary_search(&e) else {
+                    return false;
+                };
+                if n == SMALL_MAX {
+                    let mut elems = Vec::with_capacity(n + 1);
+                    elems.extend_from_slice(&buf[..i]);
+                    elems.push(e);
+                    elems.extend_from_slice(&buf[i..n]);
+                    *self = PointsToSet::from_sorted(elems);
+                    return true;
+                }
+                if n == buf.len() {
+                    let mut grown = vec![0; (2 * n).min(SMALL_MAX)].into_boxed_slice();
+                    grown[..n].copy_from_slice(buf);
+                    *buf = grown;
+                }
+                buf.copy_within(i..n, i + 1);
+                buf[i] = e;
+                *len += 1;
+                true
+            }
+            Repr::Chunked { len, set } => {
+                let added = set.insert(e);
+                *len += u32::from(added);
+                added
             }
         }
     }
@@ -703,80 +853,51 @@ impl PointsToSet {
             // for every representation pairing.
             return false;
         }
-        match (&mut self.repr, &other.repr) {
-            (Repr::Small(sv), Repr::Small(ov)) => {
-                let mut merged = Vec::with_capacity(sv.len() + ov.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < sv.len() && j < ov.len() {
-                    match sv[i].cmp(&ov[j]) {
-                        std::cmp::Ordering::Less => {
-                            merged.push(sv[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            merged.push(ov[j]);
-                            if let Some(d) = delta.as_deref_mut() {
-                                d.push(ov[j]);
-                            }
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            merged.push(sv[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                merged.extend_from_slice(&sv[i..]);
-                for &e in &ov[j..] {
-                    merged.push(e);
+        if let Some(ov) = other.small() {
+            if let Some(sv) = self.small() {
+                *self = merge_small(sv, ov, delta);
+                return true;
+            }
+            let Repr::Chunked { len, set } = &mut self.repr else {
+                unreachable!("a set without a slice is chunked")
+            };
+            let before = *len;
+            for &e in ov {
+                if set.insert(e) {
+                    *len += 1;
                     if let Some(d) = delta.as_deref_mut() {
                         d.push(e);
                     }
                 }
-                // Persistent small sets keep no merge slack (satellite of
-                // the memory diet: the capacity was sized for the merge,
-                // not the survivors).
-                if merged.len() <= SMALL_MAX && merged.capacity() > merged.len() + 16 {
-                    merged.shrink_to_fit();
-                }
-                *sv = merged;
-                self.maybe_promote();
-                true
             }
-            (Repr::Small(_), Repr::Chunked(oc)) => {
-                // The incoming set is chunked; promote to match and do the
-                // chunk-merge union (which shares missing dense blocks).
-                let Repr::Small(sv) = std::mem::take(&mut self.repr) else {
-                    unreachable!()
-                };
-                let mut cs = ChunkedSet::from_sorted(&sv);
-                let changed = cs.union_from(oc, delta);
-                self.repr = Repr::Chunked(cs);
-                debug_assert!(changed);
-                changed
-            }
-            (Repr::Chunked(cs), Repr::Chunked(oc)) => cs.union_from(oc, delta),
-            (Repr::Chunked(cs), Repr::Small(ov)) => {
-                let mut changed = false;
-                for &e in ov {
-                    if cs.insert(e) {
-                        changed = true;
-                        if let Some(d) = delta.as_deref_mut() {
-                            d.push(e);
-                        }
-                    }
-                }
-                changed
-            }
+            return *len != before;
         }
+        let oc = other.chunked().expect("a set without a slice is chunked");
+        if let Some(sv) = self.small() {
+            // The incoming set is chunked; promote to match and do the
+            // chunk-merge union (which shares missing dense blocks).
+            self.repr = Repr::Chunked {
+                len: sv.len() as u32,
+                set: Box::new(ChunkedSet::from_sorted(sv)),
+            };
+        }
+        let Repr::Chunked { len, set } = &mut self.repr else {
+            unreachable!("promoted above")
+        };
+        let added = set.union_from(oc, delta);
+        *len += added;
+        added != 0
     }
 
     /// Iterates the elements in ascending order.
     pub fn iter(&self) -> Iter<'_> {
-        match &self.repr {
-            Repr::Small(v) => Iter(IterInner::Small(v.iter())),
-            Repr::Chunked(c) => Iter(IterInner::Chunked(c.iter())),
+        match self.small() {
+            Some(v) => Iter(IterInner::Small(v.iter())),
+            None => Iter(IterInner::Chunked(
+                self.chunked()
+                    .expect("a set without a slice is chunked")
+                    .iter(),
+            )),
         }
     }
 
@@ -790,16 +911,16 @@ impl PointsToSet {
         if self.len() > other.len() {
             return false;
         }
-        match (&self.repr, &other.repr) {
-            (Repr::Chunked(a), Repr::Chunked(b)) => a.is_subset(b),
+        match (self.chunked(), other.chunked()) {
+            (Some(a), Some(b)) => a.is_subset(b),
             _ => self.iter().all(|e| other.contains(e)),
         }
     }
 
     /// Whether the two sets share at least one element.
     pub fn intersects(&self, other: &PointsToSet) -> bool {
-        match (&self.repr, &other.repr) {
-            (Repr::Small(a), Repr::Small(b)) => {
+        match (self.small(), other.small()) {
+            (Some(a), Some(b)) => {
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < a.len() && j < b.len() {
                     match a[i].cmp(&b[j]) {
@@ -810,50 +931,84 @@ impl PointsToSet {
                 }
                 false
             }
-            (Repr::Chunked(a), Repr::Chunked(b)) => a.intersects(b),
-            (Repr::Small(v), _) => v.iter().any(|&e| other.contains(e)),
-            (_, Repr::Small(v)) => v.iter().any(|&e| self.contains(e)),
+            (Some(v), None) => v.iter().any(|&e| other.contains(e)),
+            (None, Some(v)) => v.iter().any(|&e| self.contains(e)),
+            (None, None) => match (self.chunked(), other.chunked()) {
+                (Some(a), Some(b)) => a.intersects(b),
+                _ => unreachable!("a set without a slice is chunked"),
+            },
         }
     }
 
     /// Heap bytes this set owns, counting shared dense blocks in full
     /// (sharing-blind; [`account`](Self::account) attributes each shared
-    /// block once).
+    /// block once). An inline set owns none.
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Small(v) => v.capacity() * std::mem::size_of::<u32>(),
-            Repr::Chunked(c) => c.heap_bytes(),
+            Repr::Inline { .. } => 0,
+            Repr::Vector { buf, .. } => std::mem::size_of_val::<[u32]>(buf),
+            Repr::Chunked { set, .. } => std::mem::size_of::<ChunkedSet>() + set.heap_bytes(),
         }
     }
 
-    /// Accounts this set into `acc`, attributing each CoW-shared dense
-    /// block to the first set that reaches it and counting later
-    /// references as deduplicated (see [`crate::mem`]).
+    /// Accounts every heap byte this set owns into `acc` — a vector's
+    /// buffer, or a chunked set's box, key and chunk arrays, sparse
+    /// chunks and dense blocks — attributing each CoW-shared dense block
+    /// to the first set that reaches it and counting later references as
+    /// deduplicated (see [`crate::mem`]).
     pub fn account(&self, acc: &mut crate::mem::PtsAccount) {
-        match &self.repr {
-            Repr::Small(v) => acc.bytes += (v.capacity() * std::mem::size_of::<u32>()) as u64,
-            Repr::Chunked(c) => {
-                acc.bytes += (c.keys.capacity() * std::mem::size_of::<u32>()
-                    + c.chunks.capacity() * std::mem::size_of::<Chunk>())
-                    as u64;
-                for chunk in &c.chunks {
-                    match chunk {
-                        Chunk::Sparse(v) => {
-                            acc.bytes += (v.capacity() * std::mem::size_of::<u16>()) as u64;
-                        }
-                        Chunk::Dense { words, .. } => {
-                            let block = std::mem::size_of::<[u64; CHUNK_WORDS]>() as u64;
-                            if acc.note_block(Arc::as_ptr(words) as usize) {
-                                acc.bytes += block;
-                            } else {
-                                acc.shared_chunks += 1;
-                            }
-                        }
+        let c = match &self.repr {
+            Repr::Inline { .. } => return,
+            Repr::Vector { buf, .. } => {
+                acc.bytes += std::mem::size_of_val::<[u32]>(buf) as u64;
+                return;
+            }
+            Repr::Chunked { set, .. } => set,
+        };
+        acc.bytes += (std::mem::size_of::<ChunkedSet>()
+            + c.keys.capacity() * std::mem::size_of::<u32>()
+            + c.chunks.capacity() * std::mem::size_of::<Chunk>()) as u64;
+        for chunk in &c.chunks {
+            match chunk {
+                Chunk::Sparse(v) => {
+                    acc.bytes += (v.capacity() * std::mem::size_of::<u16>()) as u64;
+                }
+                Chunk::Dense { words, .. } => {
+                    let block = std::mem::size_of::<[u64; CHUNK_WORDS]>() as u64;
+                    if acc.note_block(Arc::as_ptr(words) as usize) {
+                        acc.bytes += block;
+                    } else {
+                        acc.shared_chunks += 1;
                     }
                 }
             }
         }
     }
+}
+
+/// The union of two inline or vector sets, in the representation its
+/// length calls for; the elements `ov` adds to `sv` go into `delta`.
+/// Small pairs merge on the stack, so a union whose result stays inline
+/// allocates nothing.
+fn merge_small(sv: &[u32], ov: &[u32], delta: Option<&mut Vec<u32>>) -> PointsToSet {
+    let cap = sv.len() + ov.len();
+    if cap <= 2 * INLINE_MAX {
+        let mut buf = [0; 2 * INLINE_MAX];
+        let mut n = 0;
+        merge_sorted(sv, ov, delta, |e| {
+            buf[n] = e;
+            n += 1;
+        });
+        if n <= INLINE_MAX {
+            return PointsToSet::inline(&buf[..n]);
+        }
+        let mut merged = Vec::with_capacity(cap);
+        merged.extend_from_slice(&buf[..n]);
+        return PointsToSet::from_sorted(merged);
+    }
+    let mut merged = Vec::with_capacity(cap);
+    merge_sorted(sv, ov, delta, |e| merged.push(e));
+    PointsToSet::from_sorted(merged)
 }
 
 /// Iterator over a [`PointsToSet`], ascending.
@@ -963,6 +1118,106 @@ impl Extend<u32> for PointsToSet {
 mod tests {
     use super::*;
 
+    /// Which representation a set is in.
+    fn repr_name(s: &PointsToSet) -> &'static str {
+        match s.repr {
+            Repr::Inline { .. } => "inline",
+            Repr::Vector { .. } => "vector",
+            Repr::Chunked { .. } => "chunked",
+        }
+    }
+
+    /// The representation a set of `n` elements must be in.
+    fn expected_repr(n: usize) -> &'static str {
+        if n <= INLINE_MAX {
+            "inline"
+        } else if n <= SMALL_MAX {
+            "vector"
+        } else {
+            "chunked"
+        }
+    }
+
+    #[test]
+    fn set_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<PointsToSet>(), 24);
+    }
+
+    #[test]
+    fn insert_promotes_inline_to_vector_to_chunked() {
+        // Descending inserts land at the front, so every insert shifts the
+        // whole set, across both promotion boundaries.
+        let mut s = PointsToSet::new();
+        let mut want = Vec::new();
+        for e in (0..=SMALL_MAX as u32 + 1).rev() {
+            assert!(s.insert(e * 7));
+            assert!(!s.insert(e * 7));
+            want.insert(0, e * 7);
+            assert_eq!(
+                repr_name(&s),
+                expected_repr(s.len()),
+                "{} elements",
+                s.len()
+            );
+            assert_eq!(s.iter().collect::<Vec<u32>>(), want);
+            assert_eq!(s.heap_bytes() == 0, s.len() <= INLINE_MAX);
+            assert!(s.contains(e * 7) && !s.contains(e * 7 + 1));
+        }
+    }
+
+    #[test]
+    fn union_promotes_inline_to_vector_to_chunked() {
+        // 2 + 2 inline elements make a 4-element vector.
+        let mut s: PointsToSet = [1, 9].into_iter().collect();
+        let delta = s.union_delta(&[5, 9, 11].into_iter().collect()).unwrap();
+        assert_eq!(repr_name(&s), "vector");
+        assert_eq!(repr_name(&delta), "inline");
+        assert_eq!(s.iter().collect::<Vec<u32>>(), vec![1, 5, 9, 11]);
+        assert_eq!(delta.iter().collect::<Vec<u32>>(), vec![5, 11]);
+        // Overlapping inline sets whose union still fits stay inline.
+        let mut t: PointsToSet = [1, 2].into_iter().collect();
+        assert!(t.union_with(&[2, 3].into_iter().collect()));
+        assert_eq!(repr_name(&t), "inline");
+        assert_eq!(t.iter().collect::<Vec<u32>>(), vec![1, 2, 3]);
+        // 60 + 5 vector elements make a 65-element chunked set.
+        let mut v: PointsToSet = (0..60u32).map(|e| e * 2).collect();
+        assert_eq!(repr_name(&v), "vector");
+        let delta = v
+            .union_delta(&(0..5u32).map(|e| e * 2 + 1).collect())
+            .unwrap();
+        assert_eq!(repr_name(&v), "chunked");
+        assert_eq!(v.len(), 65);
+        assert_eq!(repr_name(&delta), "vector");
+        assert_eq!(delta.iter().collect::<Vec<u32>>(), vec![1, 3, 5, 7, 9]);
+        // An inline set unioned with a chunked one promotes to chunked.
+        let mut w = PointsToSet::singleton(1000);
+        assert!(w.union_with(&v));
+        assert_eq!(repr_name(&w), "chunked");
+        assert_eq!(w.len(), 66);
+    }
+
+    #[test]
+    fn clone_drops_vector_slack() {
+        let mut s: PointsToSet = (0..4u32).collect();
+        s.insert(10);
+        assert!(s.heap_bytes() > 5 * 4, "growth leaves slack");
+        let c = s.clone();
+        assert_eq!(c, s);
+        assert_eq!(c.heap_bytes(), 5 * 4);
+    }
+
+    #[test]
+    fn account_counts_the_chunked_box() {
+        let inline = PointsToSet::singleton(3);
+        let big: PointsToSet = (0..100u32).collect();
+        let mut acc = crate::mem::PtsAccount::default();
+        inline.account(&mut acc);
+        assert_eq!(acc.bytes, 0, "an inline set owns no heap");
+        big.account(&mut acc);
+        assert_eq!(acc.bytes as usize, big.heap_bytes());
+        assert!(big.heap_bytes() > std::mem::size_of::<ChunkedSet>());
+    }
+
     #[test]
     fn insert_and_contains() {
         let mut s = PointsToSet::new();
@@ -1014,7 +1269,7 @@ mod tests {
             s.insert(e);
         }
         assert!(
-            !matches!(s.repr, Repr::Small(_)),
+            matches!(s.repr, Repr::Chunked { .. }),
             "must promote past SMALL_MAX"
         );
         let got: Vec<u32> = s.iter().collect();

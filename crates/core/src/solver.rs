@@ -311,9 +311,12 @@ pub struct SolverStats {
     /// Call-graph edges in the most recent incremental re-solve's removal
     /// cone (0 after an additions-only resolve or a fallback).
     pub incr_cone_call_edges: u64,
-    /// Heap bytes of the points-to plane (`pts` + pending accumulators) at
-    /// solve end, with CoW-shared dense chunks attributed once (see
-    /// [`crate::mem`]).
+    /// Heap bytes the points-to sets own at solve end: every pointer's
+    /// set and the pending accumulators still queued (none after a
+    /// completed solve). An inline set (up to three elements) owns none, a
+    /// sorted-vector set its buffer, a chunked set its box, arrays and
+    /// chunks; the sets' 24 bytes in place are not counted, and each
+    /// CoW-shared dense chunk is counted once (see [`crate::mem`]).
     pub pts_bytes: u64,
     /// Heap bytes of the PFG edge storage (successor arenas + edge-dedup
     /// pair sets) at solve end.
@@ -1108,16 +1111,17 @@ impl<'p> SolverState<'p> {
         v: VarId,
         delta: &PointsToSet,
     ) {
-        for i in 0..self.stmts.loads_with_base[v.index()].len() {
-            let l = self.stmts.loads_with_base[v.index()][i];
+        // The rules mutate the state, so each row is read by position.
+        for i in self.stmts.loads.span(v) {
+            let l = self.stmts.loads.id(i);
             self.rule_load(plugin, ctx, l, delta.iter());
         }
-        for i in 0..self.stmts.stores_with_base[v.index()].len() {
-            let st = self.stmts.stores_with_base[v.index()][i];
+        for i in self.stmts.stores.span(v) {
+            let st = self.stmts.stores.id(i);
             self.rule_store(plugin, ctx, st, delta.iter());
         }
-        for i in 0..self.stmts.calls_with_recv[v.index()].len() {
-            let site = self.stmts.calls_with_recv[v.index()][i];
+        for i in self.stmts.calls.span(v) {
+            let site = self.stmts.calls.id(i);
             self.rule_call(selector, plugin, ctx, site, delta.iter());
         }
     }

@@ -1,13 +1,16 @@
 //! Property tests for the points-to set representation.
 //!
-//! [`csc_core::PointsToSet`] is a hybrid — a sorted vector while small, a
-//! chunked set with copy-on-write dense blocks once promoted — so every
-//! observable must be representation-independent:
+//! [`csc_core::PointsToSet`] is a hybrid — up to three elements inline, a
+//! sorted vector up to 64, a chunked set with copy-on-write dense blocks
+//! once promoted — so every observable must be representation-independent:
 //!
 //! * arbitrary interleavings of `insert` / `union_with` / `union_delta` /
 //!   `is_subset` / `intersects` must agree with a `BTreeSet` reference,
 //!   including the `union_delta` contract (the returned delta is
-//!   *exactly* the genuinely-new elements, and `None` means no growth);
+//!   *exactly* the genuinely-new elements, and `None` means no growth),
+//!   with the set under test on either side of a union; streams of 0–5
+//!   element operands walk sets across the inline/vector (3↔4) and
+//!   vector/chunked (64↔65) boundaries a few elements at a time;
 //! * iteration is ascending and duplicate-free regardless of which
 //!   chunks are sparse, dense, or CoW-shared;
 //! * copy-on-write chunk sharing is invisible: after a clone or an
@@ -41,6 +44,9 @@ enum Op {
     UnionDelta(Vec<u32>),
     IsSubset(Vec<u32>),
     Intersects(Vec<u32>),
+    /// Unions the set under test into a fresh set of these elements: the
+    /// receiver is the smaller side.
+    UnionInto(Vec<u32>),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -50,6 +56,30 @@ fn op() -> impl Strategy<Value = Op> {
         2 => proptest::collection::vec(elem(), 0..200).prop_map(Op::UnionDelta),
         1 => proptest::collection::vec(elem(), 0..60).prop_map(Op::IsSubset),
         1 => proptest::collection::vec(elem(), 0..60).prop_map(Op::Intersects),
+        1 => proptest::collection::vec(elem(), 0..60).prop_map(Op::UnionInto),
+    ]
+}
+
+/// Ops whose operands hold 0–5 elements, drawn mostly from a small range
+/// so that they overlap the set: a stream of them grows a set one to a
+/// few elements at a time, through each representation boundary.
+fn small_op() -> impl Strategy<Value = Op> {
+    let small = || {
+        proptest::collection::vec(
+            prop_oneof![
+                4 => 0u32..100,
+                1 => elem(),
+            ],
+            0..6,
+        )
+    };
+    prop_oneof![
+        3 => (0u32..100).prop_map(Op::Insert),
+        3 => small().prop_map(Op::UnionWith),
+        3 => small().prop_map(Op::UnionDelta),
+        1 => small().prop_map(Op::IsSubset),
+        1 => small().prop_map(Op::Intersects),
+        2 => small().prop_map(Op::UnionInto),
     ]
 }
 
@@ -57,11 +87,12 @@ fn set_of(elems: &[u32]) -> PointsToSet {
     elems.iter().copied().collect()
 }
 
-/// Runs one op stream against both the set under test and a `BTreeSet`
-/// reference, checking every observable after every op.
-fn check_against_reference(ops: &[Op]) {
-    let mut s = PointsToSet::new();
-    let mut r: BTreeSet<u32> = BTreeSet::new();
+/// Runs one op stream against both the set under test (starting from
+/// `base`) and a `BTreeSet` reference, checking every observable after
+/// every op.
+fn check_against_reference(base: &[u32], ops: &[Op]) {
+    let mut s = set_of(base);
+    let mut r: BTreeSet<u32> = base.iter().copied().collect();
     for op in ops {
         match op {
             Op::Insert(e) => {
@@ -103,6 +134,21 @@ fn check_against_reference(ops: &[Op]) {
                 let probe_r: BTreeSet<u32> = elems.iter().copied().collect();
                 prop_assert_eq!(s.intersects(&probe), !r.is_disjoint(&probe_r), "intersects");
             }
+            Op::UnionInto(elems) => {
+                let mut t = set_of(elems);
+                let rt: BTreeSet<u32> = elems.iter().copied().collect();
+                let delta = t.union_delta(&s);
+                let want_delta: Vec<u32> = r.difference(&rt).copied().collect();
+                match delta {
+                    None => prop_assert!(want_delta.is_empty(), "None delta into {:?}", rt),
+                    Some(d) => {
+                        prop_assert_eq!(d.iter().collect::<Vec<u32>>(), want_delta, "delta into")
+                    }
+                }
+                let want: Vec<u32> = rt.union(&r).copied().collect();
+                prop_assert_eq!(t.len(), want.len(), "len of union into");
+                prop_assert_eq!(t.iter().collect::<Vec<u32>>(), want, "union into");
+            }
         }
         prop_assert_eq!(s.len(), r.len(), "len after {:?}", op);
         // Ascending, duplicate-free, element-identical iteration.
@@ -120,7 +166,19 @@ proptest! {
     /// promotion into the chunked representation.
     #[test]
     fn chunked_matches_btreeset(ops in proptest::collection::vec(op(), 0..30)) {
-        check_against_reference(&ops);
+        check_against_reference(&[], &ops);
+    }
+
+    /// Differential with small operands: from a base of up to 74
+    /// elements, unions and inserts of 0–5 elements cross the
+    /// inline/vector and vector/chunked boundaries, with the set under
+    /// test as the receiver and as the operand.
+    #[test]
+    fn small_ops_cross_representation_boundaries(
+        base in proptest::collection::vec(0u32..100, 0..75),
+        ops in proptest::collection::vec(small_op(), 0..40),
+    ) {
+        check_against_reference(&base, &ops);
     }
 
     /// CoW aliasing safety: clone a set (sharing every dense chunk block),
